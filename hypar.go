@@ -949,36 +949,53 @@ func Run(m *Model, s Strategy, c Config) (*Result, error) {
 }
 
 // Evaluator amortizes evaluation state across Run calls: it reuses one
-// simulation engine (task slab and all) and caches the materialized
-// Arch per Config, so sweeps that evaluate many plans stop rebuilding
-// both. It also keeps each model's latest HyPar plan as a warm-start
-// hint, so a sweep that mutates one dimension (bandwidth, platform,
-// batch) re-solves only the hierarchy levels the mutation actually
-// touches — level reuse is fingerprint-guarded (partition.Request.Warm)
-// and byte-identical, so caching across different Configs is safe. An
-// Evaluator is not safe for concurrent use — fan-outs give each worker
-// its own (see runner.MapWith).
+// simulation engine (task slab and all) and remembers the materialized
+// Arch of the most recently used Configs, so sweeps and fan-outs that
+// evaluate many plans at one Config stop rebuilding both. It also
+// keeps the latest HyPar plan of the most recently used model names as
+// warm-start hints, so a sweep that mutates one dimension (bandwidth,
+// platform, batch) re-solves only the hierarchy levels the mutation
+// actually touches — level reuse is fingerprint-guarded
+// (partition.Request.Warm) and byte-identical, so caching across
+// different Configs is safe. Both memos are small, fixed-size and
+// least-recently-used: a long-lived Evaluator that sees a new Config or
+// model on every call (a daemon's cold traffic) holds at most
+// evaluatorArchs archs and evaluatorWarm plans. An Evaluator is not
+// safe for concurrent use — fan-outs give each worker its own (see
+// runner.MapWith).
 type Evaluator struct {
 	sim   *sim.Simulator
-	archs map[Config]Arch
-	warm  map[string]*Plan
+	archs mru[Config, Arch]
+	warm  mru[string, *Plan]
 }
+
+// Memo bounds of an Evaluator. A Compare or a degraded evaluation
+// touches at most two Configs, and the pinned zoo plus branched
+// workloads are twelve model names, so both bounds leave headroom.
+const (
+	evaluatorArchs = 8
+	evaluatorWarm  = 32
+)
 
 // NewEvaluator returns an empty Evaluator.
 func NewEvaluator() *Evaluator {
-	return &Evaluator{sim: sim.NewSimulator(), archs: make(map[Config]Arch), warm: make(map[string]*Plan)}
+	return &Evaluator{
+		sim:   sim.NewSimulator(),
+		archs: newMRU[Config, Arch](evaluatorArchs),
+		warm:  newMRU[string, *Plan](evaluatorWarm),
+	}
 }
 
 // Arch returns the simulated platform for the configuration, cached.
 func (e *Evaluator) Arch(c Config) (Arch, error) {
-	if arch, ok := e.archs[c]; ok {
+	if arch, ok := e.archs.get(c); ok {
 		return arch, nil
 	}
 	arch, err := BuildArch(c)
 	if err != nil {
 		return Arch{}, err
 	}
-	e.archs[c] = arch
+	e.archs.put(c, arch)
 	return arch, nil
 }
 
@@ -1001,14 +1018,14 @@ func (e *Evaluator) Run(m *Model, s Strategy, c Config) (*Result, error) {
 func (e *Evaluator) RunCtx(ctx context.Context, m *Model, s Strategy, c Config) (*Result, error) {
 	var opt PlanOptions
 	if s == HyPar {
-		opt.Warm = e.warm[m.Name]
+		opt.Warm, _ = e.warm.get(m.Name)
 	}
 	plan, err := NewPlanOpts(ctx, m, s, c, opt)
 	if err != nil {
 		return nil, err
 	}
 	if s == HyPar {
-		e.warm[m.Name] = plan
+		e.warm.put(m.Name, plan)
 	}
 	res, err := e.Simulate(m, s, plan, c)
 	if err != nil {

@@ -67,7 +67,7 @@ func (c *Cache[K, V]) costOf(key K, val V) int {
 }
 
 // SetOnEvict installs a hook invoked once per entry leaving the cache —
-// capacity eviction, Remove, or RemoveIf (not value refreshes). The
+// capacity eviction or Remove (not value refreshes). The
 // hook runs after the cache lock is released, so it may use the cache's
 // own methods; install it before the cache is shared across goroutines.
 // Hooks for entries dropped by one operation run in eviction order.
@@ -153,38 +153,19 @@ func (c *Cache[K, V]) GetOrAdd(key K, build func() V) (V, bool) {
 func (c *Cache[K, V]) Remove(key K) bool {
 	c.mu.Lock()
 	el, ok := c.items[key]
-	var dropped []entry[K, V]
-	if ok {
-		c.ll.Remove(el)
-		delete(c.items, key)
-		e := el.Value.(*entry[K, V])
-		c.total -= e.cost
-		dropped = append(dropped, *e)
+	if !ok {
+		c.mu.Unlock()
+		return false
 	}
+	c.ll.Remove(el)
+	delete(c.items, key)
+	e := el.Value.(*entry[K, V])
+	c.total -= e.cost
 	c.mu.Unlock()
-	c.notify(dropped)
-	return ok
-}
-
-// RemoveIf drops every entry whose key satisfies pred and returns how
-// many were dropped. pred runs under the cache lock — keep it cheap.
-func (c *Cache[K, V]) RemoveIf(pred func(K) bool) int {
-	c.mu.Lock()
-	var dropped []entry[K, V]
-	for el := c.ll.Front(); el != nil; {
-		next := el.Next()
-		e := el.Value.(*entry[K, V])
-		if pred(e.key) {
-			c.ll.Remove(el)
-			delete(c.items, e.key)
-			c.total -= e.cost
-			dropped = append(dropped, *e)
-		}
-		el = next
+	if c.onEvict != nil {
+		c.onEvict(e.key, e.val)
 	}
-	c.mu.Unlock()
-	c.notify(dropped)
-	return len(dropped)
+	return true
 }
 
 // insert adds a fresh entry at the given cost and evicts past the

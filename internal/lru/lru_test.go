@@ -119,28 +119,8 @@ func TestRemove(t *testing.T) {
 	}
 }
 
-// TestRemoveIf drops entries by predicate and counts them.
-func TestRemoveIf(t *testing.T) {
-	c := New[int, int](8)
-	for i := 0; i < 8; i++ {
-		c.Put(i, i)
-	}
-	if n := c.RemoveIf(func(k int) bool { return k%2 == 0 }); n != 4 {
-		t.Fatalf("RemoveIf dropped %d, want 4", n)
-	}
-	if c.Len() != 4 {
-		t.Fatalf("len %d after RemoveIf, want 4", c.Len())
-	}
-	for i := 0; i < 8; i++ {
-		_, ok := c.Get(i)
-		if want := i%2 == 1; ok != want {
-			t.Errorf("Get(%d) present=%v, want %v", i, ok, want)
-		}
-	}
-}
-
 // TestOnEvictHook checks the hook fires exactly once per dropped entry
-// — capacity evictions, Remove and RemoveIf — and not for refreshes,
+// — capacity evictions and Remove — and not for refreshes,
 // and that it can safely re-enter the cache (it runs unlocked).
 func TestOnEvictHook(t *testing.T) {
 	c := New[int, string](2)
@@ -154,7 +134,7 @@ func TestOnEvictHook(t *testing.T) {
 	c.Put(2, "b")
 	c.Put(3, "c") // evicts 1 (LRU)
 	c.Remove(2)
-	c.RemoveIf(func(k int) bool { return k == 3 })
+	c.Remove(3)
 	want := []int{1, 2, 3}
 	if len(evicted) != len(want) {
 		t.Fatalf("evicted %v, want %v", evicted, want)

@@ -177,3 +177,132 @@ func TestDropCachedShapes(t *testing.T) {
 		t.Error("dropping model a evicted model b's entry")
 	}
 }
+
+// checkShapeIndex asserts the per-model batch index and the shape cache
+// agree exactly: every indexed (model, batch) is resident, none is
+// listed twice, and the index lists as many entries as the cache holds.
+func checkShapeIndex(t *testing.T) {
+	t.Helper()
+	shapeIdx.mu.Lock()
+	snap := make(map[*Model][]int, len(shapeIdx.batches))
+	for m, bs := range shapeIdx.batches {
+		snap[m] = append([]int(nil), bs...)
+	}
+	shapeIdx.mu.Unlock()
+	total := 0
+	for m, bs := range snap {
+		seen := map[int]bool{}
+		for _, b := range bs {
+			if seen[b] {
+				t.Errorf("index lists model %p batch %d twice", m, b)
+			}
+			seen[b] = true
+			if _, ok := shapeCache.Get(shapeKey{model: m, batch: b}); !ok {
+				t.Errorf("index lists model %p batch %d, which is not cached", m, b)
+			}
+		}
+		total += len(bs)
+	}
+	if n := ShapeCacheLen(); total != n {
+		t.Errorf("index lists %d entries, cache holds %d", total, n)
+	}
+}
+
+// TestDropCachedShapesFullCache drops one model from a cache filled to
+// its limit: exactly its 3 entries leave and every other entry stays.
+func TestDropCachedShapesFullCache(t *testing.T) {
+	a := CifarC()
+	for _, batch := range []int{2, 4, 8} {
+		if _, err := a.CachedShapes(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	others := make([]*Model, shapeCacheLimit-3)
+	first := make([]*LayerShapes, len(others))
+	for i := range others {
+		others[i] = LenetC()
+		s, err := others[i].CachedShapes(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first[i] = &s[0]
+	}
+	if n := ShapeCacheLen(); n != shapeCacheLimit {
+		t.Fatalf("cache holds %d entries, want the limit %d", n, shapeCacheLimit)
+	}
+	if n := DropCachedShapes(a); n != 3 {
+		t.Fatalf("DropCachedShapes dropped %d entries, want 3", n)
+	}
+	if n := ShapeCacheLen(); n != shapeCacheLimit-3 {
+		t.Fatalf("cache holds %d entries after the drop, want %d", n, shapeCacheLimit-3)
+	}
+	for i, m := range others {
+		s, err := m.CachedShapes(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &s[0] != first[i] {
+			t.Fatalf("dropping one model evicted another model's entry (%d)", i)
+		}
+	}
+	checkShapeIndex(t)
+}
+
+// TestShapeCacheStress runs concurrent lookups, drops and capacity
+// evictions against the shape cache, then checks that the batch index
+// and the cache agree once the goroutines finish. Run with -race.
+func TestShapeCacheStress(t *testing.T) {
+	pool := make([]*Model, 16)
+	for i := range pool {
+		pool[i] = LenetC()
+	}
+	var wg sync.WaitGroup
+	run := func(n int, f func(i int)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < n; i++ {
+				f(i)
+			}
+		}()
+	}
+	for g := 0; g < 4; g++ {
+		// Fresh models past the limit force capacity evictions.
+		run(shapeCacheLimit/3, func(int) {
+			if _, err := LenetC().CachedShapes(8); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	for g := 0; g < 2; g++ {
+		run(4000, func(i int) {
+			if _, err := pool[(i*7)%len(pool)].CachedShapes(1 + i%4); err != nil {
+				t.Error(err)
+			}
+		})
+		run(1000, func(i int) { DropCachedShapes(pool[(i*5+g)%len(pool)]) })
+	}
+	wg.Wait()
+	checkShapeIndex(t)
+	for _, m := range pool {
+		DropCachedShapes(m)
+	}
+	checkShapeIndex(t)
+}
+
+// TestAllocsCachedShapesHit pins the lookup every plan and simulated
+// step makes: a shape-cache hit allocates nothing.
+func TestAllocsCachedShapesHit(t *testing.T) {
+	m := AlexNet()
+	if _, err := m.CachedShapes(64); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := m.CachedShapes(64); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("shape-cache hit allocates %.1f objects, want 0", allocs)
+	}
+}

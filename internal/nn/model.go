@@ -119,12 +119,12 @@ func (m *Model) LinearChain() bool {
 func (m *Model) LayerPreds() ([][]int, error) {
 	preds := make([][]int, len(m.Layers))
 	if !m.IsGraph() {
+		// One backing array for the whole chain; each capacity-capped
+		// window copies on append, so the lists stay independent.
+		flat := make([]int, len(m.Layers))
 		for i := range m.Layers {
-			if i == 0 {
-				preds[i] = []int{-1}
-			} else {
-				preds[i] = []int{i - 1}
-			}
+			flat[i] = i - 1
+			preds[i] = flat[i : i+1 : i+1]
 		}
 		return preds, nil
 	}

@@ -1,9 +1,14 @@
 package service
 
 import (
+	"bytes"
+	"context"
+	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 )
 
 // These tests pin the hot path's allocation behavior. CI runs them in a
@@ -113,5 +118,104 @@ func TestAllocsBodyBufferReuse(t *testing.T) {
 	}
 	if reused.Len() != 0 {
 		t.Errorf("pooled buffer not reset: %d bytes resident", reused.Len())
+	}
+}
+
+// TestAllocsZeroZooModelEncodes proves zoo requests never encode their
+// model: they hash the canonical bytes pinned at New. The counter is
+// live for inline models, which must encode once per parse.
+func TestAllocsZeroZooModelEncodes(t *testing.T) {
+	_, ts, _ := newFastTestServer(t, -1)
+	before := modelEncodes.Load()
+	for _, body := range []string{
+		`{"zoo":"Lenet-c","strategy":"hypar"}`,
+		`{"zoo":"VGG-A","config":{"batch":64}}`,
+		`{"zoo":"SRES-8","strategy":"dp"}`,
+	} {
+		for _, ep := range []string{"/v1/plan", "/v1/evaluate"} {
+			if code, resp := postJSON(t, ts.URL+ep, body); code != http.StatusOK {
+				t.Fatalf("%s %s: status %d: %s", ep, body, code, resp)
+			}
+		}
+	}
+	if got := modelEncodes.Load() - before; got != 0 {
+		t.Errorf("zoo requests encoded a model %d times, want 0", got)
+	}
+	inline := `{"model":{"name":"enc","input":{"h":8,"w":8,"c":1},"layers":[{"name":"f","type":"fc","cout":4}]},"config":{"batch":8,"levels":1}}`
+	if code, resp := postJSON(t, ts.URL+"/v1/plan", inline); code != http.StatusOK {
+		t.Fatalf("inline model: status %d: %s", code, resp)
+	}
+	if got := modelEncodes.Load() - before; got != 1 {
+		t.Errorf("inline model encodes = %d, want 1", got)
+	}
+}
+
+// discardWriter is a reusable http.ResponseWriter, so the allocations
+// counted are the handler's, not a recorder's.
+type discardWriter struct {
+	h    http.Header
+	code int
+	body bytes.Buffer
+}
+
+func (w *discardWriter) Header() http.Header         { return w.h }
+func (w *discardWriter) WriteHeader(code int)        { w.code = code }
+func (w *discardWriter) Write(b []byte) (int, error) { return w.body.Write(b) }
+
+// TestAllocsColdMiss bounds the full miss path of a zoo /v1/evaluate
+// with both cache tiers disabled: decode, canonicalize, key, plan,
+// simulate and render all run on every call.
+func TestAllocsColdMiss(t *testing.T) {
+	srv, err := New(Options{CacheEntries: -1, RawCacheBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := srv.Handler()
+	body := []byte(`{"zoo":"AlexNet","strategy":"hypar"}`)
+	rd := bytes.NewReader(body)
+	req := httptest.NewRequest(http.MethodPost, "/v1/evaluate", nil)
+	req.Body = io.NopCloser(rd)
+	w := &discardWriter{h: make(http.Header)}
+	serve := func() {
+		rd.Reset(body)
+		w.body.Reset()
+		w.code = http.StatusOK
+		h.ServeHTTP(w, req)
+		if w.code != http.StatusOK {
+			t.Fatalf("status %d: %s", w.code, w.body.Bytes())
+		}
+	}
+	serve()
+	allocs := testing.AllocsPerRun(100, serve)
+	t.Logf("cold zoo /v1/evaluate: %.0f allocs/op", allocs)
+	if allocs > 300 {
+		t.Errorf("cold zoo /v1/evaluate allocates %.0f objects per request, want <= 300", allocs)
+	}
+}
+
+// TestPostRecordsLatencyOnDisconnect checks the handler mean counts a
+// request whose client went away mid-wait: post must still add its
+// latency, and must not answer a client that is gone.
+func TestPostRecordsLatencyOnDisconnect(t *testing.T) {
+	srv, _, _ := newFastTestServer(t, 0)
+	m := srv.metrics["plan"]
+	latency, errs := m.latencyNs.Load(), m.errors.Load()
+	const wait = 2 * time.Millisecond
+	h := srv.post("plan", func(http.ResponseWriter, *http.Request) error {
+		time.Sleep(wait)
+		return context.Canceled
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	rec := httptest.NewRecorder()
+	h(rec, httptest.NewRequest(http.MethodPost, "/v1/plan", nil).WithContext(ctx))
+	if got := m.latencyNs.Load() - latency; got < int64(wait) {
+		t.Errorf("latency grew by %v for a disconnected client, want >= %v", time.Duration(got), wait)
+	}
+	if got := m.errors.Load() - errs; got != 1 {
+		t.Errorf("errors grew by %d, want 1", got)
+	}
+	if rec.Body.Len() != 0 {
+		t.Errorf("answered a disconnected client: %q", rec.Body.String())
 	}
 }

@@ -205,11 +205,15 @@ type Server struct {
 	baseCfgJSON []byte
 	pool        *runner.Pool
 	session     *experiments.Session
+	// pinned maps each zoo and branched network name to the session's
+	// pinned instance and its canonical JSON, encoded once at New: those
+	// bytes never change, so zoo requests hash them without re-encoding.
+	pinned map[string]pinnedModel
 
 	// evaluators recycles single-threaded hypar.Evaluators (engine slab
-	// + per-config Arch cache) across requests: concurrent distinct
-	// requests each borrow their own, so they parallelize, while the
-	// amortized state still gets reused instead of rebuilt.
+	// + bounded Arch and warm-plan memos) across requests: concurrent
+	// distinct requests each borrow their own, so they parallelize,
+	// while the amortized state still gets reused instead of rebuilt.
 	evaluators sync.Pool
 
 	// sessions reuses experiments.Sessions across non-base-config
@@ -330,6 +334,9 @@ func New(opts Options) (*Server, error) {
 	}
 	s.evaluators.New = func() any { return hypar.NewEvaluator() }
 	s.models = newModelCache(DefaultModelEntries)
+	if s.pinned, err = pinModels(s.session); err != nil {
+		return nil, err
+	}
 	for _, ep := range []string{"plan", "evaluate", "compare", "explore", "batch", "degrade", "jobs", "healthz", "statsz"} {
 		s.metrics[ep] = &endpointStats{}
 	}
@@ -393,20 +400,29 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// pinnedZoo looks a model up among the session's pinned instances —
-// the paper zoo and the branched workloads — returning nil if unknown.
-func (s *Server) pinnedZoo(name string) *nn.Model {
-	for _, m := range s.session.Zoo() {
-		if m.Name == name {
-			return m
+// pinnedModel is one pinned network with its canonical JSON.
+type pinnedModel struct {
+	model *nn.Model
+	json  []byte
+}
+
+// pinModels encodes the session's pinned instances — the paper zoo and
+// the branched workloads — once. A zoo name shadows a branched one.
+func pinModels(session *experiments.Session) (map[string]pinnedModel, error) {
+	pinned := make(map[string]pinnedModel)
+	for _, set := range [][]*nn.Model{session.Zoo(), session.Branched()} {
+		for _, m := range set {
+			if _, ok := pinned[m.Name]; ok {
+				continue
+			}
+			enc, err := nn.EncodeModel(m)
+			if err != nil {
+				return nil, fmt.Errorf("pinned model %s: %w", m.Name, err)
+			}
+			pinned[m.Name] = pinnedModel{model: m, json: enc}
 		}
 	}
-	for _, m := range s.session.Branched() {
-		if m.Name == name {
-			return m
-		}
-	}
-	return nil
+	return pinned, nil
 }
 
 // sessionFor returns the shared session when the request runs at the
@@ -592,29 +608,27 @@ func (s *Server) resolveRequest(req request, wantStrategy, wantFree bool) (*pars
 	case req.Zoo != "":
 		// Resolve against the session's pinned zoo so every request for
 		// the same network shares one *Model instance (shape inference
-		// memoizes per pointer).
-		m := s.pinnedZoo(req.Zoo)
-		if m == nil {
+		// memoizes per pointer) and its canonical bytes from New.
+		pm, ok := s.pinned[req.Zoo]
+		if !ok {
 			_, err := hypar.ModelByName(req.Zoo)
 			return nil, &httpError{code: http.StatusNotFound, err: err}
 		}
-		p.model = m
+		p.model, p.modelJSON = pm.model, pm.json
 	case req.Model != nil:
 		m, err := nn.DecodeModel(req.Model)
 		if err != nil {
 			return nil, badRequest(err)
 		}
-		p.model = m
+		enc, err := nn.EncodeModel(m)
+		if err != nil {
+			return nil, badRequest(err)
+		}
+		modelEncodes.Add(1)
+		p.modelJSON = enc
+		p.model = s.models.intern(string(enc), m)
 	default:
 		return nil, badRequest(fmt.Errorf(`%w: one of "zoo" or "model" is required`, ErrService))
-	}
-	enc, err := nn.EncodeModel(p.model)
-	if err != nil {
-		return nil, badRequest(err)
-	}
-	p.modelJSON = enc
-	if req.Model != nil {
-		p.model = s.models.intern(string(enc), p.model)
 	}
 
 	if req.Strategy != nil {
@@ -672,6 +686,11 @@ func (s *Server) resolveRequest(req request, wantStrategy, wantFree bool) (*pars
 // path. Base-config requests must never marshal — they reuse the JSON
 // rendered once at New — and the allocation tests pin that at zero.
 var configMarshals atomic.Int64
+
+// modelEncodes counts per-request model encodes on the key path. Only
+// inline models encode; zoo requests reuse the bytes pinned at New, and
+// the allocation tests pin that at zero.
+var modelEncodes atomic.Int64
 
 // keyHasher is the pooled per-request hashing state: one SHA-256, a
 // preimage scratch buffer, and fixed digest/hex arrays, so deriving a
@@ -866,6 +885,8 @@ func (s *Server) post(endpoint string, h func(http.ResponseWriter, *http.Request
 	return func(w http.ResponseWriter, r *http.Request) {
 		t0 := time.Now()
 		m.requests.Add(1)
+		// Deferred so every exit counts, including a disconnected client.
+		defer func() { m.latencyNs.Add(time.Since(t0).Nanoseconds()) }()
 		if r.Method != http.MethodPost {
 			m.errors.Add(1)
 			s.writeError(w, http.StatusMethodNotAllowed, 0, fmt.Errorf("%w: use POST", ErrService))
@@ -882,7 +903,6 @@ func (s *Server) post(endpoint string, h func(http.ResponseWriter, *http.Request
 			s.noteFailure(code)
 			s.writeError(w, code, retryAfter, err)
 		}
-		m.latencyNs.Add(time.Since(t0).Nanoseconds())
 	}
 }
 

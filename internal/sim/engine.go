@@ -7,7 +7,6 @@
 package sim
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
@@ -72,9 +71,10 @@ type Engine struct {
 	tasks     []*Task
 	resources []*Resource
 
-	blocks [][]Task // task slab: fixed-capacity blocks, stable addresses
-	cur    int      // first block with free capacity
-	nres   int      // live resources (prefix of resources)
+	blocks [][]Task    // task slab: fixed-capacity blocks, stable addresses
+	cur    int         // first block with free capacity
+	nres   int         // live resources (prefix of resources)
+	ready  []readyItem // Run's ready queue, a binary min-heap kept across runs
 }
 
 // NewEngine creates an empty engine.
@@ -138,30 +138,61 @@ func (e *Engine) AddTask(id string, duration float64, res *Resource, deps ...*Ta
 	return t, nil
 }
 
-// readyHeap orders tasks by ready time, breaking ties by insertion
-// order for determinism.
+// readyItem is one ready-queue entry. Items order by the task's ready
+// time, ties broken by insertion sequence; seq is unique per run, so
+// the order is strict and total and every correct heap pops the same
+// sequence.
 type readyItem struct {
 	task *Task
 	seq  int
 }
 
-type readyHeap []readyItem
-
-func (h readyHeap) Len() int { return len(h) }
-func (h readyHeap) Less(i, j int) bool {
-	if h[i].task.ready != h[j].task.ready {
-		return h[i].task.ready < h[j].task.ready
+func (a readyItem) less(b readyItem) bool {
+	if a.task.ready != b.task.ready {
+		return a.task.ready < b.task.ready
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
-func (h readyHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *readyHeap) Push(x interface{}) { *h = append(*h, x.(readyItem)) }
-func (h *readyHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+
+// push adds it to the ready heap (sift-up).
+func (e *Engine) push(it readyItem) {
+	h := append(e.ready, it)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !h[i].less(h[p]) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+	e.ready = h
+}
+
+// pop removes and returns the heap's minimum (sift-down). The heap must
+// not be empty.
+func (e *Engine) pop() readyItem {
+	h := e.ready
+	top := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h = h[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].less(h[c]) {
+			c = r
+		}
+		if !h[c].less(h[i]) {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+	e.ready = h
+	return top
 }
 
 // Run schedules every task and returns the makespan. Tasks bound to a
@@ -177,7 +208,7 @@ func (e *Engine) Run() (float64, error) {
 		r := e.resources[i]
 		r.free, r.busy = 0, 0
 	}
-	var rh readyHeap
+	e.ready = e.ready[:0]
 	seq := 0
 	for _, t := range e.tasks {
 		t.done = false
@@ -187,15 +218,14 @@ func (e *Engine) Run() (float64, error) {
 	}
 	for _, t := range e.tasks {
 		if t.pending == 0 {
-			heap.Push(&rh, readyItem{task: t, seq: seq})
+			e.push(readyItem{task: t, seq: seq})
 			seq++
 		}
 	}
 	var makespan float64
 	scheduled := 0
-	for rh.Len() > 0 {
-		it := heap.Pop(&rh).(readyItem)
-		t := it.task
+	for len(e.ready) > 0 {
+		t := e.pop().task
 		t.Start = t.ready
 		if t.Resource != nil && t.Resource.free > t.Start {
 			t.Start = t.Resource.free
@@ -216,7 +246,7 @@ func (e *Engine) Run() (float64, error) {
 				s.ready = t.Finish
 			}
 			if s.pending == 0 {
-				heap.Push(&rh, readyItem{task: s, seq: seq})
+				e.push(readyItem{task: s, seq: seq})
 				seq++
 			}
 		}

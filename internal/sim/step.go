@@ -264,11 +264,33 @@ type stepBuilder struct {
 
 	// leafShard[l] is layer l's shard state below the whole hierarchy.
 	leafShard []tensor.Shard
+
+	// deps and bdeps are scratch dependency lists reused across layers;
+	// AddTask does not retain the slice it is given.
+	deps, bdeps []*Task
 }
 
 // accs returns the accelerator count 2^H.
 func (b *stepBuilder) accs() float64 {
 	return float64(int64(1) << uint(b.plan.NumLevels()))
+}
+
+// linkNames holds the level-link resource names, formatted once
+// instead of on every simulated step.
+var linkNames = func() []string {
+	names := make([]string, 32)
+	for h := range names {
+		names[h] = fmt.Sprintf("link-H%d", h+1)
+	}
+	return names
+}()
+
+// linkName names level h's link resource ("link-H1" is the top level).
+func linkName(h int) string {
+	if h < len(linkNames) {
+		return linkNames[h]
+	}
+	return fmt.Sprintf("link-H%d", h+1)
 }
 
 // build constructs resources and the full task graph.
@@ -277,7 +299,7 @@ func (b *stepBuilder) build() error {
 	b.compute = b.eng.AddResource("array-compute")
 	b.links = make([]*Resource, levels)
 	for h := 0; h < levels; h++ {
-		b.links[h] = b.eng.AddResource(fmt.Sprintf("link-H%d", h+1))
+		b.links[h] = b.eng.AddResource(linkName(h))
 	}
 
 	nl := len(b.shapes)
@@ -460,9 +482,9 @@ func (b *stepBuilder) transferChain(name string, vols func(h int) float64, prev 
 	return prev, nil
 }
 
-// dedupeDeps drops nil and repeated tasks, preserving order.
+// dedupeDeps drops nil and repeated tasks in place, preserving order.
 func dedupeDeps(deps []*Task) []*Task {
-	out := make([]*Task, 0, len(deps))
+	out := deps[:0]
 	for _, d := range deps {
 		if d == nil {
 			continue
@@ -491,10 +513,11 @@ func (b *stepBuilder) buildForward() (*Task, error) {
 	convTail := make([]*Task, len(b.edges))
 	var last *Task
 	for l := range b.shapes {
-		deps := make([]*Task, 0, len(b.inEdges[l]))
+		deps := b.deps[:0]
 		for _, e := range b.inEdges[l] {
 			deps = append(deps, convTail[e])
 		}
+		b.deps = deps
 		ct, err := b.phaseTask(b.taskName("fwd", l), l, nn.Forward, dedupeDeps(deps)...)
 		if err != nil {
 			return nil, err
@@ -542,11 +565,11 @@ func (b *stepBuilder) buildBackwardGradient(fwdDone *Task) error {
 	for l := nl - 1; l >= 0; l-- {
 		// The layer's output error: the loss for the sink, otherwise the
 		// E conversions of every outgoing edge.
-		errDeps := make([]*Task, 0, len(b.outEdges[l])+1)
-		errDeps = append(errDeps, prev)
+		errDeps := append(b.deps[:0], prev)
 		for _, e := range b.outEdges[l] {
 			errDeps = append(errDeps, errTail[e])
 		}
+		b.deps = errDeps
 		errDeps = dedupeDeps(errDeps)
 
 		// Gradient for layer l consumes the layer's output error.
@@ -568,7 +591,9 @@ func (b *stepBuilder) buildBackwardGradient(fwdDone *Task) error {
 			// never consumed, so there is no backward compute.
 			continue
 		}
-		bdeps := dedupeDeps(append([]*Task{prev}, errDeps...))
+		bdeps := append(append(b.bdeps[:0], prev), errDeps...)
+		b.bdeps = bdeps
+		bdeps = dedupeDeps(bdeps)
 		ct, err := b.phaseTask(b.taskName("bwd", l), l, nn.Backward, bdeps...)
 		if err != nil {
 			return err
