@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	hypar "repro"
 	"repro/internal/partition"
@@ -34,17 +35,28 @@ type Exploration struct {
 	HyPar  ExplorePoint
 }
 
-// DefaultExploreLabel names each free variable "L<level>.<layer>" and
-// renders its single 0/1 bit — the label function services and tools
-// use when no figure-specific grouping applies.
+// DefaultExploreLabel names each free variable "L<level>.<layer>" (see
+// ExploreLabelKey) and renders its single 0/1 bit — the label function
+// services and tools use when no figure-specific grouping applies. The
+// names are formatted once, when the label function is made.
 func DefaultExploreLabel(free []partition.FreeVar) func(code int) map[string]string {
+	keys := make([]string, len(free))
+	for i, fv := range free {
+		keys[i] = ExploreLabelKey(fv)
+	}
 	return func(code int) map[string]string {
-		labels := make(map[string]string, len(free))
-		for i, fv := range free {
-			labels[fmt.Sprintf("L%d.%d", fv.Level, fv.Layer)] = bits(code, i, 1)
+		labels := make(map[string]string, len(keys))
+		for i, k := range keys {
+			labels[k] = bits(code, i, 1)
 		}
 		return labels
 	}
+}
+
+// ExploreLabelKey is DefaultExploreLabel's name for a free variable:
+// "L<level>.<layer>".
+func ExploreLabelKey(fv partition.FreeVar) string {
+	return "L" + strconv.Itoa(fv.Level) + "." + strconv.Itoa(fv.Layer)
 }
 
 // ExploreStream evaluates all 2^len(free) settings of the free

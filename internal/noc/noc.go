@@ -40,6 +40,10 @@ type Topology interface {
 	LinkBytes(level int, exchBytes float64) (float64, error)
 }
 
+// maxDepth bounds the hierarchy depth of the built-in fabrics (2^20
+// accelerators).
+const maxDepth = 20
+
 // checkLevel validates a level index against a depth.
 func checkLevel(level, depth int) error {
 	if level < 0 || level >= depth {
@@ -56,18 +60,29 @@ func checkLevel(level, depth int) error {
 type HTree struct {
 	levels  int
 	linkBps float64 // leaf link bandwidth, bytes/s
+
+	// pairBw[h] and pairs[h] are level h's per-pair bandwidth (bytes/s)
+	// and group-pair count, computed once at construction: every
+	// simulated transfer looks them up.
+	pairBw [maxDepth]float64
+	pairs  [maxDepth]float64
 }
 
 // NewHTree builds an H-tree for 2^levels accelerators with the given
 // leaf-link bandwidth in megabits per second (paper: 1600 Mb/s).
 func NewHTree(levels int, linkMbps float64) (*HTree, error) {
-	if levels < 0 || levels > 20 {
+	if levels < 0 || levels > maxDepth {
 		return nil, fmt.Errorf("%w: H-tree depth %d", ErrConfig, levels)
 	}
 	if linkMbps <= 0 {
 		return nil, fmt.Errorf("%w: link bandwidth %g Mb/s", ErrConfig, linkMbps)
 	}
-	return &HTree{levels: levels, linkBps: linkMbps * 1e6 / 8}, nil
+	t := &HTree{levels: levels, linkBps: linkMbps * 1e6 / 8}
+	for h := 0; h < levels; h++ {
+		t.pairBw[h] = t.linkBps * math.Pow(2, float64(levels-1-h))
+		t.pairs[h] = math.Pow(2, float64(h))
+	}
+	return t, nil
 }
 
 // Name implements Topology.
@@ -82,7 +97,7 @@ func (t *HTree) PairBandwidth(level int) (float64, error) {
 	if err := checkLevel(level, t.levels); err != nil {
 		return 0, err
 	}
-	return t.linkBps * math.Pow(2, float64(t.levels-1-level)), nil
+	return t.pairBw[level], nil
 }
 
 // TransferTime implements Topology. Every pair at a level owns a
@@ -104,8 +119,7 @@ func (t *HTree) LinkBytes(level int, exchBytes float64) (float64, error) {
 	if err := checkLevel(level, t.levels); err != nil {
 		return 0, err
 	}
-	pairs := math.Pow(2, float64(level))
-	return pairs * exchBytes, nil
+	return t.pairs[level] * exchBytes, nil
 }
 
 // Torus is the 4×4 (more generally 2^ceil(H/2) × 2^floor(H/2)) torus of
@@ -126,7 +140,7 @@ type Torus struct {
 // per-link bandwidth in megabits per second. The grid is the most
 // square power-of-two factorization of 2^levels (4×4 for 16).
 func NewTorus(levels int, linkMbps float64) (*Torus, error) {
-	if levels < 0 || levels > 20 {
+	if levels < 0 || levels > maxDepth {
 		return nil, fmt.Errorf("%w: torus depth %d", ErrConfig, levels)
 	}
 	if linkMbps <= 0 {

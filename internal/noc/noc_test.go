@@ -203,3 +203,47 @@ func TestTransferLinearityProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestHTreeConstantsBitIdentical pins the per-level constants NewHTree
+// computes once to the per-call expressions they replaced, bit for
+// bit, at every depth the H-tree accepts.
+func TestHTreeConstantsBitIdentical(t *testing.T) {
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	exch := []float64{0, 1, 3.5, 56e3, 12345.678, 1e9}
+	for levels := 1; levels <= 20; levels++ {
+		for _, mbps := range []float64{1600, 1600 + 1.0/1024, 33000, 0.7} {
+			h, err := NewHTree(levels, mbps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			linkBps := mbps * 1e6 / 8
+			for level := 0; level < levels; level++ {
+				wantBw := linkBps * math.Pow(2, float64(levels-1-level))
+				if bw, err := h.PairBandwidth(level); err != nil || !same(bw, wantBw) {
+					t.Fatalf("H=%d %g Mb/s level %d: PairBandwidth %v (%v), want %v", levels, mbps, level, bw, err, wantBw)
+				}
+				for _, x := range exch {
+					wantT := 0.0
+					if x > 0 {
+						wantT = x / wantBw
+					}
+					if got, err := h.TransferTime(level, x); err != nil || !same(got, wantT) {
+						t.Fatalf("H=%d level %d %g B: TransferTime %v (%v), want %v", levels, level, x, got, err, wantT)
+					}
+					wantL := math.Pow(2, float64(level)) * x
+					if got, err := h.LinkBytes(level, x); err != nil || !same(got, wantL) {
+						t.Fatalf("H=%d level %d %g B: LinkBytes %v (%v), want %v", levels, level, x, got, err, wantL)
+					}
+				}
+			}
+			for _, bad := range []int{-1, levels} {
+				if _, err := h.PairBandwidth(bad); !errors.Is(err, ErrConfig) {
+					t.Errorf("H=%d: level %d accepted: %v", levels, bad, err)
+				}
+				if _, err := h.LinkBytes(bad, 1); !errors.Is(err, ErrConfig) {
+					t.Errorf("H=%d: LinkBytes level %d accepted: %v", levels, bad, err)
+				}
+			}
+		}
+	}
+}

@@ -1,0 +1,300 @@
+package service
+
+import (
+	"bytes"
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"sync"
+	"testing"
+
+	"repro/internal/experiments"
+	"repro/internal/partition"
+)
+
+// marshalPoint is the reference rendering of a point line:
+// json.Marshal of explorePointJSON with DefaultExploreLabel's map.
+func marshalPoint(free []partition.FreeVar, code int, gain float64, isHyPar bool) ([]byte, error) {
+	b, err := json.Marshal(explorePointJSON{
+		Type: "point", Code: code, Labels: experiments.DefaultExploreLabel(free)(code),
+		Gain: gain, IsHyPar: isHyPar,
+	})
+	return append(b, '\n'), err
+}
+
+// TestExplorePointLineMatchesJSON proves the point encoder is
+// byte-identical to json.Marshal across codes up to 2^12-1, gains on
+// both sides of encoding/json's exponent cutoffs, and label keys that
+// sort differently as strings than as numbers (layer >= 10, level >= 1).
+func TestExplorePointLineMatchesJSON(t *testing.T) {
+	frees := [][]partition.FreeVar{
+		nil,
+		{{Level: 0, Layer: 0}},
+		{{Level: 0, Layer: 10}, {Level: 0, Layer: 2}, {Level: 3, Layer: 7}},
+		{{Level: 1, Layer: 1}, {Level: 0, Layer: 11}, {Level: 12, Layer: 3}, {Level: 2, Layer: 0}, {Level: 0, Layer: 1}},
+	}
+	wide := make([]partition.FreeVar, 0, MaxFreeVars)
+	for i := 0; i < MaxFreeVars; i++ {
+		wide = append(wide, partition.FreeVar{Level: i % 4, Layer: 13 - i})
+	}
+	frees = append(frees, wide)
+	gains := []float64{
+		1e-7, 5e-324, 1e21, 0.1, 123456789.125,
+		0, 1, 1.7090589550140778, 1e-6, 9.99999e-7, 1.5e-10, 1e-300, 9.999999999999999e20,
+		2.5e25, -3.75, -1e-8, math.MaxFloat64, math.SmallestNonzeroFloat64 * 3,
+	}
+	for _, free := range frees {
+		enc := newPointEncoder(free)
+		points := 1 << uint(len(free))
+		codes := []int{0, points - 1, points / 2, points/3 + 1}
+		for _, code := range codes {
+			for gi, gain := range gains {
+				isHyPar := gi%2 == 0
+				want, err := marshalPoint(free, code, gain, isHyPar)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := enc.appendPoint(nil, code, gain, isHyPar)
+				if err != nil {
+					t.Fatalf("free %v code %d gain %g: %v", free, code, gain, err)
+				}
+				got = append(got, '\n')
+				if !bytes.Equal(got, want) {
+					t.Errorf("free %v code %d gain %g:\n got %s\nwant %s", free, code, gain, got, want)
+				}
+				if len(got)-1 > enc.maxPoint {
+					t.Errorf("free %v code %d gain %g: %d-byte point exceeds the %d-byte bound", free, code, gain, len(got)-1, enc.maxPoint)
+				}
+			}
+		}
+	}
+	if null, _ := json.Marshal(explorePointJSON{Type: "point"}); string(null) != nullPoint {
+		t.Errorf("nullPoint = %s, json.Marshal gives %s", nullPoint, null)
+	}
+}
+
+// TestExplorePointNonFinite keeps a non-finite gain a sweep failure:
+// the encoder refuses it with the error json.Marshal reports and
+// leaves the buffer untouched.
+func TestExplorePointNonFinite(t *testing.T) {
+	free := []partition.FreeVar{{Level: 0, Layer: 0}, {Level: 1, Layer: 2}}
+	enc := newPointEncoder(free)
+	for _, gain := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		_, wantErr := marshalPoint(free, 1, gain, false)
+		if wantErr == nil {
+			t.Fatalf("json.Marshal accepted gain %g", gain)
+		}
+		buf := []byte("prefix")
+		got, err := enc.appendPoint(buf, 1, gain, false)
+		if err == nil || err.Error() != wantErr.Error() {
+			t.Errorf("gain %g: err = %v, want %v", gain, err, wantErr)
+		}
+		if string(got) != "prefix" {
+			t.Errorf("gain %g: buffer changed to %q", gain, got)
+		}
+	}
+}
+
+// TestAllocsExplorePointLine pins the point encoder at zero
+// allocations once its buffer has grown.
+func TestAllocsExplorePointLine(t *testing.T) {
+	enc := newPointEncoder([]partition.FreeVar{{Level: 0, Layer: 10}, {Level: 0, Layer: 2}, {Level: 3, Layer: 7}})
+	buf := make([]byte, 0, 4*enc.maxPoint)
+	code := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		var err error
+		if buf, err = enc.appendPoint(buf[:0], code&7, 1.7942983395001166, code&1 == 1); err != nil {
+			t.Fatal(err)
+		}
+		buf = append(buf, '\n')
+		code++
+	})
+	if allocs != 0 {
+		t.Errorf("appending a point line allocates %.1f objects, want 0", allocs)
+	}
+}
+
+// explorePins are the SHA-256 digests and lengths of two /v1/explore
+// bodies under New(Options{}): the default Lenet-c sweep and a VGG-A
+// sweep whose label keys sort "L0.10" before "L0.2".
+var explorePins = []struct {
+	body, sha string
+	n         int
+}{
+	{`{"zoo":"Lenet-c"}`, "0a8c997d1ab6bbd9202ebf874db812b07273ec2c64e3f5652bbf7b2c0dbc2b04", 2405},
+	{`{"zoo":"VGG-A","free":[{"level":0,"layer":10},{"level":0,"layer":2},{"level":3,"layer":7}]}`,
+		"21f1df47b5ca1c46a18aa582e5ab17cb48877767b4598ec807e75f0592427f1d", 1310},
+}
+
+// TestExploreBodyPins pins the sweep bytes on both surfaces that serve
+// them: the /v1/explore stream and a finished job's result.
+func TestExploreBodyPins(t *testing.T) {
+	check := func(what string, b []byte, sha string, n int) {
+		t.Helper()
+		sum := sha256.Sum256(b)
+		if got := hex.EncodeToString(sum[:]); got != sha || len(b) != n {
+			t.Errorf("%s: %d bytes sha256 %s, want %d bytes %s", what, len(b), got, n, sha)
+		}
+	}
+	for _, pin := range explorePins {
+		// Fresh servers: each surface computes the sweep itself rather
+		// than replaying the other's cache entry.
+		srv, err := New(Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := newServerFor(t, srv)
+		code, b := postJSON(t, ts.URL+"/v1/explore", pin.body)
+		if code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", pin.body, code, b)
+		}
+		check("/v1/explore "+pin.body, b, pin.sha, pin.n)
+
+		srv, err = New(Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts = newServerFor(t, srv)
+		st := submitJob(t, ts.URL, pin.body)
+		if fin := waitJob(t, ts.URL, st.ID); fin.Status != jobStateDone {
+			t.Fatalf("%s: job ended %+v", pin.body, fin)
+		}
+		code, b = getBody(t, ts.URL+"/v1/jobs/"+st.ID+"/result")
+		if code != http.StatusOK {
+			t.Fatalf("%s: job result status %d: %s", pin.body, code, b)
+		}
+		check("/v1/jobs result "+pin.body, b, pin.sha, pin.n)
+	}
+}
+
+// TestExploreDuplicateFreeRejected: a repeated (level, layer) cell is a
+// 400 on both sweep endpoints, while two distinct cells are accepted.
+func TestExploreDuplicateFreeRejected(t *testing.T) {
+	_, ts, computes := newTestServer(t)
+	dup := `{"zoo":"Lenet-c","free":[{"level":0,"layer":0},{"level":0,"layer":0}]}`
+	for _, ep := range []string{"/v1/explore", "/v1/jobs"} {
+		if code, b := postJSON(t, ts.URL+ep, dup); code != http.StatusBadRequest {
+			t.Errorf("%s duplicate free: status %d, want 400: %s", ep, code, b)
+		}
+	}
+	if n := computes.Load(); n != 0 {
+		t.Errorf("duplicate free reached compute %d times", n)
+	}
+	distinct := `{"zoo":"Lenet-c","free":[{"level":0,"layer":0},{"level":1,"layer":0}]}`
+	if code, b := postJSON(t, ts.URL+"/v1/explore", distinct); code != http.StatusOK {
+		t.Errorf("/v1/explore distinct free: status %d: %s", code, b)
+	}
+	st := submitJob(t, ts.URL, distinct)
+	if fin := waitJob(t, ts.URL, st.ID); fin.Status != jobStateDone {
+		t.Errorf("/v1/jobs distinct free: job ended %+v", fin)
+	}
+}
+
+// TestExploreConcurrentSweeps runs distinct sweeps at once — each
+// leader fanning its points out over Simulators on the shared pool —
+// and checks every body against the same sweep computed alone. Under
+// -race it shows no Simulator or wiring memo is shared across workers.
+func TestExploreConcurrentSweeps(t *testing.T) {
+	bodies := []string{
+		`{"zoo":"Lenet-c","free":[{"level":0,"layer":0},{"level":1,"layer":1},{"level":3,"layer":2}]}`,
+		`{"zoo":"VGG-A","free":[{"level":0,"layer":10},{"level":0,"layer":2},{"level":3,"layer":7}]}`,
+		`{"zoo":"Incep-2","free":[{"level":0,"layer":0},{"level":2,"layer":3}]}`,
+		`{"zoo":"SRES-8","free":[{"level":1,"layer":1},{"level":0,"layer":4}],"config":{"batch":64}}`,
+		`{"zoo":"AlexNet","free":[{"level":0,"layer":5},{"level":0,"layer":6},{"level":2,"layer":0}]}`,
+	}
+	want := make([][]byte, len(bodies))
+	for i, body := range bodies {
+		_, ts, _ := newTestServer(t)
+		code, b := postJSON(t, ts.URL+"/v1/explore", body)
+		if code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", body, code, b)
+		}
+		want[i] = b
+	}
+	_, ts, _ := newTestServer(t)
+	got := make([][]byte, len(bodies))
+	var wg sync.WaitGroup
+	for i, body := range bodies {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			code, b := postJSON(t, ts.URL+"/v1/explore", body)
+			if code != http.StatusOK {
+				t.Errorf("%s: status %d: %s", body, code, b)
+			}
+			got[i] = b
+		}()
+	}
+	wg.Wait()
+	for i := range bodies {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Errorf("%s: concurrent sweep differs from the sweep run alone", bodies[i])
+		}
+	}
+}
+
+// BenchmarkExploreSweep times exploreBody — the whole miss-path sweep
+// past request parsing — and reports its cost per point.
+func BenchmarkExploreSweep(b *testing.B) {
+	for _, zoo := range []string{"Lenet-c", "VGG-A"} {
+		b.Run(zoo, func(b *testing.B) {
+			srv, err := New(Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			p, err := srv.resolveRequest(request{Zoo: zoo}, false, true)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := finishExploreParse(p); err != nil {
+				b.Fatal(err)
+			}
+			points := 1 << uint(len(p.free))
+			if _, err := srv.exploreBody(context.Background(), p, nil); err != nil {
+				b.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := srv.exploreBody(context.Background(), p, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			n := float64(b.N * points)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/point")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/point")
+		})
+	}
+}
+
+// newServerFor serves srv on a test listener closed with the test.
+func newServerFor(t *testing.T, srv *Server) *httptest.Server {
+	t.Helper()
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// getBody GETs url and returns its status and body.
+func getBody(t *testing.T, url string) (int, []byte) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var buf bytes.Buffer
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, buf.Bytes()
+}

@@ -44,6 +44,7 @@ import (
 	"hash"
 	"net"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -670,12 +671,17 @@ func (s *Server) resolveRequest(req request, wantStrategy, wantFree bool) (*pars
 		return nil, badRequest(fmt.Errorf("%w: %d free variables exceeds the %d-variable (2^%d points) limit",
 			ErrService, len(req.Free), MaxFreeVars, MaxFreeVars))
 	}
-	for _, fv := range req.Free {
+	for i, fv := range req.Free {
 		if fv.Level < 0 || fv.Level >= p.cfg.Levels {
 			return nil, badRequest(fmt.Errorf("%w: free variable level %d out of range [0,%d)", ErrService, fv.Level, p.cfg.Levels))
 		}
 		if fv.Layer < 0 || fv.Layer >= len(p.model.Layers) {
 			return nil, badRequest(fmt.Errorf("%w: free variable layer %d out of range [0,%d)", ErrService, fv.Layer, len(p.model.Layers)))
+		}
+		// A repeated cell would sweep the same plans twice under one
+		// label key, and hide HyPar's own point behind its duplicate.
+		if slices.Contains(req.Free[:i], fv) {
+			return nil, badRequest(fmt.Errorf("%w: free variable (level %d, layer %d) given twice", ErrService, fv.Level, fv.Layer))
 		}
 		p.free = append(p.free, partition.FreeVar{Level: fv.Level, Layer: fv.Layer})
 	}
@@ -847,7 +853,9 @@ type compareResponse struct {
 	Gains   map[string]gainsJSON      `json:"gains"`
 }
 
-// explorePointJSON is one NDJSON line of /v1/explore.
+// explorePointJSON is one NDJSON line of /v1/explore. pointEncoder
+// renders it without reflection; its json.Marshal form is the
+// reference the encoder is tested against.
 type explorePointJSON struct {
 	Type    string            `json:"type"` // "point"
 	Code    int               `json:"code"`
@@ -1218,59 +1226,103 @@ func finishExploreParse(p *parsed) error {
 // explore request: a header line, one line per sweep point in code
 // order, and a summary line. tap (if non-nil) receives each rendered
 // line as it is produced — the /v1/explore handler streams them to its
-// client, async jobs count them as progress. ctx (if non-nil) cancels
-// the sweep between lines; a nil ctx never cancels, which is what the
-// HTTP leader wants (its coalesced followers still need the result
-// even if the leader's own client disconnects).
+// client, async jobs count them as progress; the slice is only valid
+// during the call. ctx (if non-nil) cancels the sweep between lines; a
+// nil ctx never cancels, which is what the HTTP leader wants (its
+// coalesced followers still need the result even if the leader's own
+// client disconnects).
+//
+// Point lines are appended by a pointEncoder straight into the body,
+// which is allocated once at its bounded size and becomes the cached
+// response as it is.
 func (s *Server) exploreBody(ctx context.Context, p *parsed, tap func(line []byte)) (response, error) {
-	var buf strings.Builder
-	line := func(v any) error {
-		if ctx != nil && ctx.Err() != nil {
+	live := func() error {
+		if ctx != nil {
 			return ctx.Err()
-		}
-		b, err := json.Marshal(v)
-		if err != nil {
-			return err
-		}
-		b = append(b, '\n')
-		buf.Write(b)
-		if tap != nil {
-			tap(b)
 		}
 		return nil
 	}
+	var body []byte
+	// end terminates the line begun at start and tees it.
+	end := func(start int) {
+		body = append(body, '\n')
+		if tap != nil {
+			tap(body[start:])
+		}
+	}
 
-	if err := line(exploreHeaderJSON{
-		Type: "header", Model: p.model.Name, Config: p.cfg, Points: 1 << uint(len(p.free)),
-	}); err != nil {
+	if err := live(); err != nil {
 		return response{}, err
 	}
-	var peak, hp explorePointJSON
-	err := s.sessionFor(p.cfg).ExploreStream(p.model, p.free, nil, func(ep experiments.ExplorePoint) error {
-		pj := explorePointJSON{Type: "point", Code: ep.Code, Labels: ep.Labels, Gain: ep.Gain, IsHyPar: ep.IsHyPar}
-		if pj.Gain > peak.Gain {
-			peak = pj
-		}
-		if pj.IsHyPar {
-			hp = pj
-		}
-		return line(pj)
+	points := 1 << uint(len(p.free))
+	header, err := json.Marshal(exploreHeaderJSON{
+		Type: "header", Model: p.model.Name, Config: p.cfg, Points: points,
 	})
 	if err != nil {
 		return response{}, err
 	}
-	peak.Type, hp.Type = "point", "point"
-	if err := line(exploreSummaryJSON{Type: "summary", Peak: peak, HyPar: hp}); err != nil {
+	enc := newPointEncoder(p.free)
+	body = append(make([]byte, 0, enc.bodyCap(len(header), points)), header...)
+	end(0)
+
+	// The summary repeats the peak and HyPar point objects: keep their
+	// body offsets ([lo, hi); hi == 0 while no point filled the slot).
+	var peakGain float64
+	var peak, hp [2]int
+	err = s.sessionFor(p.cfg).ExploreStream(p.model, p.free, noLabels, func(ep experiments.ExplorePoint) error {
+		if err := live(); err != nil {
+			return err
+		}
+		start := len(body)
+		var err error
+		if body, err = enc.appendPoint(body, ep.Code, ep.Gain, ep.IsHyPar); err != nil {
+			return err
+		}
+		if ep.Gain > peakGain {
+			peakGain, peak = ep.Gain, [2]int{start, len(body)}
+		}
+		if ep.IsHyPar {
+			hp = [2]int{start, len(body)}
+		}
+		end(start)
+		return nil
+	})
+	if err != nil {
 		return response{}, err
 	}
-	return response{contentType: "application/x-ndjson", body: []byte(buf.String())}, nil
+	if err := live(); err != nil {
+		return response{}, err
+	}
+	slot := func(at [2]int) {
+		if at[1] == 0 {
+			body = append(body, nullPoint...)
+		} else {
+			body = append(body, body[at[0]:at[1]]...)
+		}
+	}
+	start := len(body)
+	body = append(body, summaryHead...)
+	slot(peak)
+	body = append(body, summaryHyPar...)
+	slot(hp)
+	body = append(body, '}')
+	end(start)
+	return response{contentType: "application/x-ndjson", body: body}, nil
 }
+
+// noLabels is the label function exploreBody sweeps with: its
+// pointEncoder renders the labels from each point's code, so no
+// per-point map is built.
+func noLabels(int) map[string]string { return nil }
 
 // handleExplore answers POST /v1/explore with an NDJSON stream: a
 // header line, one line per sweep point in code order, and a summary
 // line. The stream begins before the sweep finishes (runner.Stream
 // backpressure), is teed into the cache, and coalesced followers replay
-// the leader's bytes.
+// the leader's bytes. Only the header line is flushed at once, so the
+// client sees the 200 and the point count immediately; later lines
+// leave through net/http's write buffer in ~4 KiB writes instead of one
+// write per line (per-point progress is GET /v1/jobs/{id}'s job).
 func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) error {
 	p, err := s.parseRequest(r, false, true)
 	if err != nil {
@@ -1295,7 +1347,7 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) error {
 		// need the result, so the computation keeps filling the body
 		// (cctx carries only the server timeout, never the client's
 		// disconnect) and only the doomed client writes stop.
-		var clientGone bool
+		var clientGone, flushed bool
 		flusher, _ := w.(http.Flusher)
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		streamed = true
@@ -1305,8 +1357,9 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) error {
 			}
 			if _, err := w.Write(b); err != nil {
 				clientGone = true
-			} else if flusher != nil {
+			} else if !flushed && flusher != nil {
 				flusher.Flush()
+				flushed = true
 			}
 		})
 	})

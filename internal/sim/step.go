@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/comm"
 	"repro/internal/nn"
@@ -157,15 +158,31 @@ func (s *Stats) EnergyTotal() float64 {
 // exchange gradient partial sums on the level links (contending with
 // backward traffic), followed by the local weight update.
 func Simulate(m *nn.Model, plan *partition.Plan, arch Arch) (*Stats, error) {
-	return simulateOn(NewEngine(), m, plan, arch)
+	return NewSimulator().Simulate(m, plan, arch)
 }
 
 // Simulator owns a reusable engine so repeated simulations (sweeps,
-// explorations, zoo comparisons) stop reallocating the task slab. A
-// Simulator is not safe for concurrent use: give each worker its own
+// explorations, zoo comparisons) stop reallocating the task slab, and
+// keeps the compiled wiring of the last model it simulated so a sweep
+// over one model resolves its layer graph once. The memo holds that
+// *nn.Model, so the pointer cannot be recycled for another model; like
+// CachedShapes, it relies on models not being mutated after first use.
+// A Simulator is not safe for concurrent use: give each worker its own
 // (runner.MapWith exists for exactly that).
 type Simulator struct {
 	eng *Engine
+
+	model *nn.Model // model whose wiring is compiled, nil before the first simulation
+	wire  wiring
+}
+
+// wiring is a model's layer graph compiled for the step builder: the
+// layer-to-layer edges in the canonical (Src, Dst) order of
+// partition.EdgesOf, and per-layer indices into them.
+type wiring struct {
+	edges    []partition.Edge
+	outEdges [][]int
+	inEdges  [][]int
 }
 
 // NewSimulator returns a Simulator with an empty engine.
@@ -174,11 +191,40 @@ func NewSimulator() *Simulator { return &Simulator{eng: NewEngine()} }
 // Simulate is Simulate on the reusable engine.
 func (s *Simulator) Simulate(m *nn.Model, plan *partition.Plan, arch Arch) (*Stats, error) {
 	s.eng.Reset()
-	return simulateOn(s.eng, m, plan, arch)
+	return s.simulate(m, plan, arch)
 }
 
-// simulateOn compiles and runs one training step on the given engine.
-func simulateOn(eng *Engine, m *nn.Model, plan *partition.Plan, arch Arch) (*Stats, error) {
+// wiringOf returns m's compiled wiring, compiling it only when m is not
+// the model of the previous call.
+func (s *Simulator) wiringOf(m *nn.Model) (*wiring, error) {
+	if s.model == m {
+		return &s.wire, nil
+	}
+	preds, err := m.LayerPreds()
+	if err != nil {
+		return nil, err
+	}
+	edges := partition.EdgesOf(preds)
+	out, in := indexEdges(edges, len(m.Layers))
+	s.model, s.wire = m, wiring{edges: edges, outEdges: out, inEdges: in}
+	return &s.wire, nil
+}
+
+// indexEdges lists each of nl layers' outgoing and incoming edges as
+// indices into edges, which must be edges of an nl-layer model
+// (LayerPreds guarantees 0 <= Src < Dst < nl).
+func indexEdges(edges []partition.Edge, nl int) (out, in [][]int) {
+	out = make([][]int, nl)
+	in = make([][]int, nl)
+	for e, ed := range edges {
+		out[ed.Src] = append(out[ed.Src], e)
+		in[ed.Dst] = append(in[ed.Dst], e)
+	}
+	return out, in
+}
+
+// simulate compiles and runs one training step on the reset engine.
+func (s *Simulator) simulate(m *nn.Model, plan *partition.Plan, arch Arch) (*Stats, error) {
 	if err := arch.Validate(); err != nil {
 		return nil, err
 	}
@@ -193,7 +239,7 @@ func simulateOn(eng *Engine, m *nn.Model, plan *partition.Plan, arch Arch) (*Sta
 		return nil, fmt.Errorf("%w: plan is for %d layers, model %q has %d",
 			ErrSim, len(plan.Levels[0]), m.Name, len(shapes))
 	}
-	preds, err := m.LayerPreds()
+	wire, err := s.wiringOf(m)
 	if err != nil {
 		return nil, err
 	}
@@ -213,14 +259,13 @@ func simulateOn(eng *Engine, m *nn.Model, plan *partition.Plan, arch Arch) (*Sta
 
 	b := stepBuilder{
 		shapes: shapes,
-		preds:  preds,
 		plan:   plan,
 		arch:   arch,
-		eng:    eng,
+		eng:    s.eng,
 		named:  arch.CollectTrace,
 		stats:  &Stats{CommSeconds: make([]float64, levels)},
 	}
-	if err := b.build(); err != nil {
+	if err := b.build(wire); err != nil {
 		return nil, err
 	}
 	makespan, err := b.eng.Run()
@@ -245,7 +290,6 @@ func simulateOn(eng *Engine, m *nn.Model, plan *partition.Plan, arch Arch) (*Sta
 // stepBuilder compiles the step's task graph and accrues energy.
 type stepBuilder struct {
 	shapes []nn.LayerShapes
-	preds  [][]int // resolved layer inputs (-1 = model input)
 	plan   *partition.Plan
 	arch   Arch
 	eng    *Engine
@@ -293,8 +337,9 @@ func linkName(h int) string {
 	return fmt.Sprintf("link-H%d", h+1)
 }
 
-// build constructs resources and the full task graph.
-func (b *stepBuilder) build() error {
+// build constructs resources and the full task graph over the model's
+// compiled wiring.
+func (b *stepBuilder) build(wire *wiring) error {
 	levels := b.plan.NumLevels()
 	b.compute = b.eng.AddResource("array-compute")
 	b.links = make([]*Resource, levels)
@@ -305,39 +350,31 @@ func (b *stepBuilder) build() error {
 	nl := len(b.shapes)
 	// The plan's per-edge conversion volumes are indexed parallel to
 	// its own Edges, so schedule from that order when recorded; plans
-	// without one (hand-built zero-level plans) derive the canonical
-	// order from the model.
-	b.edges = b.plan.Edges
-	if b.edges == nil {
-		b.edges = partition.EdgesOf(b.preds)
-	} else {
+	// without one (hand-built zero-level plans) use the canonical
+	// order. Planners record the canonical order, so the compiled
+	// per-layer lists serve almost every plan as they are.
+	switch {
+	case b.plan.Edges == nil || slices.Equal(b.plan.Edges, wire.edges):
+		b.edges, b.outEdges, b.inEdges = wire.edges, wire.outEdges, wire.inEdges
+	case len(b.plan.Edges) != len(wire.edges):
+		return fmt.Errorf("%w: plan records %d edges, model has %d",
+			ErrSim, len(b.plan.Edges), len(wire.edges))
+	default:
 		// The recorded edge set must be exactly the model's (any order):
 		// per-edge volumes attached to wiring the model does not have
 		// would silently charge conversions on the wrong edges.
-		want := partition.EdgesOf(b.preds)
-		if len(b.edges) != len(want) {
-			return fmt.Errorf("%w: plan records %d edges, model has %d",
-				ErrSim, len(b.edges), len(want))
-		}
-		set := make(map[partition.Edge]bool, len(want))
-		for _, ed := range want {
+		set := make(map[partition.Edge]bool, len(wire.edges))
+		for _, ed := range wire.edges {
 			set[ed] = true
 		}
-		for _, ed := range b.edges {
+		for _, ed := range b.plan.Edges {
 			if !set[ed] {
 				return fmt.Errorf("%w: plan edge %v is not an edge of model %q", ErrSim, ed, b.plan.Model)
 			}
 			delete(set, ed)
 		}
-	}
-	b.outEdges = make([][]int, nl)
-	b.inEdges = make([][]int, nl)
-	for e, ed := range b.edges {
-		if ed.Src < 0 || ed.Src >= nl || ed.Dst <= ed.Src || ed.Dst >= nl {
-			return fmt.Errorf("%w: plan edge %v out of range for %d layers", ErrSim, ed, nl)
-		}
-		b.outEdges[ed.Src] = append(b.outEdges[ed.Src], e)
-		b.inEdges[ed.Dst] = append(b.inEdges[ed.Dst], e)
+		out, in := indexEdges(b.plan.Edges, nl)
+		b.edges, b.outEdges, b.inEdges = b.plan.Edges, out, in
 	}
 
 	b.leafShard = make([]tensor.Shard, nl)

@@ -1,0 +1,165 @@
+package sim
+
+import (
+	"errors"
+	"math/rand"
+	"reflect"
+	"strings"
+	"testing"
+
+	"repro/internal/comm"
+	"repro/internal/nn"
+	"repro/internal/partition"
+)
+
+// wiringPlans returns the HyPar, DP and a seeded random plan for m.
+func wiringPlans(t *testing.T, m *nn.Model, r *rand.Rand) map[string]*partition.Plan {
+	t.Helper()
+	hy, err := partition.Hierarchical(m, 64, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dp, err := partition.DataParallel(m, 64, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	levels := make([]partition.Assignment, 4)
+	for h := range levels {
+		levels[h] = make(partition.Assignment, len(m.Layers))
+		for l := range levels[h] {
+			if r.Intn(2) == 1 {
+				levels[h][l] = comm.MP
+			}
+		}
+	}
+	rnd, err := partition.Evaluate(m, 64, levels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string]*partition.Plan{"hypar": hy, "dp": dp, "random": rnd}
+}
+
+// TestSimulatorReuseAcrossModels feeds one Simulator models A, B, A —
+// a chain and two branched networks, each under several plans — so the
+// wiring memo is hit, replaced and recompiled; every result must
+// deep-equal a fresh one-shot Simulate.
+func TestSimulatorReuseAcrossModels(t *testing.T) {
+	arch, err := DefaultArch(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain, incep, sres := nn.VGGA(), nn.Incep2(), nn.SRES8()
+	r := rand.New(rand.NewSource(5))
+	s := NewSimulator()
+	for _, m := range []*nn.Model{chain, incep, chain, sres, incep, sres, chain} {
+		for name, plan := range wiringPlans(t, m, r) {
+			want, err := Simulate(m, plan, arch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for rep := 0; rep < 2; rep++ {
+				got, err := s.Simulate(m, plan, arch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s/%s (rep %d): reused Simulator stats differ:\n got %+v\nwant %+v", m.Name, name, rep, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestSimulatorReusePermutedEdges checks the plans that miss the
+// compiled edge order: a permuted Edges list (with its per-edge
+// volumes permuted alongside) simulates to the same Stats, and a plan
+// carrying an edge the model does not have fails with ErrSim right
+// after a memo hit.
+func TestSimulatorReusePermutedEdges(t *testing.T) {
+	arch, err := DefaultArch(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := nn.Incep2()
+	plan, err := partition.Hierarchical(m, 64, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewSimulator()
+	want, err := s.Simulate(m, plan, arch)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Reverse the edge order and every per-edge volume with it.
+	perm := *plan
+	n := len(plan.Edges)
+	rev := func(xs []float64) []float64 {
+		out := make([]float64, n)
+		for i := range xs {
+			out[n-1-i] = xs[i]
+		}
+		return out
+	}
+	perm.Edges = make([]partition.Edge, n)
+	for i, ed := range plan.Edges {
+		perm.Edges[n-1-i] = ed
+	}
+	perm.Details = make([]partition.LevelDetail, len(plan.Details))
+	for h, d := range plan.Details {
+		d.InterF, d.InterE = rev(d.InterF), rev(d.InterE)
+		perm.Details[h] = d
+	}
+	got, err := s.Simulate(m, &perm, arch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("permuted edges: stats differ:\n got %+v\nwant %+v", got, want)
+	}
+
+	foreign := perm
+	foreign.Edges = append([]partition.Edge(nil), perm.Edges...)
+	foreign.Edges[0] = partition.Edge{Src: 0, Dst: len(m.Layers) - 1}
+	if _, err := s.Simulate(m, plan, arch); err != nil { // memo hit
+		t.Fatal(err)
+	}
+	_, err = s.Simulate(m, &foreign, arch)
+	if !errors.Is(err, ErrSim) || !strings.Contains(err.Error(), "is not an edge of model") {
+		t.Errorf("foreign edge after a memo hit: err = %v, want the not-an-edge ErrSim", err)
+	}
+	short := *plan
+	short.Edges = plan.Edges[:n-1]
+	if _, err := s.Simulate(m, &short, arch); !errors.Is(err, ErrSim) || !strings.Contains(err.Error(), "edges, model has") {
+		t.Errorf("short edge list: err = %v, want the edge-count ErrSim", err)
+	}
+}
+
+// TestAllocsSimulatorSameModel bounds re-simulating one model and plan
+// on a reused Simulator: the wiring memo and the engine's slab leave
+// only the step's own bookkeeping (Stats, per-step scratch).
+func TestAllocsSimulatorSameModel(t *testing.T) {
+	arch, err := DefaultArch(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []*nn.Model{nn.VGGA(), nn.LenetC(), nn.Incep2()} {
+		plan, err := partition.Hierarchical(m, 256, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := NewSimulator()
+		if _, err := s.Simulate(m, plan, arch); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, err := s.Simulate(m, plan, arch); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %.1f allocs per reused simulation", m.Name, allocs)
+		if allocs > 15 {
+			t.Errorf("%s: reused simulation allocates %.1f objects, want <= 15", m.Name, allocs)
+		}
+	}
+}
