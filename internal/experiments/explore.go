@@ -87,6 +87,12 @@ func (s *Session) ExploreStream(m *hypar.Model, free []partition.FreeVar,
 	}
 	var hyparCode int
 	for i, fv := range free {
+		// A degraded config's base plan covers only the surviving
+		// sub-array, which may be shallower than the configured depth.
+		if fv.Level < 0 || fv.Level >= len(base.Levels) || fv.Layer < 0 || fv.Layer >= len(base.Levels[fv.Level]) {
+			return fmt.Errorf("%w: free variable (level %d, layer %d) is outside the %d-level, %d-layer base plan",
+				ErrExperiment, fv.Level, fv.Layer, len(base.Levels), len(m.Layers))
+		}
 		if base.Levels[fv.Level][fv.Layer].Mark() == '1' {
 			hyparCode |= 1 << uint(i)
 		}

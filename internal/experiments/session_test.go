@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"errors"
 	"runtime"
 	"testing"
 
 	hypar "repro"
+	"repro/internal/partition"
 	"repro/internal/report"
 	"repro/internal/runner"
 )
@@ -159,5 +161,32 @@ func TestCompareMatchesEvaluatorCompare(t *testing.T) {
 		if par.Results[st].Stats.EnergyTotal() != ser.Results[st].Stats.EnergyTotal() {
 			t.Errorf("%v: energy differs", st)
 		}
+	}
+}
+
+// TestExploreStreamFaultedFreeCell: a degraded config's base plan covers
+// only the surviving sub-array, so a free cell below it is an error from
+// ExploreStream, not an index panic.
+func TestExploreStreamFaultedFreeCell(t *testing.T) {
+	c := cfg()
+	c.Faults = hypar.Faults{Level: 1, Groups: 2} // 8 of 16 survive: depth 3
+	s := NewSession(c)
+	m, err := hypar.ModelByName("Lenet-c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	emit := func(ExplorePoint) error { return nil }
+	for _, fv := range []partition.FreeVar{{Level: 3, Layer: 0}, {Level: 0, Layer: len(m.Layers)}, {Level: -1, Layer: 0}} {
+		err := s.ExploreStream(m, []partition.FreeVar{fv}, nil, emit)
+		if !errors.Is(err, ErrExperiment) {
+			t.Errorf("free %+v: err %v, want ErrExperiment", fv, err)
+		}
+	}
+	n := 0
+	if err := s.ExploreStream(m, []partition.FreeVar{{Level: 2, Layer: 0}}, nil, func(ExplorePoint) error {
+		n++
+		return nil
+	}); err != nil || n != 2 {
+		t.Errorf("surviving level: %d points, err %v; want 2, nil", n, err)
 	}
 }

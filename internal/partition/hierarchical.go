@@ -69,9 +69,15 @@ func evaluateShapesLevelsWith(m *nn.Model, batch int, levels []Assignment, shape
 				ErrPlan, h, len(a), m.Name, len(shapes))
 		}
 	}
+	// The plan's assignments share one backing array, cut into
+	// cap-limited per-level slices so an append to one level can never
+	// overwrite the next.
+	nl := len(shapes)
 	plan := &Plan{Model: m.Name, Batch: batch, Levels: make([]Assignment, len(levels)), Edges: edges}
+	marks := make([]comm.Parallelism, len(levels)*nl)
 	for h := range levels {
-		plan.Levels[h] = levels[h].Clone()
+		plan.Levels[h] = marks[h*nl : (h+1)*nl : (h+1)*nl]
+		copy(plan.Levels[h], levels[h])
 	}
 	fillDetailsLevelsWith(plan, shapes, cs)
 	return plan, nil
@@ -140,14 +146,12 @@ func EdgesOf(preds [][]int) []Edge {
 	return edges
 }
 
-// amountsAt derives the per-pair amounts of every layer under the given
-// shard states.
-func amountsAt(shapes []nn.LayerShapes, shards []tensor.Shard) []comm.LayerAmounts {
-	amounts := make([]comm.LayerAmounts, len(shapes))
+// amountsAt writes the per-pair amounts of every layer under the given
+// shard states into amounts, which holds one entry per layer.
+func amountsAt(amounts []comm.LayerAmounts, shapes []nn.LayerShapes, shards []tensor.Shard) {
 	for l := range shapes {
 		amounts[l] = comm.Amounts(shapes[l], shards[l])
 	}
-	return amounts
 }
 
 // repeatCosts expands one cost model to a per-level vector, the shape
@@ -166,20 +170,26 @@ func repeatCosts(c costs, levels int) []costs {
 // threading shard state down the hierarchy. Inter-layer conversions are
 // charged per edge (plan.Edges) on the producer's boundary tensors, so
 // a forked feature map pays one conversion per disagreeing consumer.
+// Every level's volume vectors are cap-limited cuts of one backing
+// array.
 func fillDetailsLevelsWith(plan *Plan, shapes []nn.LayerShapes, cs []costs) {
-	nl := len(shapes)
+	nl, ne := len(shapes), len(plan.Edges)
 	shards := make([]tensor.Shard, nl)
+	amounts := make([]comm.LayerAmounts, nl)
 	plan.Details = make([]LevelDetail, len(plan.Levels))
 	plan.TotalElems = 0
+	per := 2*nl + 2*ne
+	vols := make([]float64, len(plan.Levels)*per)
 
 	for h, assign := range plan.Levels {
 		c := cs[h]
-		amounts := amountsAt(shapes, shards)
+		amountsAt(amounts, shapes, shards)
+		v := vols[h*per : (h+1)*per : (h+1)*per]
 		d := LevelDetail{
-			IntraFwd:  make([]float64, nl),
-			IntraGrad: make([]float64, nl),
-			InterF:    make([]float64, len(plan.Edges)),
-			InterE:    make([]float64, len(plan.Edges)),
+			IntraFwd:  v[:nl:nl],
+			IntraGrad: v[nl : 2*nl : 2*nl],
+			InterF:    v[2*nl : 2*nl+ne : 2*nl+ne],
+			InterE:    v[2*nl+ne:],
 		}
 		for l := 0; l < nl; l++ {
 			switch assign[l] {

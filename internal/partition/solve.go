@@ -232,11 +232,12 @@ func hierarchicalCore(ctx context.Context, m *nn.Model, batch int, cs []costs, o
 		pk = predsKey(preds)
 	}
 	shards := make([]tensor.Shard, nl)
+	amounts := make([]comm.LayerAmounts, nl)
 	for h := 0; h < levels; h++ {
 		if err := ctxErr(ctx); err != nil {
 			return nil, err
 		}
-		amounts := amountsAt(shapes, shards)
+		amountsAt(amounts, shapes, shards)
 		var key uint64
 		if plan.levelKeys != nil {
 			key = warmLevelKey(fnvMix(opt.seeds[h], pk), amounts)

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/comm"
@@ -155,6 +156,27 @@ func TestConformanceTopologies(t *testing.T) {
 		}
 		if _, err := p.NewTopology("hypercube", 2, 1600); err == nil {
 			t.Error("unsupported topology accepted")
+		}
+	})
+}
+
+// TestConformanceCostModelsComparable: the simulator keys its
+// phase-cost table on the Compute and Memory models and compares them
+// with ==, so every registered model must be a comparable value that
+// equals itself. A model holding a slice, map or func fails here
+// instead of panicking that comparison.
+func TestConformanceCostModelsComparable(t *testing.T) {
+	forEachPlatform(t, func(t *testing.T, p platform.Platform) {
+		for _, m := range []any{p.Compute(), p.Memory()} {
+			if typ := reflect.TypeOf(m); !typ.Comparable() {
+				t.Fatalf("%v is not comparable", typ)
+			}
+		}
+		if p.Compute() != p.Compute() {
+			t.Errorf("%T does not equal itself", p.Compute())
+		}
+		if p.Memory() != p.Memory() {
+			t.Errorf("%T does not equal itself", p.Memory())
 		}
 	})
 }

@@ -59,6 +59,12 @@ func Resolve(name string) (Platform, error) {
 // layer phase's MACs take, and how many local-memory bytes the phase
 // moves. internal/pe (row-stationary), internal/gpu (SIMT occupancy)
 // and internal/systolic (weight-stationary) implement it.
+//
+// Implementations must be comparable values (no slice, map or func
+// fields) and pure: the simulator keys its per-Simulator phase-cost
+// table on the Compute and Memory models and compares them with ==, so
+// a non-comparable model panics there, and one whose results change
+// while it compares equal would be served stale costs.
 type Compute interface {
 	// ComputeTime returns the seconds one node needs for the given
 	// number of multiply-accumulates of the layer.
@@ -72,7 +78,8 @@ type Compute interface {
 
 // Memory models one accelerator node's local memory and the platform's
 // energy cost table. internal/hmc's Config implements it; the GPU and
-// TPU platforms reuse the same structure with HBM constants.
+// TPU platforms reuse the same structure with HBM constants. Like
+// Compute, implementations must be comparable, pure values.
 type Memory interface {
 	// DRAMTime returns the seconds to stream the bytes through the
 	// node's local-memory bandwidth.

@@ -195,6 +195,43 @@ func TestExploreDuplicateFreeRejected(t *testing.T) {
 	}
 }
 
+// TestExploreFaultConfig: with faults the sweep's base plan covers only
+// the surviving sub-array, so a free level at or below its depth, or a
+// config that leaves no sub-array at all, is a 400 before any compute
+// on both sweep endpoints — not a panicked stream or a failed job.
+func TestExploreFaultConfig(t *testing.T) {
+	_, ts, computes := newTestServer(t)
+	for _, body := range []string{
+		// 16 accelerators minus two failed level-1 groups of 4 leave 8:
+		// a 3-level base plan, so level 3 does not exist.
+		`{"zoo":"Lenet-c","config":{"faults":{"level":1,"groups":2}},"free":[{"level":3,"layer":0}]}`,
+		// One of two accelerators failed: depth 0, and the default free
+		// cell sits at level 0.
+		`{"zoo":"Lenet-c","config":{"levels":1,"faults":{"level":0,"groups":1}}}`,
+	} {
+		for _, ep := range []string{"/v1/explore", "/v1/jobs"} {
+			if code, b := postJSON(t, ts.URL+ep, body); code != http.StatusBadRequest {
+				t.Errorf("%s %s: status %d, want 400: %s", ep, body, code, b)
+			}
+		}
+	}
+	if n := computes.Load(); n != 0 {
+		t.Errorf("rejected fault configs reached compute %d times", n)
+	}
+	ok := `{"zoo":"Lenet-c","config":{"faults":{"level":1,"groups":2}},"free":[{"level":2,"layer":0}]}`
+	code, b := postJSON(t, ts.URL+"/v1/explore", ok)
+	if code != http.StatusOK {
+		t.Fatalf("/v1/explore surviving level: status %d: %s", code, b)
+	}
+	if n := bytes.Count(b, []byte("\n{\"type\":\"point\"")); n != 2 {
+		t.Errorf("/v1/explore surviving level: %d point lines, want 2:\n%s", n, b)
+	}
+	st := submitJob(t, ts.URL, ok)
+	if fin := waitJob(t, ts.URL, st.ID); fin.Status != jobStateDone {
+		t.Errorf("/v1/jobs surviving level: job ended %+v", fin)
+	}
+}
+
 // TestExploreConcurrentSweeps runs distinct sweeps at once — each
 // leader fanning its points out over Simulators on the shared pool —
 // and checks every body against the same sweep computed alone. Under

@@ -671,9 +671,12 @@ func (s *Server) resolveRequest(req request, wantStrategy, wantFree bool) (*pars
 		return nil, badRequest(fmt.Errorf("%w: %d free variables exceeds the %d-variable (2^%d points) limit",
 			ErrService, len(req.Free), MaxFreeVars, MaxFreeVars))
 	}
+	// With faults the sweep's base plan covers only the surviving
+	// sub-array, so free levels are bounded by its depth.
+	depth := p.cfg.EffectiveLevels()
 	for i, fv := range req.Free {
-		if fv.Level < 0 || fv.Level >= p.cfg.Levels {
-			return nil, badRequest(fmt.Errorf("%w: free variable level %d out of range [0,%d)", ErrService, fv.Level, p.cfg.Levels))
+		if fv.Level < 0 || fv.Level >= depth {
+			return nil, badRequest(fmt.Errorf("%w: free variable level %d out of range [0,%d)", ErrService, fv.Level, depth))
 		}
 		if fv.Layer < 0 || fv.Layer >= len(p.model.Layers) {
 			return nil, badRequest(fmt.Errorf("%w: free variable layer %d out of range [0,%d)", ErrService, fv.Layer, len(p.model.Layers)))
@@ -1218,6 +1221,10 @@ func finishExploreParse(p *parsed) error {
 	}
 	if p.cfg.Levels == 0 {
 		return badRequest(fmt.Errorf("%w: explore needs levels >= 1", ErrService))
+	}
+	if p.cfg.EffectiveLevels() == 0 {
+		return badRequest(fmt.Errorf("%w: explore needs a surviving sub-array of depth >= 1, but the faults leave %d accelerator(s)",
+			ErrService, p.cfg.SurvivingAccelerators()))
 	}
 	return nil
 }

@@ -126,8 +126,8 @@ func (e *Engine) AddResource(name string) *Resource {
 // nil) resource, depending on deps. The ID may be empty when no trace
 // is collected; it is never interpreted.
 func (e *Engine) AddTask(id string, duration float64, res *Resource, deps ...*Task) (*Task, error) {
-	if duration < 0 || math.IsNaN(duration) || math.IsInf(duration, 0) {
-		return nil, fmt.Errorf("%w: task %q has duration %g", ErrSim, id, duration)
+	if err := checkDuration(id, duration); err != nil {
+		return nil, err
 	}
 	t := e.newTask()
 	t.ID, t.Duration, t.Resource = id, duration, res
@@ -136,6 +136,14 @@ func (e *Engine) AddTask(id string, duration float64, res *Resource, deps ...*Ta
 	}
 	e.tasks = append(e.tasks, t)
 	return t, nil
+}
+
+// checkDuration rejects a negative, NaN or infinite task duration.
+func checkDuration(id string, duration float64) error {
+	if duration < 0 || math.IsNaN(duration) || math.IsInf(duration, 0) {
+		return fmt.Errorf("%w: task %q has duration %g", ErrSim, id, duration)
+	}
+	return nil
 }
 
 // readyItem is one ready-queue entry. Items order by the task's ready

@@ -162,18 +162,29 @@ func Simulate(m *nn.Model, plan *partition.Plan, arch Arch) (*Stats, error) {
 }
 
 // Simulator owns a reusable engine so repeated simulations (sweeps,
-// explorations, zoo comparisons) stop reallocating the task slab, and
-// keeps the compiled wiring of the last model it simulated so a sweep
-// over one model resolves its layer graph once. The memo holds that
-// *nn.Model, so the pointer cannot be recycled for another model; like
-// CachedShapes, it relies on models not being mutated after first use.
-// A Simulator is not safe for concurrent use: give each worker its own
-// (runner.MapWith exists for exactly that).
+// explorations, zoo comparisons) stop reallocating the task slab. It
+// also keeps, across calls:
+//
+//   - the compiled wiring of the last model it simulated, so a sweep
+//     over one model resolves its layer graph once;
+//   - the phase-cost table of the last (model, batch, depth, cost
+//     models, element width), so a sweep prices each layer phase once
+//     per leaf shard instead of once per plan;
+//   - the step builder's scratch, so a reused Simulator allocates only
+//     the returned Stats.
+//
+// Both memos hold the *nn.Model, so the pointer cannot be recycled for
+// another model; like CachedShapes, they rely on models not being
+// mutated after first use. A Simulator is not safe for concurrent use:
+// give each worker its own (runner.MapWith exists for exactly that).
 type Simulator struct {
 	eng *Engine
 
 	model *nn.Model // model whose wiring is compiled, nil before the first simulation
 	wire  wiring
+
+	costs costTable
+	b     stepBuilder
 }
 
 // wiring is a model's layer graph compiled for the step builder: the
@@ -183,16 +194,14 @@ type wiring struct {
 	edges    []partition.Edge
 	outEdges [][]int
 	inEdges  [][]int
+	// chain reports that the edges are exactly (l, l+1) for every
+	// layer but the last: the graph the phase-serial running sum
+	// schedules (see buildSerial).
+	chain bool
 }
 
 // NewSimulator returns a Simulator with an empty engine.
 func NewSimulator() *Simulator { return &Simulator{eng: NewEngine()} }
-
-// Simulate is Simulate on the reusable engine.
-func (s *Simulator) Simulate(m *nn.Model, plan *partition.Plan, arch Arch) (*Stats, error) {
-	s.eng.Reset()
-	return s.simulate(m, plan, arch)
-}
 
 // wiringOf returns m's compiled wiring, compiling it only when m is not
 // the model of the previous call.
@@ -206,8 +215,22 @@ func (s *Simulator) wiringOf(m *nn.Model) (*wiring, error) {
 	}
 	edges := partition.EdgesOf(preds)
 	out, in := indexEdges(edges, len(m.Layers))
-	s.model, s.wire = m, wiring{edges: edges, outEdges: out, inEdges: in}
+	s.model, s.wire = m, wiring{edges: edges, outEdges: out, inEdges: in, chain: isChain(edges, len(m.Layers))}
 	return &s.wire, nil
+}
+
+// isChain reports whether edges, in canonical order, are exactly the
+// chain (0, 1), (1, 2), …, (nl-2, nl-1).
+func isChain(edges []partition.Edge, nl int) bool {
+	if len(edges) != nl-1 {
+		return false
+	}
+	for l, ed := range edges {
+		if ed.Src != l || ed.Dst != l+1 {
+			return false
+		}
+	}
+	return true
 }
 
 // indexEdges lists each of nl layers' outgoing and incoming edges as
@@ -223,8 +246,68 @@ func indexEdges(edges []partition.Edge, nl int) (out, in [][]int) {
 	return out, in
 }
 
-// simulate compiles and runs one training step on the reset engine.
-func (s *Simulator) simulate(m *nn.Model, plan *partition.Plan, arch Arch) (*Stats, error) {
+// costKey is everything a layer phase's cost depends on besides the
+// layer and its leaf shard: the model and batch fix the shapes, the
+// depth fixes the accelerator count, and the cost models and element
+// width price them. The cost models compare as interface values, which
+// is why platform.Compute and platform.Memory implementations must be
+// comparable.
+type costKey struct {
+	model *nn.Model
+	batch int
+	depth int
+	comp  platform.Compute
+	mem   platform.Memory
+	dtype tensor.DType
+}
+
+// phaseCost is one layer phase's task duration and the terms it adds to
+// Stats, for one leaf shard. The terms stay apart rather than summed,
+// so adding them in the step's order gives the same floats as pricing
+// the phase in place.
+type phaseCost struct {
+	dur       float64 // the longer of compute and DRAM time
+	mac       float64 // MAC energy
+	sram      float64 // SRAM energy
+	dram      float64 // DRAM energy
+	dramBytes float64 // array-wide DRAM bytes
+	local     float64 // activation+pooling (forward) or weight-update (gradient) energy
+	filled    bool
+}
+
+// costTable holds the phaseCost of every (layer, phase, leaf DP count)
+// under one costKey, filled lazily: a sweep over one model fills each
+// cell once, while a stream of distinct keys prices only the cells its
+// plans use. A depth-H leaf shard is {DP: d, MP: H-d}, so the DP count
+// alone selects the shard.
+type costTable struct {
+	key   costKey
+	cells []phaseCost
+}
+
+// cellsFor returns the table's cells for key, emptied unless key is the
+// one they were filled under.
+func (t *costTable) cellsFor(key costKey, layers int) []phaseCost {
+	if t.cells != nil && t.key == key {
+		return t.cells
+	}
+	t.key = key
+	t.cells = resize(t.cells, layers*len(nn.Phases)*(key.depth+1))
+	clear(t.cells)
+	return t.cells
+}
+
+// resize returns s with length n, reallocating only when its capacity
+// is short. The contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// Simulate is Simulate on the Simulator's engine, memos and scratch.
+func (s *Simulator) Simulate(m *nn.Model, plan *partition.Plan, arch Arch) (*Stats, error) {
 	if err := arch.Validate(); err != nil {
 		return nil, err
 	}
@@ -257,47 +340,72 @@ func (s *Simulator) simulate(m *nn.Model, plan *partition.Plan, arch Arch) (*Sta
 			ErrSim, len(arch.LevelMems), levels)
 	}
 
-	b := stepBuilder{
-		shapes: shapes,
-		plan:   plan,
-		arch:   arch,
-		eng:    s.eng,
-		named:  arch.CollectTrace,
-		stats:  &Stats{CommSeconds: make([]float64, levels)},
-	}
-	if err := b.build(wire); err != nil {
+	b := &s.b
+	b.shapes, b.plan, b.arch = shapes, plan, arch
+	b.levels = levels
+	b.accs = float64(int64(1) << uint(levels))
+	b.es = float64(arch.DType.Size())
+	b.named = arch.CollectTrace
+	b.stats = &Stats{CommSeconds: make([]float64, levels)}
+	b.costs = s.costs.cellsFor(costKey{
+		model: m, batch: plan.Batch, depth: levels,
+		comp: arch.Comp, mem: arch.Mem, dtype: arch.DType,
+	}, len(shapes))
+	if err := b.route(wire); err != nil {
 		return nil, err
 	}
-	makespan, err := b.eng.Run()
-	if err != nil {
-		return nil, err
-	}
-	b.stats.StepSeconds = makespan
-	b.stats.ComputeSeconds = b.compute.Busy()
-	for h, r := range b.links {
-		b.stats.CommSeconds[h] = r.Busy()
+	b.shard()
+
+	if wire.chain && !arch.OverlapGradComm && !arch.CollectTrace {
+		b.clock, b.tasks = 0, 0
+		if err := b.buildSerial(); err != nil {
+			return nil, err
+		}
+		b.stats.StepSeconds = b.clock
+		b.stats.Tasks = b.tasks
+	} else {
+		s.eng.Reset()
+		b.eng = s.eng
+		if err := b.build(); err != nil {
+			return nil, err
+		}
+		makespan, err := s.eng.Run()
+		if err != nil {
+			return nil, err
+		}
+		b.stats.StepSeconds = makespan
+		b.stats.ComputeSeconds = b.compute.Busy()
+		for h, r := range b.links {
+			b.stats.CommSeconds[h] = r.Busy()
+		}
+		b.stats.Tasks = s.eng.NumTasks()
+		if arch.CollectTrace {
+			b.stats.Trace = s.eng.TraceRecords()
+		}
 	}
 	b.stats.CommBytes = plan.TotalBytes(arch.DType)
 	b.stats.PeakMemoryBytes = b.workingSet()
 	b.stats.FitsMemory = arch.Mem.Fits(b.stats.PeakMemoryBytes)
-	b.stats.Tasks = b.eng.NumTasks()
-	if arch.CollectTrace {
-		b.stats.Trace = b.eng.TraceRecords()
-	}
 	return b.stats, nil
 }
 
-// stepBuilder compiles the step's task graph and accrues energy.
+// stepBuilder compiles one training step and accrues its energy. It
+// either adds the step's tasks to the engine or, for a phase-serial
+// chain, sums their durations directly (buildSerial). A Simulator keeps
+// one so the per-step scratch below survives across simulations.
 type stepBuilder struct {
 	shapes []nn.LayerShapes
 	plan   *partition.Plan
 	arch   Arch
-	eng    *Engine
-	named  bool // format task names (only needed for trace export)
+	levels int     // hierarchy depth H
+	accs   float64 // accelerator count 2^H
+	es     float64 // element size in bytes
+	named  bool    // format task names (only needed for trace export)
 	stats  *Stats
 
-	compute *Resource
-	links   []*Resource
+	// costs is the Simulator's phase-cost table for this step's key,
+	// indexed by costIndex.
+	costs []phaseCost
 
 	// edges is the model's layer-to-layer edge list in the canonical
 	// (Src, Dst) order the plan's per-edge volumes are indexed by;
@@ -309,50 +417,29 @@ type stepBuilder struct {
 	// leafShard[l] is layer l's shard state below the whole hierarchy.
 	leafShard []tensor.Shard
 
-	// deps and bdeps are scratch dependency lists reused across layers;
-	// AddTask does not retain the slice it is given.
-	deps, bdeps []*Task
+	// The running sum of a serial step: the last task's finish time
+	// and the task count.
+	clock float64
+	tasks int
+
+	// Engine-path state. deps and bdeps are scratch dependency lists
+	// reused across layers; AddTask does not retain the slice it is
+	// given. convTail[e] and errTail[e] are the last tasks of edge e's F
+	// and E conversions.
+	eng               *Engine
+	compute           *Resource
+	links             []*Resource
+	convTail, errTail []*Task
+	deps, bdeps       []*Task
 }
 
-// accs returns the accelerator count 2^H.
-func (b *stepBuilder) accs() float64 {
-	return float64(int64(1) << uint(b.plan.NumLevels()))
-}
-
-// linkNames holds the level-link resource names, formatted once
-// instead of on every simulated step.
-var linkNames = func() []string {
-	names := make([]string, 32)
-	for h := range names {
-		names[h] = fmt.Sprintf("link-H%d", h+1)
-	}
-	return names
-}()
-
-// linkName names level h's link resource ("link-H1" is the top level).
-func linkName(h int) string {
-	if h < len(linkNames) {
-		return linkNames[h]
-	}
-	return fmt.Sprintf("link-H%d", h+1)
-}
-
-// build constructs resources and the full task graph over the model's
-// compiled wiring.
-func (b *stepBuilder) build(wire *wiring) error {
-	levels := b.plan.NumLevels()
-	b.compute = b.eng.AddResource("array-compute")
-	b.links = make([]*Resource, levels)
-	for h := 0; h < levels; h++ {
-		b.links[h] = b.eng.AddResource(linkName(h))
-	}
-
-	nl := len(b.shapes)
-	// The plan's per-edge conversion volumes are indexed parallel to
-	// its own Edges, so schedule from that order when recorded; plans
-	// without one (hand-built zero-level plans) use the canonical
-	// order. Planners record the canonical order, so the compiled
-	// per-layer lists serve almost every plan as they are.
+// route selects the edge order the step schedules from. The plan's
+// per-edge conversion volumes are indexed parallel to its own Edges, so
+// schedule from that order when recorded; plans without one (hand-built
+// zero-level plans) use the canonical order. Planners record the
+// canonical order, so the compiled per-layer lists serve almost every
+// plan as they are.
+func (b *stepBuilder) route(wire *wiring) error {
 	switch {
 	case b.plan.Edges == nil || slices.Equal(b.plan.Edges, wire.edges):
 		b.edges, b.outEdges, b.inEdges = wire.edges, wire.outEdges, wire.inEdges
@@ -373,17 +460,53 @@ func (b *stepBuilder) build(wire *wiring) error {
 			}
 			delete(set, ed)
 		}
-		out, in := indexEdges(b.plan.Edges, nl)
+		out, in := indexEdges(b.plan.Edges, len(b.shapes))
 		b.edges, b.outEdges, b.inEdges = b.plan.Edges, out, in
 	}
+	return nil
+}
 
-	b.leafShard = make([]tensor.Shard, nl)
-	for l := 0; l < nl; l++ {
-		for h := 0; h < levels; h++ {
-			b.leafShard[l] = b.leafShard[l].Apply(b.plan.At(h, l) == comm.DP)
+// shard derives every layer's leaf shard from the plan.
+func (b *stepBuilder) shard() {
+	b.leafShard = resize(b.leafShard, len(b.shapes))
+	for l := range b.leafShard {
+		var sh tensor.Shard
+		for h := 0; h < b.levels; h++ {
+			sh = sh.Apply(b.plan.At(h, l) == comm.DP)
 		}
+		b.leafShard[l] = sh
 	}
+}
 
+// linkNames holds the level-link resource names, formatted once
+// instead of on every simulated step.
+var linkNames = func() []string {
+	names := make([]string, 32)
+	for h := range names {
+		names[h] = fmt.Sprintf("link-H%d", h+1)
+	}
+	return names
+}()
+
+// linkName names level h's link resource ("link-H1" is the top level).
+func linkName(h int) string {
+	if h < len(linkNames) {
+		return linkNames[h]
+	}
+	return fmt.Sprintf("link-H%d", h+1)
+}
+
+// build adds the step's resources and full task graph to the engine.
+func (b *stepBuilder) build() error {
+	b.compute = b.eng.AddResource("array-compute")
+	b.links = resize(b.links, b.levels)
+	for h := range b.links {
+		b.links[h] = b.eng.AddResource(linkName(h))
+	}
+	b.convTail = resize(b.convTail, len(b.edges))
+	b.errTail = resize(b.errTail, len(b.edges))
+	clear(b.convTail)
+	clear(b.errTail)
 	fwdDone, err := b.buildForward()
 	if err != nil {
 		return err
@@ -395,16 +518,16 @@ func (b *stepBuilder) build(wire *wiring) error {
 // training step: weight and gradient shards plus the retained
 // activations and errors of every layer.
 func (b *stepBuilder) workingSet() float64 {
-	es := float64(b.arch.DType.Size())
 	var total float64
-	for l, s := range b.shapes {
+	for l := range b.shapes {
+		s := &b.shapes[l]
 		sh := b.leafShard[l]
 		w := sh.KernelElems(s.Kernel)
 		in := sh.InputElems(s.In)
 		out := sh.OutputElems(s.Out)
 		// W + ∆W + F_l + F_{l+1} + E_{l+1} (E_l aliases the previous
 		// layer's E_{l+1}).
-		total += (2*w + in + 2*out) * es
+		total += (2*w + in + 2*out) * b.es
 	}
 	return total
 }
@@ -428,52 +551,75 @@ func (b *stepBuilder) edgeTaskName(prefix string, e int) string {
 	return prefix + "/" + b.shapes[ed.Src].Layer.Name + "->" + b.shapes[ed.Dst].Layer.Name
 }
 
-// phaseTask adds one compute+DRAM task for a phase of a layer and
-// charges its energy.
-func (b *stepBuilder) phaseTask(name string, l int, p nn.Phase, deps ...*Task) (*Task, error) {
-	s := b.shapes[l]
+// phaseCost returns layer l's phase-p cost under its leaf shard,
+// pricing the table cell on first use.
+func (b *stepBuilder) phaseCost(l int, p nn.Phase) *phaseCost {
 	sh := b.leafShard[l]
-	n := b.accs()
-
+	c := &b.costs[(l*len(nn.Phases)+int(p))*(b.levels+1)+sh.DP]
+	if c.filled {
+		return c
+	}
+	s := &b.shapes[l]
+	n := b.accs
 	perAccMACs := float64(s.MACs(p)) / n
-	computeT := b.arch.Comp.ComputeTime(perAccMACs, s)
-
+	computeT := b.arch.Comp.ComputeTime(perAccMACs, *s)
 	opBytes, resBytes := b.phaseBytes(l, p)
-	traffic := b.arch.Comp.DRAMTraffic(s, opBytes, resBytes)
+	traffic := b.arch.Comp.DRAMTraffic(*s, opBytes, resBytes)
 	dramT := b.arch.Mem.DRAMTime(traffic)
-
 	dur := computeT
 	if dramT > dur {
 		dur = dramT
 	}
-
-	// Energy, array-wide.
-	b.stats.EnergyCompute += b.arch.Mem.MACEnergy(perAccMACs * n)
-	b.stats.EnergySRAM += b.arch.Mem.SRAMEnergy(2 * perAccMACs * n)
-	b.stats.EnergyDRAM += b.arch.Mem.DRAMEnergy(traffic * n)
-	b.stats.DRAMBytes += traffic * n
-	if p == nn.Forward {
+	*c = phaseCost{
+		dur:       dur,
+		mac:       b.arch.Mem.MACEnergy(perAccMACs * n),
+		sram:      b.arch.Mem.SRAMEnergy(2 * perAccMACs * n),
+		dram:      b.arch.Mem.DRAMEnergy(traffic * n),
+		dramBytes: traffic * n,
+		filled:    true,
+	}
+	switch p {
+	case nn.Forward:
 		// Activation and pooling, local element-wise work.
 		aux := float64(s.ActOps()+s.PoolOps()) / n
-		b.stats.EnergyCompute += b.arch.Mem.AddEnergy(aux * n)
-	}
-	if p == nn.Gradient {
+		c.local = b.arch.Mem.AddEnergy(aux * n)
+	case nn.Gradient:
 		// Weight update: one multiply-add per local weight shard.
 		upd := sh.KernelElems(s.Kernel)
-		b.stats.EnergyCompute += b.arch.Mem.AddEnergy(upd * n)
+		c.local = b.arch.Mem.AddEnergy(upd * n)
 	}
-	return b.eng.AddTask(name, dur, b.compute, deps...)
+	return c
+}
+
+// chargePhase adds one compute+DRAM phase of a layer to the step's
+// energy, array-wide, and returns its cost.
+func (b *stepBuilder) chargePhase(l int, p nn.Phase) *phaseCost {
+	c := b.phaseCost(l, p)
+	st := b.stats
+	st.EnergyCompute += c.mac
+	st.EnergySRAM += c.sram
+	st.EnergyDRAM += c.dram
+	st.DRAMBytes += c.dramBytes
+	if p != nn.Backward {
+		st.EnergyCompute += c.local
+	}
+	return c
+}
+
+// phaseTask adds one compute+DRAM task for a phase of a layer and
+// charges its energy.
+func (b *stepBuilder) phaseTask(name string, l int, p nn.Phase, deps ...*Task) (*Task, error) {
+	return b.eng.AddTask(name, b.chargePhase(l, p).dur, b.compute, deps...)
 }
 
 // phaseBytes returns the per-accelerator operand and result bytes of a
 // phase under the leaf shard state.
 func (b *stepBuilder) phaseBytes(l int, p nn.Phase) (op, res float64) {
-	s := b.shapes[l]
+	s := &b.shapes[l]
 	sh := b.leafShard[l]
-	es := float64(b.arch.DType.Size())
-	in := sh.InputElems(s.In) * es
-	out := sh.OutputElems(s.Out) * es
-	w := sh.KernelElems(s.Kernel) * es
+	in := sh.InputElems(s.In) * b.es
+	out := sh.OutputElems(s.Out) * b.es
+	w := sh.KernelElems(s.Kernel) * b.es
 	switch p {
 	case nn.Forward:
 		return in + w, out
@@ -484,28 +630,38 @@ func (b *stepBuilder) phaseBytes(l int, p nn.Phase) (op, res float64) {
 	}
 }
 
+// transfer returns how long level h's links take to exchange elems
+// one-direction elements per pair, charging the link energy. The
+// exchange a link carries is both directions (the paper's 2× counting),
+// and all pairs of a level move concurrently on that level's link
+// resource.
+func (b *stepBuilder) transfer(h int, elems float64) (float64, error) {
+	bytes := 2 * elems * b.es
+	dur, err := b.arch.NoC.TransferTime(h, bytes)
+	if err != nil {
+		return 0, err
+	}
+	linkBytes, err := b.arch.NoC.LinkBytes(h, bytes)
+	if err != nil {
+		return 0, err
+	}
+	b.stats.EnergyLink += b.arch.LevelMem(h).LinkEnergy(linkBytes)
+	return dur, nil
+}
+
 // transferChain appends one NoC transfer task per hierarchy level with
-// non-zero volume, chained after prev, charging link energy. Volumes
-// are one-direction per-pair element counts; the exchange a link
-// carries is both directions (the paper's 2× counting), and all pairs
-// of a level move concurrently on that level's link resource.
+// non-zero volume, chained after prev. Volumes are one-direction
+// per-pair element counts.
 func (b *stepBuilder) transferChain(name string, vols func(h int) float64, prev *Task) (*Task, error) {
-	es := float64(b.arch.DType.Size())
-	for h := 0; h < b.plan.NumLevels(); h++ {
+	for h := 0; h < b.levels; h++ {
 		elems := vols(h)
 		if elems <= 0 {
 			continue
 		}
-		bytes := 2 * elems * es
-		dur, err := b.arch.NoC.TransferTime(h, bytes)
+		dur, err := b.transfer(h, elems)
 		if err != nil {
 			return nil, err
 		}
-		linkBytes, err := b.arch.NoC.LinkBytes(h, bytes)
-		if err != nil {
-			return nil, err
-		}
-		b.stats.EnergyLink += b.arch.LevelMem(h).LinkEnergy(linkBytes)
 		id := ""
 		if b.named {
 			id = fmt.Sprintf("%s@H%d", name, h+1)
@@ -547,12 +703,11 @@ func dedupeDeps(deps []*Task) []*Task {
 // producer's partial-sum exchange. For a chain this reproduces the
 // historical linear sweep task for task.
 func (b *stepBuilder) buildForward() (*Task, error) {
-	convTail := make([]*Task, len(b.edges))
 	var last *Task
 	for l := range b.shapes {
 		deps := b.deps[:0]
 		for _, e := range b.inEdges[l] {
-			deps = append(deps, convTail[e])
+			deps = append(deps, b.convTail[e])
 		}
 		b.deps = deps
 		ct, err := b.phaseTask(b.taskName("fwd", l), l, nn.Forward, dedupeDeps(deps)...)
@@ -567,13 +722,12 @@ func (b *stepBuilder) buildForward() (*Task, error) {
 		}
 		// Inter-layer F conversion along every outgoing edge.
 		for _, e := range b.outEdges[l] {
-			e := e
 			et, err := b.transferChain(b.edgeTaskName("fwd-conv", e),
 				func(h int) float64 { return b.plan.Details[h].InterF[e] }, t)
 			if err != nil {
 				return nil, err
 			}
-			convTail[e] = et
+			b.convTail[e] = et
 		}
 		if len(b.outEdges[l]) == 0 {
 			// The sink: its post-exchange output feeds the loss.
@@ -597,14 +751,13 @@ func (b *stepBuilder) buildForward() (*Task, error) {
 // the historical linear sweep task for task.
 func (b *stepBuilder) buildBackwardGradient(fwdDone *Task) error {
 	nl := len(b.shapes)
-	errTail := make([]*Task, len(b.edges))
 	prev := fwdDone // the sink's E comes out of the loss right after forward
 	for l := nl - 1; l >= 0; l-- {
 		// The layer's output error: the loss for the sink, otherwise the
 		// E conversions of every outgoing edge.
 		errDeps := append(b.deps[:0], prev)
 		for _, e := range b.outEdges[l] {
-			errDeps = append(errDeps, errTail[e])
+			errDeps = append(errDeps, b.errTail[e])
 		}
 		b.deps = errDeps
 		errDeps = dedupeDeps(errDeps)
@@ -638,15 +791,101 @@ func (b *stepBuilder) buildBackwardGradient(fwdDone *Task) error {
 		// Inter-layer E conversion along every incoming edge.
 		t := ct
 		for _, e := range b.inEdges[l] {
-			e := e
 			t, err = b.transferChain(b.edgeTaskName("bwd-conv", e),
 				func(h int) float64 { return b.plan.Details[h].InterE[e] }, t)
 			if err != nil {
 				return err
 			}
-			errTail[e] = t
+			b.errTail[e] = t
 		}
 		prev = t
 	}
+	return nil
+}
+
+// buildSerial prices a chain model's phase-serial step without the
+// engine. With chain wiring, OverlapGradComm off and no trace, the task
+// graph buildForward and buildBackwardGradient would add is a total
+// order: every task's latest dependency is the task added just before
+// it (forward computes wait on the previous edge's conversion tail;
+// backward error dependencies dedupe to the previous task; a backward
+// compute's latest dependency is the gradient exchange just added). So
+// each task starts exactly when its predecessor finishes, on a resource
+// that is already free, and the engine's schedule reduces to running
+// sums: the makespan is the last finish, each resource's busy time is
+// its durations summed in add order, and Tasks is the count. The sums
+// below are the engine's additions in the engine's order, so every
+// Stats field is bit-identical; TestChainScheduleMatchesEngine pins it.
+func (b *stepBuilder) buildSerial() error {
+	nl := len(b.shapes)
+	for l := 0; l < nl; l++ {
+		if err := b.serialPhase(l, nn.Forward); err != nil {
+			return err
+		}
+		if err := b.serialTransfers(func(h int) float64 { return b.plan.Details[h].IntraFwd[l] }); err != nil {
+			return err
+		}
+		for _, e := range b.outEdges[l] {
+			if err := b.serialTransfers(func(h int) float64 { return b.plan.Details[h].InterF[e] }); err != nil {
+				return err
+			}
+		}
+	}
+	for l := nl - 1; l >= 0; l-- {
+		if err := b.serialPhase(l, nn.Gradient); err != nil {
+			return err
+		}
+		if err := b.serialTransfers(func(h int) float64 { return b.plan.Details[h].IntraGrad[l] }); err != nil {
+			return err
+		}
+		if len(b.inEdges[l]) == 0 {
+			continue
+		}
+		if err := b.serialPhase(l, nn.Backward); err != nil {
+			return err
+		}
+		for _, e := range b.inEdges[l] {
+			if err := b.serialTransfers(func(h int) float64 { return b.plan.Details[h].InterE[e] }); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// serialPhase runs one layer phase on the serial step's compute.
+func (b *stepBuilder) serialPhase(l int, p nn.Phase) error {
+	return b.serial(b.chargePhase(l, p).dur, &b.stats.ComputeSeconds)
+}
+
+// serialTransfers runs one transfer per hierarchy level with non-zero
+// volume on the serial step's links, as transferChain would chain them.
+func (b *stepBuilder) serialTransfers(vols func(h int) float64) error {
+	for h := 0; h < b.levels; h++ {
+		elems := vols(h)
+		if elems <= 0 {
+			continue
+		}
+		dur, err := b.transfer(h, elems)
+		if err != nil {
+			return err
+		}
+		if err := b.serial(dur, &b.stats.CommSeconds[h]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// serial appends one task of the given duration to the serial step:
+// it starts at the clock, occupies the resource whose busy time is
+// busy, and moves the clock to its finish.
+func (b *stepBuilder) serial(dur float64, busy *float64) error {
+	if err := checkDuration("", dur); err != nil {
+		return err
+	}
+	b.clock += dur
+	*busy += dur
+	b.tasks++
 	return nil
 }

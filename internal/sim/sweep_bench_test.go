@@ -1,0 +1,75 @@
+package sim
+
+import (
+	"runtime"
+	"testing"
+
+	"repro/internal/nn"
+	"repro/internal/partition"
+	"repro/internal/runner"
+)
+
+// BenchmarkSimulateSweep measures the two per-point lines of an
+// 8-variable parallelism sweep — layers 0-3 free at levels H1 and H4 on
+// top of the HyPar plan, 256 points, batch 256, H = 4, 1600 Mb/s links:
+// planning every point (partition.ExploreWith on a one-worker pool) and
+// simulating every plan on one reused Simulator. Each reports ns and
+// allocations per point; run it with -benchmem.
+func BenchmarkSimulateSweep(b *testing.B) {
+	arch, err := DefaultArch(4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pool := runner.New(1)
+	for _, m := range []*nn.Model{nn.LenetC(), nn.CifarC(), nn.AlexNet(), nn.VGGA()} {
+		base, err := partition.Hierarchical(m, 256, 4)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var free []partition.FreeVar
+		for _, h := range []int{0, 3} {
+			for l := 0; l < 4; l++ {
+				free = append(free, partition.FreeVar{Level: h, Layer: l})
+			}
+		}
+		plan := func() []partition.ExplorePoint {
+			pts, err := partition.ExploreWith(pool, m, 256, base.Levels, free)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return pts
+		}
+		pts := plan()
+		b.Run("plan/"+m.Name, func(b *testing.B) {
+			perPoint(b, len(pts), func() { plan() })
+		})
+		b.Run("simulate/"+m.Name, func(b *testing.B) {
+			sm := NewSimulator()
+			perPoint(b, len(pts), func() {
+				for _, pt := range pts {
+					if _, err := sm.Simulate(m, pt.Plan, arch); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		})
+	}
+}
+
+// perPoint runs sweep b.N times after one warm-up and reports the time
+// and allocations per sweep point.
+func perPoint(b *testing.B, points int, sweep func()) {
+	sweep()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sweep()
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	n := float64(b.N * points)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/point")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/point")
+}
