@@ -1,0 +1,8 @@
+//go:build linux && amd64 && !amd64.v2
+
+package hypar_test
+
+// pinnedTarget reports that the build matches the target the identity
+// digests were recorded on: linux/amd64 at GOAMD64=v1, where the
+// compiler never fuses a multiply-add.
+const pinnedTarget = true
