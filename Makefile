@@ -31,6 +31,7 @@ vet:
 fuzz:
 	$(GO) test -fuzz='^FuzzDecodeModel$$' -fuzztime=10s -run '^$$' ./internal/nn
 	$(GO) test -fuzz='^FuzzLayerValidate$$' -fuzztime=10s -run '^$$' ./internal/nn
+	$(GO) test -fuzz='^FuzzParseTopology$$' -fuzztime=10s -run '^$$' ./internal/cluster
 
 cover:
 	$(GO) test -cover -coverprofile=coverage.out ./...
@@ -42,3 +43,4 @@ serve:
 check: vet test race
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on: $$unformatted"; exit 1; fi
+	$(GO) run ./scripts/apicheck

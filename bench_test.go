@@ -34,6 +34,16 @@ func discardTable(b *testing.B, t *report.Table, err error) {
 	}
 }
 
+// unitWeights repeats the paper's unit cost weights for levels
+// hierarchy levels.
+func unitWeights(levels int) []partition.Weights {
+	ws := make([]partition.Weights, levels)
+	for h := range ws {
+		ws[h] = partition.UnitWeights()
+	}
+	return ws
+}
+
 // The *Serial benchmarks run on runner.Serial() (width 1); the
 // unsuffixed figure benchmarks use the default (all-CPU) pool, so
 // BENCH_*.json records the parallel-vs-serial trajectory.
@@ -237,7 +247,7 @@ func BenchmarkBruteForceReference(b *testing.B) {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		if _, err := partition.BruteForce(m, 256, 2); err != nil {
+		if _, err := partition.Solve(partition.Request{Model: m, Batch: 256, Levels: unitWeights(2), Method: partition.MethodBrute}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -372,7 +382,7 @@ func BenchmarkHierarchicalTrainingStep(b *testing.B) {
 			hypar.FCLayer("fc3", 8),
 		},
 	}
-	plan, err := partition.Hierarchical(m, 16, 2)
+	plan, err := partition.Solve(partition.Request{Model: m, Batch: 16, Levels: unitWeights(2)})
 	if err != nil {
 		b.Fatal(err)
 	}

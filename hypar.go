@@ -769,7 +769,10 @@ func AssignmentFor(c Config) (platform.Assignment, error) {
 	return tail, nil
 }
 
-// BuildArch materializes the simulated platform for the configuration.
+// BuildArch materializes the simulated platform for the configuration:
+// the node platform's compute and memory, the assignment's fabric (a
+// mixed assignment adds boundary-adapter charges) and, for a mixed
+// assignment, each level's link energy model.
 func BuildArch(c Config) (Arch, error) {
 	if err := c.Validate(); err != nil {
 		return Arch{}, err
@@ -779,40 +782,21 @@ func BuildArch(c Config) (Arch, error) {
 	if err != nil {
 		return Arch{}, err
 	}
-	if !c.Platforms.IsZero() {
-		// Heterogeneous array: per-level fabrics with boundary-adapter
-		// charges, per-level link energy models, node platform compute.
-		a, err := AssignmentFor(c)
-		if err != nil {
-			return Arch{}, err
-		}
-		topo, err := a.NewTopology(c.Topology, c.LinkMbps)
-		if err != nil {
-			return Arch{}, err
-		}
-		return Arch{
-			Mem:             a.Node().Memory(),
-			Comp:            a.Node().Compute(),
-			NoC:             topo,
-			DType:           dt,
-			OverlapGradComm: c.OverlapGradComm,
-			LevelMems:       a.LevelMemories(),
-		}, nil
-	}
-	p, err := PlatformFor(c)
+	a, err := AssignmentFor(c)
 	if err != nil {
 		return Arch{}, err
 	}
-	topo, err := p.NewTopology(c.Topology, c.EffectiveLevels(), c.LinkMbps)
+	topo, err := a.NewTopology(c.Topology, c.LinkMbps)
 	if err != nil {
 		return Arch{}, err
 	}
 	return Arch{
-		Mem:             p.Memory(),
-		Comp:            p.Compute(),
+		Mem:             a.Node().Memory(),
+		Comp:            a.Node().Compute(),
 		NoC:             topo,
 		DType:           dt,
 		OverlapGradComm: c.OverlapGradComm,
+		LevelMems:       a.LevelMemories(),
 	}, nil
 }
 
@@ -833,9 +817,9 @@ func NewPlanCtx(ctx context.Context, m *Model, s Strategy, c Config) (*Plan, err
 	return NewPlanOpts(ctx, m, s, c, PlanOptions{})
 }
 
-// PlanOptions carries per-call planning hints that are deliberately
-// not part of Config: they change how a plan is computed, never which
-// plan is correct, so they stay out of the canonical request hash.
+// PlanOptions carries a per-call planning hint that is deliberately
+// not part of Config: it changes how a plan is computed, never which
+// plan is correct, so it stays out of the canonical request hash.
 type PlanOptions struct {
 	// Warm seeds the HyPar partition search with a previous plan
 	// (partition.Request.Warm): hierarchy levels whose search inputs
@@ -843,16 +827,15 @@ type PlanOptions struct {
 	// makes one-dimension sweeps incremental. Byte-identical output
 	// either way; baselines ignore it. Nil means a cold solve.
 	Warm *Plan
-	// FrontierCap caps the exact graph DP's frontier width for this
-	// call only (0 = the package default). See
-	// partition.Request.FrontierCap.
-	FrontierCap int
 }
 
-// NewPlanOpts is NewPlanCtx with per-call options. The HyPar strategy
-// dispatches on Config.SearchMethod — exact hierarchical DP (default),
-// exhaustive brute force, or bounded-width beam search — through the
-// partition package's unified Solve core.
+// NewPlanOpts is NewPlanCtx with per-call options. Every strategy runs
+// under the per-level platform weights of AssignmentFor — one entry per
+// level, all equal on a single-platform array — so the level-h cut is
+// scored by the platform serving it. The HyPar strategy dispatches on
+// Config.SearchMethod — exact hierarchical DP (default), exhaustive
+// brute force, or bounded-width beam search — through the partition
+// package's Solve core.
 func NewPlanOpts(ctx context.Context, m *Model, s Strategy, c Config, opt PlanOptions) (*Plan, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
@@ -862,58 +845,28 @@ func NewPlanOpts(ctx context.Context, m *Model, s Strategy, c Config, opt PlanOp
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrConfig, err)
 	}
-	solve := func(ws []partition.Weights) (*Plan, error) {
-		return partition.Solve(partition.Request{
-			Model:       m,
-			Batch:       c.Batch,
-			Levels:      ws,
-			Ctx:         ctx,
-			Method:      method,
-			BeamWidth:   cc.BeamWidth,
-			FrontierCap: opt.FrontierCap,
-			Warm:        opt.Warm,
-		})
-	}
-	if !cc.Platforms.IsZero() {
-		// Heterogeneous array: the level-h run of Algorithm 1 minimizes
-		// level h's own platform weights.
-		a, err := AssignmentFor(c)
-		if err != nil {
-			return nil, err
-		}
-		ws := a.PartitionWeights()
-		switch s {
-		case HyPar:
-			return solve(ws)
-		case DataParallel:
-			return partition.DataParallelPerLevel(m, c.Batch, ws)
-		case ModelParallel:
-			return partition.ModelParallelPerLevel(m, c.Batch, ws)
-		case OneWeirdTrick:
-			return partition.OneWeirdTrickPerLevel(m, c.Batch, ws)
-		default:
-			return nil, fmt.Errorf("%w: unknown strategy %v", ErrConfig, s)
-		}
-	}
-	p, err := PlatformFor(c)
+	a, err := AssignmentFor(cc)
 	if err != nil {
 		return nil, err
 	}
-	w := p.PartitionWeights()
-	levels := c.EffectiveLevels()
+	ws := a.PartitionWeights()
 	switch s {
 	case HyPar:
-		ws := make([]partition.Weights, levels)
-		for h := range ws {
-			ws[h] = w
-		}
-		return solve(ws)
+		return partition.Solve(partition.Request{
+			Model:     m,
+			Batch:     c.Batch,
+			Levels:    ws,
+			Ctx:       ctx,
+			Method:    method,
+			BeamWidth: cc.BeamWidth,
+			Warm:      opt.Warm,
+		})
 	case DataParallel:
-		return partition.DataParallelWeighted(m, c.Batch, levels, w)
+		return partition.DataParallel(m, c.Batch, ws)
 	case ModelParallel:
-		return partition.ModelParallelWeighted(m, c.Batch, levels, w)
+		return partition.ModelParallel(m, c.Batch, ws)
 	case OneWeirdTrick:
-		return partition.OneWeirdTrickWeighted(m, c.Batch, levels, w)
+		return partition.OneWeirdTrick(m, c.Batch, ws)
 	default:
 		return nil, fmt.Errorf("%w: unknown strategy %v", ErrConfig, s)
 	}
@@ -921,13 +874,23 @@ func NewPlanOpts(ctx context.Context, m *Model, s Strategy, c Config, opt PlanOp
 
 // NewInferencePlan runs the partition search with the inference cost
 // model (§3.3): no gradients, no backward errors. The optimum is pure
-// Data Parallelism with zero communication — exposed so users can
-// verify that property and plan inference-only deployments.
+// Data Parallelism with zero communication under any platform's
+// weights — exposed so users can verify that property and plan
+// inference-only deployments.
 func NewInferencePlan(m *Model, c Config) (*Plan, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	return partition.HierarchicalInference(m, c.Batch, c.EffectiveLevels())
+	a, err := AssignmentFor(c)
+	if err != nil {
+		return nil, err
+	}
+	return partition.Solve(partition.Request{
+		Model:     m,
+		Batch:     c.Batch,
+		Levels:    a.PartitionWeights(),
+		Objective: partition.ObjectiveInference,
+	})
 }
 
 // Result pairs a plan with its simulated training-step statistics.

@@ -54,7 +54,7 @@ func TestIdentityDigests(t *testing.T) {
 		"brute":          "8e488af72bf6ff1e",
 		"beam":           "8f07f4c2d8daf1b8",
 		"explore/single": "9f6f7fe1270fd02f",
-		"explore/mixed":  "6ce8eff96fb49950",
+		"explore/mixed":  "efc75034357bb26b",
 		"errors":         "117b2298d7961aa3",
 	}
 	got := identityDigests(t)

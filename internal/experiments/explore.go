@@ -97,13 +97,14 @@ func (s *Session) ExploreStream(m *hypar.Model, free []partition.FreeVar,
 			hyparCode |= 1 << uint(i)
 		}
 	}
-	// Sweep points are evaluated under the configured platform's cost
-	// weights, the same objective the HyPar base plan optimized.
-	plat, err := hypar.PlatformFor(s.cfg)
+	// Sweep points are scored with each level's platform weights, the
+	// same objective the HyPar base plan optimized, so the HyPar point
+	// reproduces Run's HyPar step exactly.
+	a, err := hypar.AssignmentFor(s.cfg)
 	if err != nil {
 		return err
 	}
-	points, err := partition.ExploreWeightedWith(s.pool, m, s.cfg.Batch, base.Levels, free, plat.PartitionWeights())
+	points, err := partition.Explore(nil, s.pool, m, s.cfg.Batch, base.Levels, free, a.PartitionWeights())
 	if err != nil {
 		return err
 	}

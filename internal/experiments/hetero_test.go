@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"testing"
 
 	hypar "repro"
@@ -60,5 +61,40 @@ func TestHeteroTableNeedsDepth(t *testing.T) {
 	cfg.Levels = 1
 	if _, err := NewSession(cfg).HeteroTable(); err == nil {
 		t.Error("HeteroTable accepted a 1-level hierarchy")
+	}
+}
+
+// TestHeteroExploreScoresEachLevel: a sweep over a mixed array scores
+// every level with its own platform's weights, the objective the base
+// plan was solved under, so Figure 9's HyPar point reproduces Run's
+// HyPar step bit for bit.
+func TestHeteroExploreScoresEachLevel(t *testing.T) {
+	m, err := hypar.ModelByName("Lenet-c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range []hypar.PlatformSpec{
+		"gpu-hbm,hmc,hmc,hmc",
+		"hmc,gpu-hbm,gpu-hbm,gpu-hbm",
+		"tpu-systolic,hmc,hmc,hmc",
+	} {
+		cfg := hypar.DefaultConfig()
+		cfg.Platforms = spec
+		_, ex, err := NewSession(cfg).Fig9()
+		if err != nil {
+			t.Fatalf("%s: %v", spec, err)
+		}
+		dp, err := hypar.Run(m, hypar.DataParallel, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hp, err := hypar.Run(m, hypar.HyPar, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := dp.Stats.StepSeconds / hp.Stats.StepSeconds
+		if math.Float64bits(ex.HyPar.Gain) != math.Float64bits(want) {
+			t.Errorf("%s: sweep's HyPar gain %v, Run's step ratio %v", spec, ex.HyPar.Gain, want)
+		}
 	}
 }

@@ -4,17 +4,16 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/comm"
 	"repro/internal/nn"
 )
 
-// TwoWay is Algorithm 1: partition between two accelerator groups. It
-// takes the per-layer sharded tensor amounts (already reflecting the
-// hierarchy levels above this one) and returns the minimum total
-// one-direction communication together with the optimal parallelism per
-// layer. Time complexity is O(L).
+// twoWayWith is Algorithm 1: partition between two accelerator groups
+// under the cost model c. It takes the per-layer sharded tensor amounts
+// (already reflecting the hierarchy levels above this one) and returns
+// the minimum total one-direction communication together with the
+// optimal parallelism per layer. Time complexity is O(L).
 //
 // The recurrence (paper §4.1):
 //
@@ -22,12 +21,7 @@ import (
 //	com_mp[l] = min(com_dp[l-1] + inter(dp,mp), com_mp[l-1] + inter(mp,mp)) + intra_mp(l)
 //
 // where inter terms are evaluated on the boundary tensors F_l / E_l
-// produced by layer l-1.
-func TwoWay(amounts []comm.LayerAmounts) (float64, Assignment) {
-	return twoWayWith(amounts, trainingCosts)
-}
-
-// twoWayWith runs Algorithm 1 under an arbitrary cost model.
+// produced by layer l-1. Ties keep data parallelism.
 func twoWayWith(amounts []comm.LayerAmounts, c costs) (float64, Assignment) {
 	l := len(amounts)
 	if l == 0 {
@@ -97,39 +91,6 @@ func twoWayWith(amounts []comm.LayerAmounts, c costs) (float64, Assignment) {
 	return best, assign
 }
 
-// AssignmentCost evaluates the Algorithm 1 objective for a fixed
-// assignment on the given amounts (used by the brute-force reference
-// and the space exploration).
-func AssignmentCost(amounts []comm.LayerAmounts, a Assignment) float64 {
-	var total float64
-	for i := range amounts {
-		total += comm.Intra(a[i], amounts[i])
-		if i > 0 {
-			total += comm.Inter(a[i-1], a[i], amounts[i-1])
-		}
-	}
-	return total
-}
-
-// AssignmentCostGraph evaluates the graph form of the Algorithm 1
-// objective: every layer's intra-layer exchange plus, for every
-// layer-to-layer edge, the Table 2 conversion on the producer's
-// boundary tensors. preds is the model's resolved predecessor list
-// (nn.Model.LayerPreds; -1 entries denote the model input and carry no
-// cost). For a chain it equals AssignmentCost.
-func AssignmentCostGraph(amounts []comm.LayerAmounts, preds [][]int, a Assignment) float64 {
-	var total float64
-	for i := range amounts {
-		total += comm.Intra(a[i], amounts[i])
-		for _, u := range preds[i] {
-			if u >= 0 {
-				total += comm.Inter(a[u], a[i], amounts[u])
-			}
-		}
-	}
-	return total
-}
-
 // maxGraphFrontier bounds the number of simultaneously open layers the
 // graph dynamic program tracks. The state space is 2^frontier per step;
 // real branched networks (residual blocks, inception stems) keep the
@@ -138,46 +99,10 @@ func AssignmentCostGraph(amounts []comm.LayerAmounts, preds [][]int, a Assignmen
 const maxGraphFrontier = 16
 
 // ErrTooWide reports a model whose layer graph needs a partition
-// frontier wider than the configured cap: the O(L·2^frontier) dynamic
+// frontier wider than maxGraphFrontier: the O(L·2^frontier) dynamic
 // program would blow up, so the request is rejected up front with a
 // typed error. ErrTooWide wraps ErrPlan, so errors.Is matches both.
 var ErrTooWide = fmt.Errorf("%w: partition frontier too wide", ErrPlan)
-
-// frontierCap holds the configured frontier-width cap; zero means the
-// compiled-in maxGraphFrontier.
-var frontierCap atomic.Int32
-
-// FrontierCap returns the effective frontier-width cap the graph
-// dynamic program enforces (maxGraphFrontier by default).
-func FrontierCap() int {
-	if c := frontierCap.Load(); c > 0 {
-		return int(c)
-	}
-	return maxGraphFrontier
-}
-
-// SetFrontierCap lowers (or restores) the package-default frontier cap
-// and returns the previous effective value, so services can refuse
-// expensive DAGs earlier than the compiled-in maxGraphFrontier bound.
-// The value is clamped to [1, maxGraphFrontier]; n <= 0 restores the
-// default. Safe for concurrent use.
-//
-// Deprecated: this is process-wide mutable state — two concurrent
-// solves wanting different caps race on it. Set Request.FrontierCap
-// instead, which scopes the cap to one Solve call; this function
-// remains only as the default those requests fall back to.
-func SetFrontierCap(n int) int {
-	prev := FrontierCap()
-	switch {
-	case n <= 0:
-		frontierCap.Store(0)
-	case n > maxGraphFrontier:
-		frontierCap.Store(maxGraphFrontier)
-	default:
-		frontierCap.Store(int32(n))
-	}
-	return prev
-}
 
 // ctxErr reports the context's error, treating a nil context as one
 // that never cancels — the hot loops call this at checkpoints.
@@ -197,14 +122,9 @@ func isChain(preds [][]int) bool { return nn.ChainPreds(preds) }
 // FrontierWidth returns the maximum number of simultaneously open
 // layers (produced but not yet fully consumed) over a topological walk
 // of the resolved predecessor lists — the width the exact graph DP's
-// state space is exponential in, and the quantity Request.FrontierCap
+// state space is exponential in, and the quantity its 16-open-layer cap
 // bounds. Chains have width 1.
-func FrontierWidth(preds [][]int) int { return frontierWidth(preds) }
-
-// frontierWidth returns the maximum number of simultaneously open
-// layers (produced but not yet fully consumed) over a topological walk
-// — the graph DP's state width.
-func frontierWidth(preds [][]int) int {
+func FrontierWidth(preds [][]int) int {
 	nl := len(preds)
 	remaining := make([]int, nl)
 	for _, ps := range preds {
@@ -234,33 +154,15 @@ func frontierWidth(preds [][]int) int {
 	return width
 }
 
-// TwoWayGraph is TwoWay over a branched layer graph: it returns the
-// minimum total one-direction communication and the per-layer optimum
-// for one group pair, charging the Table 2 conversions on every
-// layer-to-layer edge whose endpoints disagree. Chains dispatch to the
-// paper's O(L) recurrence; general DAGs run an exact dynamic program
-// over the set of open edges (the "frontier"), O(L · 2^frontier). A
-// graph needing a frontier wider than FrontierCap is rejected with
-// ErrTooWide rather than silently mis-solved (or left to blow up).
-func TwoWayGraph(amounts []comm.LayerAmounts, preds [][]int) (float64, Assignment, error) {
-	return TwoWayGraphCtx(nil, amounts, preds)
-}
-
-// TwoWayGraphCtx is TwoWayGraph with cancellation: the frontier DP
-// checks ctx once per layer step and returns ctx.Err() when the context
-// ends. A nil ctx never cancels.
-func TwoWayGraphCtx(ctx context.Context, amounts []comm.LayerAmounts, preds [][]int) (float64, Assignment, error) {
-	if w, lim := frontierWidth(preds), FrontierCap(); w > lim {
-		return 0, nil, fmt.Errorf("%w: graph needs a partition frontier of %d open layers (max %d)",
-			ErrTooWide, w, lim)
-	}
-	return twoWayGraphWith(ctx, amounts, preds, trainingCosts)
-}
-
-// twoWayGraphWith runs the graph dynamic program under an arbitrary
-// cost model; callers must have bounded the frontier width to
-// maxGraphFrontier (prepare does, TwoWayGraph does) or the uint32
-// state keys overflow. It processes layers in topological order,
+// twoWayGraphWith is Algorithm 1 over a branched layer graph: it
+// returns the minimum total one-direction communication and the
+// per-layer optimum for one group pair, charging the Table 2
+// conversions on every layer-to-layer edge whose endpoints disagree.
+// Chains dispatch to the paper's O(L) recurrence; general DAGs run an
+// exact dynamic program over the set of open layers (the "frontier"),
+// O(L · 2^frontier). Callers must have bounded the frontier width to
+// maxGraphFrontier (prepare does) or the uint32 state keys overflow. It
+// processes layers in topological order,
 // carrying one state per assignment of the currently open layers —
 // layers whose outputs a later layer still consumes. Extending a state
 // with layer l's choice charges l's intra cost plus the conversion on

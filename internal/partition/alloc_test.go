@@ -12,7 +12,7 @@ import (
 func sweepInputs(t *testing.T, levels int) (*nn.Model, []nn.LayerShapes, []Edge, []Assignment) {
 	t.Helper()
 	m := nn.VGGA()
-	shapes, preds, err := prepare(m, 256, levels)
+	shapes, preds, err := prepare(m, 256, levels, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,9 +36,12 @@ func TestAllocsSweepPoint(t *testing.T) {
 	first := -1.0
 	for _, levels := range []int{2, 4, 5} {
 		m, shapes, edges, as := sweepInputs(t, levels)
-		cs := repeatCosts(trainingCosts, levels)
+		cs, err := levelCosts(unit(levels), ObjectiveTraining)
+		if err != nil {
+			t.Fatal(err)
+		}
 		allocs := testing.AllocsPerRun(50, func() {
-			if _, err := evaluateShapesLevelsWith(m, 256, as, shapes, edges, cs); err != nil {
+			if _, err := evaluateShapes(m, 256, as, shapes, edges, cs); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -59,8 +62,8 @@ func TestAllocsSweepPoint(t *testing.T) {
 // reallocates instead of overwriting the next, and the plan does not
 // alias its input levels.
 func TestSweepPlanLevelsIndependent(t *testing.T) {
-	m, shapes, edges, as := sweepInputs(t, 3)
-	plan, err := evaluateShapesLevelsWith(m, 256, as, shapes, edges, repeatCosts(trainingCosts, 3))
+	m, _, _, as := sweepInputs(t, 3)
+	plan, err := Evaluate(m, 256, as, unit(3))
 	if err != nil {
 		t.Fatal(err)
 	}

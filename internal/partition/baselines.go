@@ -6,46 +6,51 @@ import (
 )
 
 // DataParallel returns the default Data Parallelism baseline: every
-// layer at every hierarchy level in data parallelism.
-func DataParallel(m *nn.Model, batch, levels int) (*Plan, error) {
-	return uniformPlan(m, batch, levels, comm.DP)
+// layer at every hierarchy level in data parallelism, with level h's
+// volumes scored by ws[h] (the depth is len(ws)).
+func DataParallel(m *nn.Model, batch int, ws []Weights) (*Plan, error) {
+	return baseline(m, batch, ws, func(nn.Layer) comm.Parallelism { return comm.DP })
 }
 
 // ModelParallel returns the default Model Parallelism baseline: every
-// layer at every hierarchy level in model parallelism.
-func ModelParallel(m *nn.Model, batch, levels int) (*Plan, error) {
-	return uniformPlan(m, batch, levels, comm.MP)
-}
-
-func uniformPlan(m *nn.Model, batch, levels int, p comm.Parallelism) (*Plan, error) {
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	assigns := make([]Assignment, levels)
-	for h := range assigns {
-		assigns[h] = Uniform(len(m.Layers), p)
-	}
-	return Evaluate(m, batch, assigns)
+// layer at every hierarchy level in model parallelism, with level h's
+// volumes scored by ws[h] (the depth is len(ws)).
+func ModelParallel(m *nn.Model, batch int, ws []Weights) (*Plan, error) {
+	return baseline(m, batch, ws, func(nn.Layer) comm.Parallelism { return comm.MP })
 }
 
 // OneWeirdTrick returns Krizhevsky's empirical configuration [111]:
 // convolutional layers in data parallelism and fully-connected layers
-// in model parallelism, at every hierarchy level.
-func OneWeirdTrick(m *nn.Model, batch, levels int) (*Plan, error) {
-	if err := m.Validate(); err != nil {
+// in model parallelism, at every hierarchy level, with level h's
+// volumes scored by ws[h] (the depth is len(ws)).
+func OneWeirdTrick(m *nn.Model, batch int, ws []Weights) (*Plan, error) {
+	return baseline(m, batch, ws, func(l nn.Layer) comm.Parallelism {
+		if l.Type == nn.FC {
+			return comm.MP
+		}
+		return comm.DP
+	})
+}
+
+// baseline evaluates the fixed assignment choose gives each layer,
+// repeated at every level. The plan copies the levels, so they can all
+// share one assignment.
+func baseline(m *nn.Model, batch int, ws []Weights, choose func(nn.Layer) comm.Parallelism) (*Plan, error) {
+	cs, err := levelCosts(ws, ObjectiveTraining)
+	if err != nil {
 		return nil, err
 	}
-	a := make(Assignment, len(m.Layers))
-	for l, layer := range m.Layers {
-		if layer.Type == nn.FC {
-			a[l] = comm.MP
-		} else {
-			a[l] = comm.DP
-		}
+	shapes, preds, err := prepare(m, batch, len(ws), true)
+	if err != nil {
+		return nil, err
 	}
-	assigns := make([]Assignment, levels)
-	for h := range assigns {
-		assigns[h] = a.Clone()
+	a := make(Assignment, len(shapes))
+	for l := range shapes {
+		a[l] = choose(shapes[l].Layer)
 	}
-	return Evaluate(m, batch, assigns)
+	levels := make([]Assignment, len(ws))
+	for h := range levels {
+		levels[h] = a
+	}
+	return evaluateShapes(m, batch, levels, shapes, EdgesOf(preds), cs)
 }

@@ -49,8 +49,8 @@ func TestBeamExactOnChains(t *testing.T) {
 	}
 	for _, m := range models {
 		amounts, preds := oracleAmounts(t, m, 16)
-		wantCost, wantA := TwoWay(amounts)
-		gotCost, gotA, err := beamTwoWayWith(nil, amounts, preds, trainingCosts, 1)
+		wantCost, wantA := twoWayWith(amounts, unitCosts)
+		gotCost, gotA, err := beamTwoWayWith(nil, amounts, preds, unitCosts, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", m.Name, err)
 		}
@@ -72,16 +72,16 @@ func TestBeamGapOnOracleDAGs(t *testing.T) {
 		batch := 1 << uint(r.Intn(4))
 		amounts, preds := oracleAmounts(t, m, batch)
 
-		exact, _, err := TwoWayGraph(amounts, preds)
+		exact, _, err := twoWayGraphWith(nil, amounts, preds, unitCosts)
 		if err != nil {
 			t.Fatalf("trial %d (%s): %v", trial, m.Name, err)
 		}
 
-		got, assign, err := beamTwoWayWith(nil, amounts, preds, trainingCosts, DefaultBeamWidth)
+		got, assign, err := beamTwoWayWith(nil, amounts, preds, unitCosts, DefaultBeamWidth)
 		if err != nil {
 			t.Fatalf("trial %d (%s): %v", trial, m.Name, err)
 		}
-		if ac := AssignmentCostGraph(amounts, preds, assign); !almostEq(ac, got) {
+		if ac := assignmentCostGraph(amounts, preds, assign); !almostEq(ac, got) {
 			t.Errorf("trial %d (%s): beam assignment costs %g, beam claims %g", trial, m.Name, ac, got)
 		}
 		if got < exact && !almostEq(got, exact) {
@@ -95,7 +95,7 @@ func TestBeamGapOnOracleDAGs(t *testing.T) {
 
 		// A width covering every distinct frontier state makes the beam
 		// the exact DP with a different tiebreak: costs must agree.
-		wide, _, err := beamTwoWayWith(nil, amounts, preds, trainingCosts, 1<<uint(frontierWidth(preds)))
+		wide, _, err := beamTwoWayWith(nil, amounts, preds, unitCosts, 1<<uint(FrontierWidth(preds)))
 		if err != nil {
 			t.Fatalf("trial %d (%s): %v", trial, m.Name, err)
 		}
@@ -110,7 +110,7 @@ func TestBeamGapOnOracleDAGs(t *testing.T) {
 }
 
 // TestBeamSolvesWideDAG is the acceptance pin for the beam's purpose:
-// a frontier-width-18 DAG the exact DP refuses under the default cap
+// a frontier-width-18 DAG the exact DP refuses under its cap
 // (maxGraphFrontier = 16) plans fine under Method beam, at every level
 // of the hierarchy.
 func TestBeamSolvesWideDAG(t *testing.T) {
@@ -123,8 +123,8 @@ func TestBeamSolvesWideDAG(t *testing.T) {
 		t.Fatalf("fork frontier = %d, want >= 16", w)
 	}
 	unit := []Weights{UnitWeights(), UnitWeights()}
-	if _, err := Solve(Request{Model: wide, Batch: 8, Levels: unit}); !errors.Is(err, ErrTooWide) {
-		t.Fatalf("exact solve = %v, want ErrTooWide", err)
+	if _, err := Solve(Request{Model: wide, Batch: 8, Levels: unit}); !errors.Is(err, ErrTooWide) || !errors.Is(err, ErrPlan) {
+		t.Fatalf("exact solve = %v, want ErrTooWide wrapping ErrPlan", err)
 	}
 	plan, err := Solve(Request{Model: wide, Batch: 8, Levels: unit, Method: MethodBeam})
 	if err != nil {
@@ -161,7 +161,7 @@ func TestBeamWidthOrdering(t *testing.T) {
 	amounts, preds := oracleAmounts(t, m, 16)
 	prev := 0.0
 	for i, width := range []int{1, 2, 8, 64} {
-		cost, _, err := beamTwoWayWith(nil, amounts, preds, trainingCosts, width)
+		cost, _, err := beamTwoWayWith(nil, amounts, preds, unitCosts, width)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,7 +170,7 @@ func TestBeamWidthOrdering(t *testing.T) {
 		}
 		prev = cost
 	}
-	exact, _, err := TwoWayGraph(amounts, preds)
+	exact, _, err := twoWayGraphWith(nil, amounts, preds, unitCosts)
 	if err != nil {
 		t.Fatal(err)
 	}

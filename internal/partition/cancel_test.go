@@ -57,16 +57,16 @@ func TestPreCanceledContextRefusesWork(t *testing.T) {
 	chain := cancelChain(6)
 	fork := cancelFork(3)
 
-	if _, err := BruteForceCtx(ctx, pool, chain, 2, 2); !errors.Is(err, context.Canceled) {
-		t.Errorf("BruteForceCtx = %v, want context.Canceled", err)
+	if _, err := Solve(Request{Model: chain, Batch: 2, Levels: unit(2), Ctx: ctx, Pool: pool, Method: MethodBrute}); !errors.Is(err, context.Canceled) {
+		t.Errorf("brute Solve = %v, want context.Canceled", err)
 	}
-	if _, err := HierarchicalCtx(ctx, fork, 2, 2); !errors.Is(err, context.Canceled) {
-		t.Errorf("HierarchicalCtx = %v, want context.Canceled", err)
+	if _, err := Solve(Request{Model: fork, Batch: 2, Levels: unit(2), Ctx: ctx}); !errors.Is(err, context.Canceled) {
+		t.Errorf("Solve = %v, want context.Canceled", err)
 	}
 	base := []Assignment{Uniform(len(chain.Layers), comm.DP)}
 	free := []FreeVar{{Level: 0, Layer: 0}, {Level: 0, Layer: 1}}
-	if _, err := ExploreCtx(ctx, pool, chain, 2, base, free); !errors.Is(err, context.Canceled) {
-		t.Errorf("ExploreCtx = %v, want context.Canceled", err)
+	if _, err := Explore(ctx, pool, chain, 2, base, free, unit(1)); !errors.Is(err, context.Canceled) {
+		t.Errorf("Explore = %v, want context.Canceled", err)
 	}
 
 	shapes, err := fork.Shapes(2)
@@ -82,8 +82,8 @@ func TestPreCanceledContextRefusesWork(t *testing.T) {
 	for l := range shapes {
 		amounts[l] = comm.Amounts(shapes[l], sh)
 	}
-	if _, _, err := TwoWayGraphCtx(ctx, amounts, preds); !errors.Is(err, context.Canceled) {
-		t.Errorf("TwoWayGraphCtx = %v, want context.Canceled", err)
+	if _, _, err := twoWayGraphWith(ctx, amounts, preds, unitCosts); !errors.Is(err, context.Canceled) {
+		t.Errorf("twoWayGraphWith = %v, want context.Canceled", err)
 	}
 }
 
@@ -99,10 +99,10 @@ func TestBruteForceCancelMidSearch(t *testing.T) {
 		cancel()
 	}()
 	t0 := time.Now()
-	_, err := BruteForceCtx(ctx, runner.Default(), m, 2, 2)
+	_, err := Solve(Request{Model: m, Batch: 2, Levels: unit(2), Ctx: ctx, Method: MethodBrute})
 	elapsed := time.Since(t0)
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("BruteForceCtx = %v, want context.Canceled", err)
+		t.Fatalf("brute Solve = %v, want context.Canceled", err)
 	}
 	if elapsed > 5*time.Second {
 		t.Fatalf("cancellation took %v, want well under 5s", elapsed)
@@ -123,45 +123,55 @@ func TestExploreCancelMidSweep(t *testing.T) {
 		cancel()
 	}()
 	t0 := time.Now()
-	_, err := ExploreCtx(ctx, runner.Default(), m, 2, base, free)
+	_, err := Explore(ctx, runner.Default(), m, 2, base, free, unit(1))
 	elapsed := time.Since(t0)
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("ExploreCtx = %v, want context.Canceled", err)
+		t.Fatalf("Explore = %v, want context.Canceled", err)
 	}
 	if elapsed > 5*time.Second {
 		t.Fatalf("cancellation took %v, want well under 5s", elapsed)
 	}
 }
 
+// TestFrontierCap: the exact graph DP's frontier is capped at a fixed
+// maxGraphFrontier open layers. Every entry point that runs or scores
+// the exact objective refuses a wider graph up front with ErrTooWide
+// (wrapping ErrPlan), a narrower one plans, and only the beam search
+// plans past the cap.
 func TestFrontierCap(t *testing.T) {
-	// The 8-branch fork needs a frontier of 8 open layers: fine under
-	// the compiled-in cap, rejected under a configured cap of 4.
-	fork := cancelFork(8)
-	if _, err := Hierarchical(fork, 2, 1); err != nil {
-		t.Fatalf("Hierarchical under default cap: %v", err)
+	ws := unit(1)
+	if _, err := Solve(Request{Model: cancelFork(8), Batch: 2, Levels: ws}); err != nil {
+		t.Fatalf("8-wide fork under the cap: %v", err)
 	}
-
-	prev := SetFrontierCap(4)
-	defer SetFrontierCap(0)
-	if prev != maxGraphFrontier {
-		t.Fatalf("SetFrontierCap returned prev %d, want %d", prev, maxGraphFrontier)
+	wide := cancelFork(maxGraphFrontier + 2)
+	base := []Assignment{Uniform(len(wide.Layers), comm.DP)}
+	for name, run := range map[string]func() error{
+		"Solve": func() error {
+			_, err := Solve(Request{Model: wide, Batch: 2, Levels: ws})
+			return err
+		},
+		"brute Solve": func() error {
+			_, err := Solve(Request{Model: wide, Batch: 2, Levels: ws, Method: MethodBrute})
+			return err
+		},
+		"Evaluate": func() error {
+			_, err := Evaluate(wide, 2, base, ws)
+			return err
+		},
+		"Explore": func() error {
+			_, err := Explore(nil, runner.Serial(), wide, 2, base, []FreeVar{{Level: 0, Layer: 0}}, ws)
+			return err
+		},
+		"DataParallel": func() error {
+			_, err := DataParallel(wide, 2, ws)
+			return err
+		},
+	} {
+		if err := run(); !errors.Is(err, ErrTooWide) || !errors.Is(err, ErrPlan) {
+			t.Errorf("%s on a %d-wide fork = %v, want ErrTooWide wrapping ErrPlan", name, maxGraphFrontier+2, err)
+		}
 	}
-	_, err := Hierarchical(fork, 2, 1)
-	if !errors.Is(err, ErrTooWide) {
-		t.Fatalf("Hierarchical under cap 4 = %v, want ErrTooWide", err)
-	}
-	if !errors.Is(err, ErrPlan) {
-		t.Fatalf("ErrTooWide must wrap ErrPlan; got %v", err)
-	}
-
-	// The narrow 2-branch fork stays plannable under the lowered cap.
-	if _, err := Hierarchical(cancelFork(2), 2, 1); err != nil {
-		t.Fatalf("narrow fork under cap 4: %v", err)
-	}
-
-	// Restoring the default re-admits the wide fork.
-	SetFrontierCap(0)
-	if _, err := Hierarchical(fork, 2, 1); err != nil {
-		t.Fatalf("Hierarchical after cap restore: %v", err)
+	if _, err := Solve(Request{Model: wide, Batch: 2, Levels: ws, Method: MethodBeam}); err != nil {
+		t.Errorf("beam Solve past the cap: %v", err)
 	}
 }

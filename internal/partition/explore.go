@@ -9,44 +9,17 @@ import (
 	"repro/internal/runner"
 )
 
-// BruteForce exhaustively enumerates every hierarchical assignment of
-// the model's layers over the given number of levels and returns the
-// plan with minimum total communication. The search space is
-// 2^(levels·L): it exists as the exactness reference for tests and the
-// small explorations of §6.3 — Algorithm 1/2 is the practical path.
-//
-// The enumeration fans out over chunked code ranges on the default
-// runner pool; ties on total communication resolve to the lowest code,
-// so the result is identical at any pool width (and to the historical
-// serial scan).
-func BruteForce(m *nn.Model, batch, levels int) (*Plan, error) {
-	return BruteForceWith(runner.Default(), m, batch, levels)
-}
-
-// BruteForceWith is BruteForce on an explicit pool.
-func BruteForceWith(pool *runner.Pool, m *nn.Model, batch, levels int) (*Plan, error) {
-	return BruteForceCtx(nil, pool, m, batch, levels)
-}
-
-// BruteForceCtx is BruteForceWith with cancellation: the enumeration
-// checks ctx every 256 codes inside each chunk (and before dispatching
-// each chunk), so even a near-2^24 search returns promptly after the
-// context ends. A nil ctx never cancels.
-func BruteForceCtx(ctx context.Context, pool *runner.Pool, m *nn.Model, batch, levels int) (*Plan, error) {
-	ws, err := repeatWeights(UnitWeights(), levels)
-	if err != nil {
-		return nil, err
-	}
-	return Solve(Request{Model: m, Batch: batch, Levels: ws, Ctx: ctx, Pool: pool, Method: MethodBrute})
-}
-
-// bruteForceCore is the exhaustive search under a per-level cost model
-// (level h scored by cs[h]) — the exactness reference the hierarchical
-// search is compared against. fcap is the per-request frontier cap
-// (see prepareCap).
-func bruteForceCore(ctx context.Context, pool *runner.Pool, m *nn.Model, batch int, cs []costs, fcap int) (*Plan, error) {
+// bruteForceCore exhaustively enumerates every hierarchical assignment
+// of the model's layers (level h scored by cs[h]) and returns the plan
+// with minimum total communication — the exactness reference the
+// hierarchical search is compared against. The search space is
+// 2^(levels·L), so it exists for tests and the small explorations of
+// §6.3. The enumeration fans out over chunked code ranges on the pool
+// and checks ctx every 256 codes; ties on total communication resolve
+// to the lowest code, so the result is identical at any pool width.
+func bruteForceCore(ctx context.Context, pool *runner.Pool, m *nn.Model, batch int, cs []costs) (*Plan, error) {
 	levels := len(cs)
-	shapes, preds, err := prepareCap(m, batch, levels, fcap)
+	shapes, preds, err := prepare(m, batch, levels, true)
 	if err != nil {
 		return nil, err
 	}
@@ -77,7 +50,7 @@ func bruteForceCore(ctx context.Context, pool *runner.Pool, m *nn.Model, batch i
 				}
 				assigns[b/nl][b%nl] = p
 			}
-			plan, err := evaluateShapesLevelsWith(m, batch, assigns, shapes, edges, cs)
+			plan, err := evaluateShapes(m, batch, assigns, shapes, edges, cs)
 			if err != nil {
 				return nil, err
 			}
@@ -118,29 +91,16 @@ type ExplorePoint struct {
 }
 
 // Explore enumerates all 2^len(free) settings of the free cells on top
-// of the base assignment, evaluating each (Figures 9 and 10: the fixed
-// cells come from the HyPar-optimized plan, the free cells sweep) on
-// the default runner pool.
-func Explore(m *nn.Model, batch int, base []Assignment, free []FreeVar) ([]ExplorePoint, error) {
-	return ExploreWith(runner.Default(), m, batch, base, free)
-}
-
-// ExploreWith is Explore on an explicit pool. Points come back indexed
-// by code, so the result is independent of the pool width the
-// enumeration ran at.
-func ExploreWith(pool *runner.Pool, m *nn.Model, batch int, base []Assignment, free []FreeVar) ([]ExplorePoint, error) {
-	return exploreWith(nil, pool, m, batch, base, free, trainingCosts)
-}
-
-// ExploreCtx is ExploreWith with cancellation: the sweep checks ctx
-// every 256 codes inside each chunk, so a large exploration returns
-// promptly after the context ends. A nil ctx never cancels.
-func ExploreCtx(ctx context.Context, pool *runner.Pool, m *nn.Model, batch int, base []Assignment, free []FreeVar) ([]ExplorePoint, error) {
-	return exploreWith(ctx, pool, m, batch, base, free, trainingCosts)
-}
-
-// exploreWith is ExploreWith under an arbitrary cost model.
-func exploreWith(ctx context.Context, pool *runner.Pool, m *nn.Model, batch int, base []Assignment, free []FreeVar, c costs) ([]ExplorePoint, error) {
+// of the base assignment (Figures 9 and 10: the fixed cells come from
+// the HyPar-optimized plan, the free cells sweep), scoring level h of
+// every point with ws[h] on the pool. Points come back indexed by code,
+// so the result is independent of the pool width. The sweep checks ctx
+// every 256 codes inside each chunk; a nil ctx never cancels.
+func Explore(ctx context.Context, pool *runner.Pool, m *nn.Model, batch int, base []Assignment, free []FreeVar, ws []Weights) ([]ExplorePoint, error) {
+	cs, err := levelCosts(ws, ObjectiveTraining)
+	if err != nil {
+		return nil, err
+	}
 	if len(free) > 20 {
 		return nil, fmt.Errorf("%w: exploring 2^%d points", ErrPlan, len(free))
 	}
@@ -152,12 +112,11 @@ func exploreWith(ctx context.Context, pool *runner.Pool, m *nn.Model, batch int,
 			return nil, fmt.Errorf("%w: free variable layer %d out of range", ErrPlan, fv.Layer)
 		}
 	}
-	shapes, preds, err := prepare(m, batch, len(base))
+	shapes, preds, err := prepare(m, batch, len(base), true)
 	if err != nil {
 		return nil, err
 	}
 	edges := EdgesOf(preds)
-	cs := repeatCosts(c, len(base))
 	n := 1 << uint(len(free))
 	points := make([]ExplorePoint, n)
 	chunks := runner.Chunks(n, pool.Width(), 0)
@@ -179,7 +138,7 @@ func exploreWith(ctx context.Context, pool *runner.Pool, m *nn.Model, batch int,
 				}
 				work[fv.Level][fv.Layer] = p
 			}
-			plan, err := evaluateShapesLevelsWith(m, batch, work, shapes, edges, cs)
+			plan, err := evaluateShapes(m, batch, work, shapes, edges, cs)
 			if err != nil {
 				return err
 			}

@@ -122,7 +122,7 @@ func TestTwoWayGraphMatchesExhaustiveOracle(t *testing.T) {
 			amounts[l] = comm.Amounts(shapes[l], sh)
 		}
 
-		got, assign, err := TwoWayGraph(amounts, preds)
+		got, assign, err := twoWayGraphWith(nil, amounts, preds, unitCosts)
 		if err != nil {
 			t.Fatalf("trial %d (%s): %v", trial, m.Name, err)
 		}
@@ -137,17 +137,17 @@ func TestTwoWayGraphMatchesExhaustiveOracle(t *testing.T) {
 					a[b] = comm.MP
 				}
 			}
-			c := AssignmentCostGraph(amounts, preds, a)
+			c := assignmentCostGraph(amounts, preds, a)
 			if c < want {
 				want, wantA = c, a
 			}
 		}
 
 		if !almostEq(got, want) {
-			t.Errorf("trial %d (%s, batch %d): TwoWayGraph=%g oracle=%g (oracle %v, dp %v)",
+			t.Errorf("trial %d (%s, batch %d): graph DP=%g oracle=%g (oracle %v, dp %v)",
 				trial, m.Name, batch, got, want, wantA, assign)
 		}
-		if ac := AssignmentCostGraph(amounts, preds, assign); !almostEq(ac, got) {
+		if ac := assignmentCostGraph(amounts, preds, assign); !almostEq(ac, got) {
 			t.Errorf("trial %d (%s): traceback assignment costs %g, dp claims %g", trial, m.Name, ac, got)
 		}
 	}
@@ -178,8 +178,8 @@ func TestTwoWayGraphMatchesChainDP(t *testing.T) {
 		for l := range shapes {
 			amounts[l] = comm.Amounts(shapes[l], sh)
 		}
-		cCost, cAssign := TwoWay(amounts)
-		gCost, gAssign, err := TwoWayGraph(amounts, preds)
+		cCost, cAssign := twoWayWith(amounts, unitCosts)
+		gCost, gAssign, err := twoWayGraphWith(nil, amounts, preds, unitCosts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,11 +207,8 @@ func TestGraphHierarchicalNeverBeatsBruteForce(t *testing.T) {
 		trials++
 		batch := 1 << uint(r.Intn(3))
 
-		hier, err := Hierarchical(m, batch, levels)
-		if err != nil {
-			t.Fatalf("%s: hierarchical: %v", m.Name, err)
-		}
-		bf, err := BruteForceWith(pool, m, batch, levels)
+		hier := mustHier(t, m, batch, levels)
+		bf, err := Solve(Request{Model: m, Batch: batch, Levels: unit(levels), Pool: pool, Method: MethodBrute})
 		if err != nil {
 			t.Fatalf("%s: brute force: %v", m.Name, err)
 		}
@@ -239,7 +236,7 @@ func TestGraphEvaluateChargesSkipEdges(t *testing.T) {
 	// a=mp, everything else mp too except the two branches force the
 	// a→b1 and a→b2 edges into mp-mp transitions: each pays 0.5·A(E).
 	assign := Assignment{comm.MP, comm.MP, comm.MP, comm.MP}
-	plan, err := Evaluate(m, 2, []Assignment{assign})
+	plan, err := Evaluate(m, 2, []Assignment{assign}, unit(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +271,7 @@ func TestGraphEvaluateChargesSkipEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := AssignmentCostGraph(amounts, preds, assign); !almostEq(plan.TotalElems, want) {
+	if want := assignmentCostGraph(amounts, preds, assign); !almostEq(plan.TotalElems, want) {
 		t.Errorf("plan total %g, graph objective %g", plan.TotalElems, want)
 	}
 }

@@ -15,7 +15,7 @@ import (
 // optimizes to dp with zero total communication.
 func TestInferenceAlwaysDataParallel(t *testing.T) {
 	for _, m := range nn.Zoo() {
-		p, err := HierarchicalInference(m, 256, 4)
+		p, err := Solve(Request{Model: m, Batch: 256, Levels: unit(4), Objective: ObjectiveInference})
 		if err != nil {
 			t.Fatalf("%s: %v", m.Name, err)
 		}

@@ -72,7 +72,7 @@ func TestTwoWayMatchesExhaustiveOracle(t *testing.T) {
 			amounts[l] = comm.Amounts(shapes[l], sh)
 		}
 
-		got, assign := TwoWay(amounts)
+		got, assign := twoWayWith(amounts, unitCosts)
 
 		// Exhaustive oracle over every assignment.
 		nl := len(amounts)
@@ -85,7 +85,7 @@ func TestTwoWayMatchesExhaustiveOracle(t *testing.T) {
 					a[b] = comm.MP
 				}
 			}
-			c := AssignmentCost(amounts, a)
+			c := assignmentCost(amounts, a)
 			if c < want {
 				want, wantA = c, a
 			}
@@ -95,7 +95,7 @@ func TestTwoWayMatchesExhaustiveOracle(t *testing.T) {
 			t.Errorf("trial %d (%s, batch %d): TwoWay=%g oracle=%g (oracle assignment %v, dp %v)",
 				trial, m.Name, batch, got, want, wantA, assign)
 		}
-		if ac := AssignmentCost(amounts, assign); !almostEq(ac, got) {
+		if ac := assignmentCost(amounts, assign); !almostEq(ac, got) {
 			t.Errorf("trial %d (%s): traceback assignment costs %g, dp claims %g", trial, m.Name, ac, got)
 		}
 	}
@@ -117,11 +117,8 @@ func TestHierarchicalNeverBeatsBruteForce(t *testing.T) {
 		trials++
 		batch := 1 << uint(r.Intn(4))
 
-		hier, err := Hierarchical(m, batch, levels)
-		if err != nil {
-			t.Fatalf("%s: hierarchical: %v", m.Name, err)
-		}
-		bf, err := BruteForceWith(pool, m, batch, levels)
+		hier := mustHier(t, m, batch, levels)
+		bf, err := Solve(Request{Model: m, Batch: batch, Levels: unit(levels), Pool: pool, Method: MethodBrute})
 		if err != nil {
 			t.Fatalf("%s: brute force: %v", m.Name, err)
 		}

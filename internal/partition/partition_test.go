@@ -3,27 +3,39 @@ package partition
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/comm"
 	"repro/internal/nn"
+	"repro/internal/runner"
 	"repro/internal/tensor"
 )
 
 const gb = 1024 * 1024 * 1024
 
+// unit repeats the paper's unit cost weights for levels hierarchy
+// levels: the per-level weights of the single-platform HMC array.
+func unit(levels int) []Weights {
+	ws := make([]Weights, levels)
+	for h := range ws {
+		ws[h] = UnitWeights()
+	}
+	return ws
+}
+
 func mustHier(t *testing.T, m *nn.Model, batch, levels int) *Plan {
 	t.Helper()
-	p, err := Hierarchical(m, batch, levels)
+	p, err := Solve(Request{Model: m, Batch: batch, Levels: unit(levels)})
 	if err != nil {
-		t.Fatalf("Hierarchical(%s): %v", m.Name, err)
+		t.Fatalf("Solve(%s): %v", m.Name, err)
 	}
 	return p
 }
 
 func mustDP(t *testing.T, m *nn.Model, batch, levels int) *Plan {
 	t.Helper()
-	p, err := DataParallel(m, batch, levels)
+	p, err := DataParallel(m, batch, unit(levels))
 	if err != nil {
 		t.Fatalf("DataParallel(%s): %v", m.Name, err)
 	}
@@ -32,7 +44,7 @@ func mustDP(t *testing.T, m *nn.Model, batch, levels int) *Plan {
 
 func mustMP(t *testing.T, m *nn.Model, batch, levels int) *Plan {
 	t.Helper()
-	p, err := ModelParallel(m, batch, levels)
+	p, err := ModelParallel(m, batch, unit(levels))
 	if err != nil {
 		t.Fatalf("ModelParallel(%s): %v", m.Name, err)
 	}
@@ -51,11 +63,11 @@ func TestTwoWayOptimal(t *testing.T) {
 		for i := range shapes {
 			amounts[i] = comm.Amounts(shapes[i], tensor.Shard{})
 		}
-		got, assign := TwoWay(amounts)
+		got, assign := twoWayWith(amounts, unitCosts)
 		if len(assign) != len(shapes) {
 			t.Fatalf("%s: assignment length %d", m.Name, len(assign))
 		}
-		if c := AssignmentCost(amounts, assign); math.Abs(c-got) > 1e-6*math.Max(1, got) {
+		if c := assignmentCost(amounts, assign); math.Abs(c-got) > 1e-6*math.Max(1, got) {
 			t.Errorf("%s: TwoWay cost %g but its assignment costs %g", m.Name, got, c)
 		}
 		nl := len(shapes)
@@ -69,7 +81,7 @@ func TestTwoWayOptimal(t *testing.T) {
 					a[b] = comm.DP
 				}
 			}
-			if c := AssignmentCost(amounts, a); c < best {
+			if c := assignmentCost(amounts, a); c < best {
 				best = c
 			}
 		}
@@ -80,9 +92,9 @@ func TestTwoWayOptimal(t *testing.T) {
 }
 
 func TestTwoWayEmpty(t *testing.T) {
-	c, a := TwoWay(nil)
+	c, a := twoWayWith(nil, unitCosts)
 	if c != 0 || a != nil {
-		t.Errorf("TwoWay(nil) = %g, %v", c, a)
+		t.Errorf("twoWayWith(nil) = %g, %v", c, a)
 	}
 }
 
@@ -91,7 +103,7 @@ func TestTwoWayEmpty(t *testing.T) {
 func TestHierarchicalMatchesEvaluate(t *testing.T) {
 	for _, m := range nn.Zoo() {
 		p := mustHier(t, m, 256, 4)
-		q, err := Evaluate(m, 256, p.Levels)
+		q, err := Evaluate(m, 256, p.Levels, unit(4))
 		if err != nil {
 			t.Fatalf("%s Evaluate: %v", m.Name, err)
 		}
@@ -198,22 +210,16 @@ func TestVGGConvDPFCMP(t *testing.T) {
 // greedy plan can miss the global optimum slightly, Figure 10).
 func TestHierarchicalBruteForceSmall(t *testing.T) {
 	m := nn.LenetC()
-	h1, err := Hierarchical(m, 64, 1)
-	if err != nil {
-		t.Fatalf("Hierarchical: %v", err)
-	}
-	b1, err := BruteForce(m, 64, 1)
+	h1 := mustHier(t, m, 64, 1)
+	b1, err := Solve(Request{Model: m, Batch: 64, Levels: unit(1), Method: MethodBrute})
 	if err != nil {
 		t.Fatalf("BruteForce: %v", err)
 	}
 	if math.Abs(h1.TotalElems-b1.TotalElems) > 1e-6*math.Max(1, b1.TotalElems) {
 		t.Errorf("H=1: hierarchical %g != brute force %g", h1.TotalElems, b1.TotalElems)
 	}
-	h2, err := Hierarchical(m, 64, 2)
-	if err != nil {
-		t.Fatalf("Hierarchical: %v", err)
-	}
-	b2, err := BruteForce(m, 64, 2)
+	h2 := mustHier(t, m, 64, 2)
+	b2, err := Solve(Request{Model: m, Batch: 64, Levels: unit(2), Method: MethodBrute})
 	if err != nil {
 		t.Fatalf("BruteForce: %v", err)
 	}
@@ -226,14 +232,14 @@ func TestHierarchicalBruteForceSmall(t *testing.T) {
 }
 
 func TestBruteForceTooLarge(t *testing.T) {
-	if _, err := BruteForce(nn.VGGE(), 256, 4); !errors.Is(err, ErrPlan) {
+	if _, err := Solve(Request{Model: nn.VGGE(), Batch: 256, Levels: unit(4), Method: MethodBrute}); !errors.Is(err, ErrPlan) {
 		t.Errorf("oversized brute force accepted: %v", err)
 	}
 }
 
 func TestOneWeirdTrick(t *testing.T) {
 	m := nn.AlexNet()
-	p, err := OneWeirdTrick(m, 256, 4)
+	p, err := OneWeirdTrick(m, 256, unit(4))
 	if err != nil {
 		t.Fatalf("OneWeirdTrick: %v", err)
 	}
@@ -257,16 +263,16 @@ func TestOneWeirdTrick(t *testing.T) {
 
 func TestEvaluateErrors(t *testing.T) {
 	m := nn.LenetC()
-	if _, err := Evaluate(m, 64, []Assignment{Uniform(3, comm.DP)}); !errors.Is(err, ErrPlan) {
+	if _, err := Evaluate(m, 64, []Assignment{Uniform(3, comm.DP)}, unit(1)); !errors.Is(err, ErrPlan) {
 		t.Errorf("wrong-width assignment accepted: %v", err)
 	}
-	if _, err := Hierarchical(m, 64, -1); !errors.Is(err, ErrPlan) {
-		t.Errorf("negative depth accepted: %v", err)
+	if _, err := Evaluate(m, 64, []Assignment{Uniform(4, comm.DP)}, unit(2)); !errors.Is(err, ErrPlan) {
+		t.Errorf("weights for the wrong depth accepted: %v", err)
 	}
-	if _, err := Hierarchical(m, 64, 30); !errors.Is(err, ErrPlan) {
+	if _, err := Solve(Request{Model: m, Batch: 64, Levels: unit(30)}); !errors.Is(err, ErrPlan) {
 		t.Errorf("absurd depth accepted: %v", err)
 	}
-	if _, err := Hierarchical(m, 0, 2); err == nil {
+	if _, err := Solve(Request{Model: m, Batch: 0, Levels: unit(2)}); err == nil {
 		t.Error("zero batch accepted")
 	}
 }
@@ -306,7 +312,7 @@ func TestExplore(t *testing.T) {
 	m := nn.LenetC()
 	hp := mustHier(t, m, 256, 4)
 	free := []FreeVar{{Level: 0, Layer: 0}, {Level: 0, Layer: 1}}
-	points, err := Explore(m, 256, hp.Levels, free)
+	points, err := Explore(nil, runner.Default(), m, 256, hp.Levels, free, unit(4))
 	if err != nil {
 		t.Fatalf("Explore: %v", err)
 	}
@@ -333,14 +339,72 @@ func TestExplore(t *testing.T) {
 		t.Error("HyPar's own code not in exploration")
 	}
 	// Error paths.
-	if _, err := Explore(m, 256, hp.Levels, []FreeVar{{Level: 9, Layer: 0}}); !errors.Is(err, ErrPlan) {
+	if _, err := Explore(nil, runner.Default(), m, 256, hp.Levels, []FreeVar{{Level: 9, Layer: 0}}, unit(4)); !errors.Is(err, ErrPlan) {
 		t.Errorf("bad level accepted: %v", err)
 	}
-	if _, err := Explore(m, 256, hp.Levels, []FreeVar{{Level: 0, Layer: 9}}); !errors.Is(err, ErrPlan) {
+	if _, err := Explore(nil, runner.Default(), m, 256, hp.Levels, []FreeVar{{Level: 0, Layer: 9}}, unit(4)); !errors.Is(err, ErrPlan) {
 		t.Errorf("bad layer accepted: %v", err)
 	}
-	if _, err := Explore(m, 256, hp.Levels, make([]FreeVar, 21)); !errors.Is(err, ErrPlan) {
+	if _, err := Explore(nil, runner.Default(), m, 256, hp.Levels, make([]FreeVar, 21), unit(4)); !errors.Is(err, ErrPlan) {
 		t.Errorf("oversized exploration accepted: %v", err)
+	}
+}
+
+// TestUnitWeightsArePaperModel: the unit-weight cost model reproduces
+// the paper's Tables 1-2 bit for bit (x·1 = x exactly), so plans scored
+// at UnitWeights are the unweighted model's plans.
+func TestUnitWeightsArePaperModel(t *testing.T) {
+	ps := []comm.Parallelism{comm.DP, comm.MP}
+	for _, m := range append(nn.Zoo(), nn.BranchedZoo()...) {
+		shapes, err := m.Shapes(64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for l := range shapes {
+			a := comm.Amounts(shapes[l], tensor.Shard{})
+			for _, p := range ps {
+				if got, want := unitCosts.intra(p, a), comm.Intra(p, a); got != want {
+					t.Errorf("%s layer %d: intra(%v) = %g, want %g", m.Name, l, p, got, want)
+				}
+				for _, q := range ps {
+					if got, want := unitCosts.interF(p, q, a), comm.InterF(p, q, a); got != want {
+						t.Errorf("%s layer %d: interF(%v, %v) = %g, want %g", m.Name, l, p, q, got, want)
+					}
+					if got, want := unitCosts.interE(p, q, a), comm.InterE(p, q, a); got != want {
+						t.Errorf("%s layer %d: interE(%v, %v) = %g, want %g", m.Name, l, p, q, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestEvaluateScoresEachLevelWithItsWeights: level h's volumes depend
+// on ws[h] alone, so a level keeps its bits when a different level's
+// weights change — whether or not adjacent levels share a cost model.
+func TestEvaluateScoresEachLevelWithItsWeights(t *testing.T) {
+	m := nn.AlexNet()
+	u, w := UnitWeights(), Weights{Grad: 0.5, Psum: 2, Convert: 3}
+	levels := mustHier(t, m, 64, 3).Levels
+	eval := func(ws ...Weights) *Plan {
+		t.Helper()
+		p, err := Evaluate(m, 64, levels, ws)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	mixed, allU, allW := eval(u, w, w), eval(u, u, u), eval(w, w, w)
+	if !reflect.DeepEqual(mixed.Details[0], allU.Details[0]) {
+		t.Error("level 0 scored with another level's weights")
+	}
+	for h := 1; h < 3; h++ {
+		if !reflect.DeepEqual(mixed.Details[h], allW.Details[h]) {
+			t.Errorf("level %d scored with another level's weights", h)
+		}
+	}
+	if reflect.DeepEqual(mixed.Details[1], allU.Details[1]) {
+		t.Error("level 1 ignores its weights")
 	}
 }
 

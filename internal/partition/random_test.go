@@ -70,7 +70,7 @@ func TestRandomModelsInvariants(t *testing.T) {
 		for i := range shapes {
 			amounts[i] = comm.Amounts(shapes[i], tensor.Shard{})
 		}
-		got, assign := TwoWay(amounts)
+		got, assign := twoWayWith(amounts, unitCosts)
 		nl := len(shapes)
 		if nl <= 12 {
 			best := math.Inf(1)
@@ -82,7 +82,7 @@ func TestRandomModelsInvariants(t *testing.T) {
 						a[b] = comm.MP
 					}
 				}
-				if c := AssignmentCost(amounts, a); c < best {
+				if c := assignmentCost(amounts, a); c < best {
 					best = c
 				}
 			}
@@ -93,11 +93,8 @@ func TestRandomModelsInvariants(t *testing.T) {
 		}
 
 		// (2) Hierarchical agrees with its own replay.
-		hp, err := Hierarchical(m, batch, levels)
-		if err != nil {
-			t.Fatalf("trial %d: hierarchical: %v", trial, err)
-		}
-		replay, err := Evaluate(m, batch, hp.Levels)
+		hp := mustHier(t, m, batch, levels)
+		replay, err := Evaluate(m, batch, hp.Levels, unit(levels))
 		if err != nil {
 			t.Fatalf("trial %d: evaluate: %v", trial, err)
 		}
@@ -106,14 +103,8 @@ func TestRandomModelsInvariants(t *testing.T) {
 		}
 
 		// (3) Never worse than the uniform baselines.
-		dp, err := DataParallel(m, batch, levels)
-		if err != nil {
-			t.Fatalf("trial %d: dp: %v", trial, err)
-		}
-		mp, err := ModelParallel(m, batch, levels)
-		if err != nil {
-			t.Fatalf("trial %d: mp: %v", trial, err)
-		}
+		dp := mustDP(t, m, batch, levels)
+		mp := mustMP(t, m, batch, levels)
 		if hp.TotalElems > dp.TotalElems*(1+1e-9) || hp.TotalElems > mp.TotalElems*(1+1e-9) {
 			t.Errorf("trial %d: HyPar %g vs dp %g mp %g", trial, hp.TotalElems, dp.TotalElems, mp.TotalElems)
 		}
@@ -147,7 +138,7 @@ func TestRandomAssignmentsEvaluate(t *testing.T) {
 				}
 			}
 		}
-		p, err := Evaluate(m, 64, levels)
+		p, err := Evaluate(m, 64, levels, unit(4))
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

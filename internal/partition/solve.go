@@ -84,8 +84,7 @@ const (
 const DefaultBeamWidth = 64
 
 // Request describes one partition search. The zero value of every
-// optional field selects the historical default, so wrapping an
-// existing call site is mechanical: only Model, Batch and Levels are
+// optional field selects the default: only Model, Batch and Levels are
 // required.
 type Request struct {
 	// Model is the network to partition.
@@ -108,12 +107,6 @@ type Request struct {
 	Method Method
 	// Objective selects the cost model (default ObjectiveTraining).
 	Objective Objective
-	// FrontierCap caps the graph-DP frontier width for this request
-	// only: 0 means the package default (see SetFrontierCap), positive
-	// values are clamped to the compiled-in maximum. Unlike the
-	// deprecated package global, concurrent requests with different caps
-	// do not race. MethodBeam ignores the cap — evading it is the point.
-	FrontierCap int
 	// BeamWidth bounds the number of states the beam search keeps per
 	// layer (MethodBeam only; 0 means DefaultBeamWidth).
 	BeamWidth int
@@ -129,16 +122,20 @@ type Request struct {
 	Warm *Plan
 }
 
-// Solve runs one partition search described by a Request. It is the
-// single core every exported search variant of this package delegates
-// to; new search features land here instead of fanning out across the
-// historical plain × Ctx × Weighted × PerLevel × With matrix.
+// Solve runs one partition search described by a Request. The default
+// method is Algorithm 2: it partitions a 2^H accelerator array by
+// running Algorithm 1 at every hierarchy level under that level's
+// weights, halving each layer's tensors between levels according to
+// the level's choice (dp halves the batch; mp halves the kernel input
+// dimension). The total communication follows the paper's recursion
+// com = com_h + 2·com_n, i.e. level h's per-pair volume is counted once
+// per group pair (2^h pairs). Branched (DAG) models run the graph
+// generalization of Algorithm 1 per level, whose frontier is capped at
+// 16 open layers (wider graphs get ErrTooWide; MethodBeam plans them);
+// chains run the paper's O(L) recurrence unchanged.
 func Solve(req Request) (*Plan, error) {
 	if req.Model == nil {
 		return nil, fmt.Errorf("%w: nil model", ErrPlan)
-	}
-	if req.FrontierCap < 0 {
-		return nil, fmt.Errorf("%w: negative frontier cap %d", ErrPlan, req.FrontierCap)
 	}
 	if req.BeamWidth < 0 {
 		return nil, fmt.Errorf("%w: negative beam width %d", ErrPlan, req.BeamWidth)
@@ -148,12 +145,9 @@ func Solve(req Request) (*Plan, error) {
 	default:
 		return nil, fmt.Errorf("%w: unknown objective %d", ErrPlan, int(req.Objective))
 	}
-	cs := make([]costs, len(req.Levels))
-	for h, w := range req.Levels {
-		if err := w.Validate(); err != nil {
-			return nil, fmt.Errorf("level %d: %w", h, err)
-		}
-		cs[h] = w.objectiveCosts(req.Objective)
+	cs, err := levelCosts(req.Levels, req.Objective)
+	if err != nil {
+		return nil, err
 	}
 	switch req.Method {
 	case MethodHierarchical, MethodBeam:
@@ -169,18 +163,17 @@ func Solve(req Request) (*Plan, error) {
 			seeds[h] = levelSeed(req.Method, width, req.Objective, w)
 		}
 		return hierarchicalCore(req.Ctx, req.Model, req.Batch, cs, coreOpts{
-			method:      req.Method,
-			beamWidth:   width,
-			frontierCap: req.FrontierCap,
-			warm:        req.Warm,
-			seeds:       seeds,
+			method:    req.Method,
+			beamWidth: width,
+			warm:      req.Warm,
+			seeds:     seeds,
 		})
 	case MethodBrute:
 		pool := req.Pool
 		if pool == nil {
 			pool = runner.Default()
 		}
-		return bruteForceCore(req.Ctx, pool, req.Model, req.Batch, cs, req.FrontierCap)
+		return bruteForceCore(req.Ctx, pool, req.Model, req.Batch, cs)
 	}
 	return nil, fmt.Errorf("%w: unknown search method %d", ErrPlan, int(req.Method))
 }
@@ -198,29 +191,20 @@ var dpCells atomic.Int64
 func DPCells() int64 { return dpCells.Load() }
 
 // coreOpts carries the optional knobs of hierarchicalCore. The zero
-// value reproduces the historical exact hierarchical search.
+// value selects the exact hierarchical search.
 type coreOpts struct {
-	method      Method
-	beamWidth   int
-	frontierCap int
-	warm        *Plan
-	seeds       []uint64 // per-level fingerprint seeds; nil disables warm bookkeeping
+	method    Method
+	beamWidth int
+	warm      *Plan
+	seeds     []uint64 // per-level fingerprint seeds; nil disables warm bookkeeping
 }
 
-// capUnlimited disables the frontier-width check (beam search only).
-const capUnlimited = -1
-
-// hierarchicalCore is Algorithm 2 over an arbitrary per-level cost
-// model with the optional Solve extensions: per-request frontier caps,
-// beam search, and warm-start level reuse. With zero opts it is the
-// historical exact search, byte for byte.
+// hierarchicalCore is Algorithm 2 over a per-level cost model with the
+// optional Solve extensions: beam search and warm-start level reuse.
+// With zero opts it is the exact search.
 func hierarchicalCore(ctx context.Context, m *nn.Model, batch int, cs []costs, opt coreOpts) (*Plan, error) {
 	levels := len(cs)
-	cap := opt.frontierCap
-	if opt.method == MethodBeam {
-		cap = capUnlimited
-	}
-	shapes, preds, err := prepareCap(m, batch, levels, cap)
+	shapes, preds, err := prepare(m, batch, levels, opt.method != MethodBeam)
 	if err != nil {
 		return nil, err
 	}
@@ -265,7 +249,7 @@ func hierarchicalCore(ctx context.Context, m *nn.Model, batch int, cs []costs, o
 			shards[l] = shards[l].Apply(assign[l] == comm.DP)
 		}
 	}
-	fillDetailsLevelsWith(plan, shapes, cs)
+	fillDetails(plan, shapes, cs)
 	return plan, nil
 }
 
@@ -337,22 +321,4 @@ func fnvMix(h, v uint64) uint64 {
 	h ^= v
 	h *= fnvPrime
 	return h
-}
-
-// repeatWeights expands one weight set to a per-level vector after the
-// depth checks the pre-Solve entry points performed, preserving their
-// error messages exactly.
-func repeatWeights(w Weights, levels int) ([]Weights, error) {
-	if levels < 0 {
-		return nil, fmt.Errorf("%w: negative hierarchy depth %d", ErrPlan, levels)
-	}
-	if levels > 20 {
-		return nil, fmt.Errorf("%w: hierarchy depth %d (2^%d accelerators) is unreasonable",
-			ErrPlan, levels, levels)
-	}
-	ws := make([]Weights, levels)
-	for h := range ws {
-		ws[h] = w
-	}
-	return ws, nil
 }

@@ -2,18 +2,12 @@ package partition
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 	"reflect"
-	"sync"
 	"testing"
-
-	"repro/internal/nn"
-	"repro/internal/runner"
 )
 
-// plansAgree compares the exported content of two plans exactly: the
-// byte-identity contract the wrapper refactor is pinned against.
+// plansAgree compares the exported content of two plans exactly.
 // (reflect.DeepEqual on whole plans would also compare the unexported
 // warm-start fingerprints, which legitimately differ across methods.)
 func plansAgree(a, b *Plan) bool {
@@ -22,51 +16,6 @@ func plansAgree(a, b *Plan) bool {
 		reflect.DeepEqual(a.Edges, b.Edges) &&
 		reflect.DeepEqual(a.Details, b.Details) &&
 		a.TotalElems == b.TotalElems
-}
-
-// TestSolveMatchesLegacyWrappers: every pre-refactor entry point is a
-// thin wrapper over Solve, and calling Solve directly with the
-// equivalent Request returns the identical plan.
-func TestSolveMatchesLegacyWrappers(t *testing.T) {
-	chain := nn.AlexNet()
-	fork := cancelFork(3)
-	w := Weights{Grad: 0.5, Psum: 1, Convert: 2}
-	perLevel := []Weights{UnitWeights(), w, UnitWeights()}
-	pool := runner.Serial()
-
-	cases := []struct {
-		name   string
-		legacy func() (*Plan, error)
-		req    Request
-	}{
-		{"Hierarchical", func() (*Plan, error) { return Hierarchical(chain, 64, 3) },
-			Request{Model: chain, Batch: 64, Levels: []Weights{UnitWeights(), UnitWeights(), UnitWeights()}}},
-		{"HierarchicalGraph", func() (*Plan, error) { return Hierarchical(fork, 16, 2) },
-			Request{Model: fork, Batch: 16, Levels: []Weights{UnitWeights(), UnitWeights()}}},
-		{"HierarchicalWeighted", func() (*Plan, error) { return HierarchicalWeighted(chain, 64, 2, w) },
-			Request{Model: chain, Batch: 64, Levels: []Weights{w, w}}},
-		{"HierarchicalPerLevel", func() (*Plan, error) { return HierarchicalPerLevel(chain, 32, perLevel) },
-			Request{Model: chain, Batch: 32, Levels: perLevel}},
-		{"HierarchicalInference", func() (*Plan, error) { return HierarchicalInference(chain, 64, 2) },
-			Request{Model: chain, Batch: 64, Levels: []Weights{UnitWeights(), UnitWeights()}, Objective: ObjectiveInference}},
-		{"BruteForce", func() (*Plan, error) { return BruteForceWith(pool, cancelChain(5), 8, 2) },
-			Request{Model: cancelChain(5), Batch: 8, Levels: []Weights{UnitWeights(), UnitWeights()}, Pool: pool, Method: MethodBrute}},
-		{"BruteForceWeighted", func() (*Plan, error) { return BruteForceWeightedWith(pool, cancelChain(5), 8, 2, w) },
-			Request{Model: cancelChain(5), Batch: 8, Levels: []Weights{w, w}, Pool: pool, Method: MethodBrute}},
-	}
-	for _, tc := range cases {
-		want, err := tc.legacy()
-		if err != nil {
-			t.Fatalf("%s: legacy: %v", tc.name, err)
-		}
-		got, err := Solve(tc.req)
-		if err != nil {
-			t.Fatalf("%s: Solve: %v", tc.name, err)
-		}
-		if !plansAgree(got, want) {
-			t.Errorf("%s: Solve plan differs from legacy wrapper", tc.name)
-		}
-	}
 }
 
 func TestParseMethod(t *testing.T) {
@@ -94,7 +43,6 @@ func TestSolveValidation(t *testing.T) {
 	unit := []Weights{UnitWeights()}
 	for name, req := range map[string]Request{
 		"nil model":         {Batch: 8, Levels: unit},
-		"negative cap":      {Model: m, Batch: 8, Levels: unit, FrontierCap: -1},
 		"negative width":    {Model: m, Batch: 8, Levels: unit, Method: MethodBeam, BeamWidth: -2},
 		"bad weights":       {Model: m, Batch: 8, Levels: []Weights{{Grad: -1, Psum: 1, Convert: 1}}},
 		"unknown method":    {Model: m, Batch: 8, Levels: unit, Method: Method(99)},
@@ -103,58 +51,6 @@ func TestSolveValidation(t *testing.T) {
 		if _, err := Solve(req); !errors.Is(err, ErrPlan) {
 			t.Errorf("Solve(%s) = %v, want ErrPlan", name, err)
 		}
-	}
-}
-
-// TestRequestFrontierCap: the per-request cap bounds the exact graph DP
-// without touching the package default, and zero means the default.
-func TestRequestFrontierCap(t *testing.T) {
-	fork := cancelFork(8) // frontier width 8
-	unit := []Weights{UnitWeights()}
-	if _, err := Solve(Request{Model: fork, Batch: 2, Levels: unit, FrontierCap: 4}); !errors.Is(err, ErrTooWide) {
-		t.Fatalf("Solve under request cap 4 = %v, want ErrTooWide", err)
-	}
-	if _, err := Solve(Request{Model: fork, Batch: 2, Levels: unit}); err != nil {
-		t.Fatalf("Solve under default cap: %v", err)
-	}
-	if got := FrontierCap(); got != maxGraphFrontier {
-		t.Fatalf("request cap leaked into the package default: FrontierCap() = %d", got)
-	}
-	// Values above the compiled-in maximum clamp rather than unlocking
-	// state-key widths the exact DP cannot represent.
-	if _, err := Solve(Request{Model: cancelFork(18), Batch: 2, Levels: unit, FrontierCap: 64}); !errors.Is(err, ErrTooWide) {
-		t.Fatalf("Solve with cap 64 on width-18 fork = %v, want ErrTooWide (clamped)", err)
-	}
-}
-
-// TestConcurrentFrontierCaps runs solves with different per-request
-// caps concurrently — the scenario the deprecated package global could
-// not express without racing (run under -race in CI).
-func TestConcurrentFrontierCaps(t *testing.T) {
-	fork := cancelFork(8)
-	unit := []Weights{UnitWeights()}
-	var wg sync.WaitGroup
-	errs := make(chan error, 2)
-	for _, tc := range []struct {
-		cap     int
-		wantErr bool
-	}{{4, true}, {0, false}} {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				_, err := Solve(Request{Model: fork, Batch: 2, Levels: unit, FrontierCap: tc.cap})
-				if tc.wantErr != (err != nil) {
-					errs <- fmt.Errorf("cap %d: err = %v, wantErr %v", tc.cap, err, tc.wantErr)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
 	}
 }
 
@@ -243,7 +139,7 @@ func TestWarmStartReusesLevels(t *testing.T) {
 func TestWarmStartIgnoresForeignPlans(t *testing.T) {
 	m := cancelChain(4)
 	unit := []Weights{UnitWeights(), UnitWeights()}
-	foreign, err := BruteForce(m, 8, 2) // brute plans have no levelKeys
+	foreign, err := Solve(Request{Model: m, Batch: 8, Levels: unit, Method: MethodBrute}) // brute plans have no levelKeys
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,9 +179,7 @@ func TestWarmStartMethodMismatch(t *testing.T) {
 func TestDPCellsCounts(t *testing.T) {
 	m := cancelChain(6)
 	before := DPCells()
-	if _, err := Hierarchical(m, 8, 3); err != nil {
-		t.Fatal(err)
-	}
+	mustHier(t, m, 8, 3)
 	if got, want := DPCells()-before, int64(3*2*6); got != want {
 		t.Errorf("DPCells delta = %d, want %d (3 levels x 2 choices x 6 layers)", got, want)
 	}

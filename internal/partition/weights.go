@@ -1,13 +1,10 @@
 package partition
 
 import (
-	"context"
 	"fmt"
 	"math"
 
 	"repro/internal/comm"
-	"repro/internal/nn"
-	"repro/internal/runner"
 )
 
 // Weights scales the three communication classes of the training cost
@@ -19,7 +16,10 @@ import (
 // per-link gradient volume, an in-array systolic reduction halves the
 // partial-sum volume. The weighted amounts are what the dynamic program
 // minimizes and what the plan records as its transfer volumes, so the
-// DP objective and the simulated schedule stay consistent.
+// DP objective and the simulated schedule stay consistent. Every entry
+// point takes one Weights per hierarchy level: a single-platform array
+// repeats one entry, a heterogeneous array scores each cut with the
+// platform serving it.
 type Weights struct {
 	// Grad scales the dp gradient allreduce of ∆W_l (Table 1, dp row).
 	Grad float64
@@ -44,8 +44,55 @@ func (w Weights) Validate() error {
 	return nil
 }
 
-// costs builds the Algorithm 1 cost functions scaled by the weights.
-func (w Weights) costs() costs {
+// costs abstracts the objective of the layer-wise dynamic program so
+// the same search runs for training (Tables 1-2) and inference.
+type costs struct {
+	intra  func(p comm.Parallelism, a comm.LayerAmounts) float64
+	interF func(prev, cur comm.Parallelism, a comm.LayerAmounts) float64
+	interE func(prev, cur comm.Parallelism, a comm.LayerAmounts) float64
+}
+
+// levelCosts validates a per-level weights vector and compiles it to
+// the per-level cost models of the objective. Each distinct run of
+// equal weights compiles once: a level whose weights equal the level
+// above's shares its cost model, so a single-platform array builds one.
+func levelCosts(ws []Weights, o Objective) ([]costs, error) {
+	cs := make([]costs, len(ws))
+	for h, w := range ws {
+		if err := w.Validate(); err != nil {
+			return nil, fmt.Errorf("level %d: %w", h, err)
+		}
+		if h > 0 && w == ws[h-1] {
+			cs[h] = cs[h-1]
+		} else {
+			cs[h] = w.objectiveCosts(o)
+		}
+	}
+	return cs, nil
+}
+
+// objectiveCosts compiles the weights into the cost model of the given
+// objective. Training is the paper's full model (Tables 1-2).
+// Inference drops everything gradients and errors cause: dp incurs no
+// intra-layer exchange (there is no ∆W), and no E tensors flow
+// backward. Only mp's output partial sums and the forward F conversions
+// remain — which is why §3.3 observes that inference always optimizes
+// to pure Data Parallelism (both of its cost sources are zero).
+func (w Weights) objectiveCosts(o Objective) costs {
+	if o == ObjectiveInference {
+		return costs{
+			intra: func(p comm.Parallelism, a comm.LayerAmounts) float64 {
+				if p == comm.MP {
+					return w.Psum * a.FOut
+				}
+				return 0
+			},
+			interF: func(prev, cur comm.Parallelism, a comm.LayerAmounts) float64 {
+				return w.Convert * comm.InterF(prev, cur, a)
+			},
+			interE: func(prev, cur comm.Parallelism, a comm.LayerAmounts) float64 { return 0 },
+		}
+	}
 	return costs{
 		intra: func(p comm.Parallelism, a comm.LayerAmounts) float64 {
 			switch p {
@@ -64,241 +111,4 @@ func (w Weights) costs() costs {
 			return w.Convert * comm.InterE(prev, cur, a)
 		},
 	}
-}
-
-// TwoWayWeighted is TwoWay under platform cost weights: the same O(L)
-// dynamic program minimizing the weighted objective.
-func TwoWayWeighted(amounts []comm.LayerAmounts, w Weights) (float64, Assignment) {
-	return twoWayWith(amounts, w.costs())
-}
-
-// AssignmentCostWeighted evaluates the weighted Algorithm 1 objective
-// for a fixed assignment (the exhaustive reference the per-platform
-// conformance oracle compares TwoWayWeighted against).
-func AssignmentCostWeighted(amounts []comm.LayerAmounts, a Assignment, w Weights) float64 {
-	c := w.costs()
-	var total float64
-	for i := range amounts {
-		total += c.intra(a[i], amounts[i])
-		if i > 0 {
-			total += c.interF(a[i-1], a[i], amounts[i-1]) + c.interE(a[i-1], a[i], amounts[i-1])
-		}
-	}
-	return total
-}
-
-// HierarchicalWeighted is Hierarchical (Algorithm 2) under platform
-// cost weights. HierarchicalWeighted(m, b, l, UnitWeights()) is
-// identical to Hierarchical(m, b, l).
-func HierarchicalWeighted(m *nn.Model, batch, levels int, w Weights) (*Plan, error) {
-	return HierarchicalWeightedCtx(nil, m, batch, levels, w)
-}
-
-// HierarchicalWeightedCtx is HierarchicalWeighted with cancellation
-// (see HierarchicalCtx). A nil ctx never cancels.
-func HierarchicalWeightedCtx(ctx context.Context, m *nn.Model, batch, levels int, w Weights) (*Plan, error) {
-	if err := w.Validate(); err != nil {
-		return nil, err
-	}
-	ws, err := repeatWeights(w, levels)
-	if err != nil {
-		return nil, err
-	}
-	return Solve(Request{Model: m, Batch: batch, Levels: ws, Ctx: ctx})
-}
-
-// EvaluateWeighted is Evaluate under platform cost weights: it computes
-// the weighted communication volumes of an arbitrary hierarchical
-// assignment.
-func EvaluateWeighted(m *nn.Model, batch int, levels []Assignment, w Weights) (*Plan, error) {
-	if err := w.Validate(); err != nil {
-		return nil, err
-	}
-	shapes, preds, err := prepare(m, batch, len(levels))
-	if err != nil {
-		return nil, err
-	}
-	return evaluateShapesWith(m, batch, levels, shapes, EdgesOf(preds), w.costs())
-}
-
-// DataParallelWeighted is the Data Parallelism baseline with volumes
-// recorded under platform cost weights.
-func DataParallelWeighted(m *nn.Model, batch, levels int, w Weights) (*Plan, error) {
-	return uniformPlanWeighted(m, batch, levels, comm.DP, w)
-}
-
-// ModelParallelWeighted is the Model Parallelism baseline with volumes
-// recorded under platform cost weights.
-func ModelParallelWeighted(m *nn.Model, batch, levels int, w Weights) (*Plan, error) {
-	return uniformPlanWeighted(m, batch, levels, comm.MP, w)
-}
-
-// OneWeirdTrickWeighted is Krizhevsky's configuration with volumes
-// recorded under platform cost weights.
-func OneWeirdTrickWeighted(m *nn.Model, batch, levels int, w Weights) (*Plan, error) {
-	if err := w.Validate(); err != nil {
-		return nil, err
-	}
-	a := make(Assignment, len(m.Layers))
-	for l, layer := range m.Layers {
-		if layer.Type == nn.FC {
-			a[l] = comm.MP
-		} else {
-			a[l] = comm.DP
-		}
-	}
-	assigns := make([]Assignment, levels)
-	for h := range assigns {
-		assigns[h] = a.Clone()
-	}
-	return EvaluateWeighted(m, batch, assigns, w)
-}
-
-// uniformPlanWeighted builds a uniform plan evaluated under weights.
-func uniformPlanWeighted(m *nn.Model, batch, levels int, p comm.Parallelism, w Weights) (*Plan, error) {
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	assigns := make([]Assignment, levels)
-	for h := range assigns {
-		assigns[h] = Uniform(len(m.Layers), p)
-	}
-	return EvaluateWeighted(m, batch, assigns, w)
-}
-
-// BruteForceWeightedWith is BruteForceWith minimizing the weighted
-// objective — the exactness reference HierarchicalWeighted is compared
-// against in the per-platform conformance suite.
-func BruteForceWeightedWith(pool *runner.Pool, m *nn.Model, batch, levels int, w Weights) (*Plan, error) {
-	return BruteForceWeightedCtx(nil, pool, m, batch, levels, w)
-}
-
-// BruteForceWeightedCtx is BruteForceWeightedWith with cancellation
-// (see BruteForceCtx). A nil ctx never cancels.
-func BruteForceWeightedCtx(ctx context.Context, pool *runner.Pool, m *nn.Model, batch, levels int, w Weights) (*Plan, error) {
-	if err := w.Validate(); err != nil {
-		return nil, err
-	}
-	ws, err := repeatWeights(w, levels)
-	if err != nil {
-		return nil, err
-	}
-	return Solve(Request{Model: m, Batch: batch, Levels: ws, Ctx: ctx, Pool: pool, Method: MethodBrute})
-}
-
-// levelCosts compiles a per-level weights vector to the per-level cost
-// models the search internals consume, validating every entry.
-func levelCosts(ws []Weights) ([]costs, error) {
-	cs := make([]costs, len(ws))
-	for h, w := range ws {
-		if err := w.Validate(); err != nil {
-			return nil, fmt.Errorf("level %d: %w", h, err)
-		}
-		cs[h] = w.costs()
-	}
-	return cs, nil
-}
-
-// HierarchicalPerLevel is Hierarchical (Algorithm 2) under a per-level
-// cost model: the level-h run of Algorithm 1 minimizes ws[h] — each cut
-// of a heterogeneous array is scored with the communication weights of
-// the platform actually serving it. The hierarchy depth is len(ws).
-// With every entry identical this is exactly HierarchicalWeighted.
-func HierarchicalPerLevel(m *nn.Model, batch int, ws []Weights) (*Plan, error) {
-	return HierarchicalPerLevelCtx(nil, m, batch, ws)
-}
-
-// HierarchicalPerLevelCtx is HierarchicalPerLevel with cancellation
-// (see HierarchicalCtx). A nil ctx never cancels.
-func HierarchicalPerLevelCtx(ctx context.Context, m *nn.Model, batch int, ws []Weights) (*Plan, error) {
-	return Solve(Request{Model: m, Batch: batch, Levels: ws, Ctx: ctx})
-}
-
-// EvaluatePerLevel is Evaluate under a per-level cost model: level h's
-// recorded volumes are scored by ws[h]. len(ws) must equal len(levels).
-func EvaluatePerLevel(m *nn.Model, batch int, levels []Assignment, ws []Weights) (*Plan, error) {
-	cs, err := levelCosts(ws)
-	if err != nil {
-		return nil, err
-	}
-	shapes, preds, err := prepare(m, batch, len(levels))
-	if err != nil {
-		return nil, err
-	}
-	return evaluateShapesLevelsWith(m, batch, levels, shapes, EdgesOf(preds), cs)
-}
-
-// DataParallelPerLevel is the Data Parallelism baseline with volumes
-// recorded under a per-level cost model (depth len(ws)).
-func DataParallelPerLevel(m *nn.Model, batch int, ws []Weights) (*Plan, error) {
-	return uniformPlanPerLevel(m, batch, comm.DP, ws)
-}
-
-// ModelParallelPerLevel is the Model Parallelism baseline with volumes
-// recorded under a per-level cost model (depth len(ws)).
-func ModelParallelPerLevel(m *nn.Model, batch int, ws []Weights) (*Plan, error) {
-	return uniformPlanPerLevel(m, batch, comm.MP, ws)
-}
-
-// OneWeirdTrickPerLevel is Krizhevsky's configuration with volumes
-// recorded under a per-level cost model (depth len(ws)).
-func OneWeirdTrickPerLevel(m *nn.Model, batch int, ws []Weights) (*Plan, error) {
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	a := make(Assignment, len(m.Layers))
-	for l, layer := range m.Layers {
-		if layer.Type == nn.FC {
-			a[l] = comm.MP
-		} else {
-			a[l] = comm.DP
-		}
-	}
-	assigns := make([]Assignment, len(ws))
-	for h := range assigns {
-		assigns[h] = a.Clone()
-	}
-	return EvaluatePerLevel(m, batch, assigns, ws)
-}
-
-// uniformPlanPerLevel builds a uniform plan evaluated under a per-level
-// cost model.
-func uniformPlanPerLevel(m *nn.Model, batch int, p comm.Parallelism, ws []Weights) (*Plan, error) {
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	assigns := make([]Assignment, len(ws))
-	for h := range assigns {
-		assigns[h] = Uniform(len(m.Layers), p)
-	}
-	return EvaluatePerLevel(m, batch, assigns, ws)
-}
-
-// BruteForcePerLevelWith is the exhaustive search minimizing the
-// per-level weighted objective — the exactness reference
-// HierarchicalPerLevel is compared against in the mixed-assignment
-// conformance suite.
-func BruteForcePerLevelWith(pool *runner.Pool, m *nn.Model, batch int, ws []Weights) (*Plan, error) {
-	return BruteForcePerLevelCtx(nil, pool, m, batch, ws)
-}
-
-// BruteForcePerLevelCtx is BruteForcePerLevelWith with cancellation
-// (see BruteForceCtx). A nil ctx never cancels.
-func BruteForcePerLevelCtx(ctx context.Context, pool *runner.Pool, m *nn.Model, batch int, ws []Weights) (*Plan, error) {
-	return Solve(Request{Model: m, Batch: batch, Levels: ws, Ctx: ctx, Pool: pool, Method: MethodBrute})
-}
-
-// ExploreWeightedWith is ExploreWith with every point's volumes
-// recorded under platform cost weights.
-func ExploreWeightedWith(pool *runner.Pool, m *nn.Model, batch int, base []Assignment, free []FreeVar, w Weights) ([]ExplorePoint, error) {
-	return ExploreWeightedCtx(nil, pool, m, batch, base, free, w)
-}
-
-// ExploreWeightedCtx is ExploreWeightedWith with cancellation (see
-// ExploreCtx). A nil ctx never cancels.
-func ExploreWeightedCtx(ctx context.Context, pool *runner.Pool, m *nn.Model, batch int, base []Assignment, free []FreeVar, w Weights) ([]ExplorePoint, error) {
-	if err := w.Validate(); err != nil {
-		return nil, err
-	}
-	return exploreWith(ctx, pool, m, batch, base, free, w.costs())
 }

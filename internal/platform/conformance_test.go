@@ -22,6 +22,16 @@ import (
 	"repro/internal/tensor"
 )
 
+// uniform repeats one platform's partition weights for levels
+// hierarchy levels: the per-level weights of a single-platform array.
+func uniform(w partition.Weights, levels int) []partition.Weights {
+	ws := make([]partition.Weights, levels)
+	for h := range ws {
+		ws[h] = w
+	}
+	return ws
+}
+
 // randomModel builds a random valid conv/fc stack (k=3/pad=1 so spatial
 // dims survive any depth; pooling halves even dims). Tiny shapes — the
 // oracle is about structure, not scale.
@@ -223,8 +233,8 @@ func TestConformanceComputeSanity(t *testing.T) {
 
 // TestConformanceTwoWayOracle is the per-platform Algorithm 1
 // guarantee: under each platform's weighted objective, the dynamic
-// program's minimum equals the true minimum over all 2^L assignments on
-// ~100 random models, and its traceback achieves it.
+// program's traceback costs exactly the true minimum over all 2^L
+// assignments on ~100 random models.
 func TestConformanceTwoWayOracle(t *testing.T) {
 	forEachPlatform(t, func(t *testing.T, p platform.Platform) {
 		w := p.PartitionWeights()
@@ -232,19 +242,13 @@ func TestConformanceTwoWayOracle(t *testing.T) {
 		for trial := 0; trial < 100; trial++ {
 			m := randomModel(r, trial)
 			batch := 1 << uint(r.Intn(4))
-			shapes, err := m.Shapes(batch)
+			single := []partition.Weights{w}
+			got, err := partition.Solve(partition.Request{Model: m, Batch: batch, Levels: single})
 			if err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
-			amounts := make([]comm.LayerAmounts, len(shapes))
-			var sh tensor.Shard
-			for l := range shapes {
-				amounts[l] = comm.Amounts(shapes[l], sh)
-			}
 
-			got, assign := partition.TwoWayWeighted(amounts, w)
-
-			nl := len(amounts)
+			nl := len(m.Layers)
 			want := math.Inf(1)
 			for code := 0; code < 1<<uint(nl); code++ {
 				a := make(partition.Assignment, nl)
@@ -253,15 +257,16 @@ func TestConformanceTwoWayOracle(t *testing.T) {
 						a[b] = comm.MP
 					}
 				}
-				if c := partition.AssignmentCostWeighted(amounts, a, w); c < want {
-					want = c
+				p, err := partition.Evaluate(m, batch, []partition.Assignment{a}, single)
+				if err != nil {
+					t.Fatalf("trial %d: %v", trial, err)
+				}
+				if p.TotalElems < want {
+					want = p.TotalElems
 				}
 			}
-			if !almostEq(got, want) {
-				t.Errorf("trial %d (%s, batch %d): TwoWayWeighted=%g oracle=%g", trial, m.Name, batch, got, want)
-			}
-			if ac := partition.AssignmentCostWeighted(amounts, assign, w); !almostEq(ac, got) {
-				t.Errorf("trial %d (%s): traceback costs %g, dp claims %g", trial, m.Name, ac, got)
+			if !almostEq(got.TotalElems, want) {
+				t.Errorf("trial %d (%s, batch %d): Solve=%g oracle=%g", trial, m.Name, batch, got.TotalElems, want)
 			}
 		}
 	})
@@ -285,11 +290,12 @@ func TestConformanceHierarchicalOracle(t *testing.T) {
 			trials++
 			batch := 1 << uint(r.Intn(4))
 
-			hier, err := partition.HierarchicalWeighted(m, batch, levels, w)
+			ws := uniform(w, levels)
+			hier, err := partition.Solve(partition.Request{Model: m, Batch: batch, Levels: ws})
 			if err != nil {
 				t.Fatalf("%s: hierarchical: %v", m.Name, err)
 			}
-			bf, err := partition.BruteForceWeightedWith(pool, m, batch, levels, w)
+			bf, err := partition.Solve(partition.Request{Model: m, Batch: batch, Levels: ws, Pool: pool, Method: partition.MethodBrute})
 			if err != nil {
 				t.Fatalf("%s: brute force: %v", m.Name, err)
 			}
@@ -309,7 +315,7 @@ func TestConformanceSimulate(t *testing.T) {
 	m := nn.VGGA()
 	steps := make(map[string]float64)
 	forEachPlatform(t, func(t *testing.T, p platform.Platform) {
-		plan, err := partition.HierarchicalWeighted(m, 64, 2, p.PartitionWeights())
+		plan, err := partition.Solve(partition.Request{Model: m, Batch: 64, Levels: uniform(p.PartitionWeights(), 2)})
 		if err != nil {
 			t.Fatal(err)
 		}

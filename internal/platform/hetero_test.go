@@ -60,16 +60,16 @@ func TestConformanceMixedOracle(t *testing.T) {
 		batch := 1 << uint(r.Intn(4))
 		ws := randomMixedWeights(r, levels)
 
-		hier, err := partition.HierarchicalPerLevel(m, batch, ws)
+		hier, err := partition.Solve(partition.Request{Model: m, Batch: batch, Levels: ws})
 		if err != nil {
 			t.Fatalf("%s: hierarchical: %v", m.Name, err)
 		}
-		bf, err := partition.BruteForcePerLevelWith(pool, m, batch, ws)
+		bf, err := partition.Solve(partition.Request{Model: m, Batch: batch, Levels: ws, Pool: pool, Method: partition.MethodBrute})
 		if err != nil {
 			t.Fatalf("%s: brute force: %v", m.Name, err)
 		}
 		if hier.TotalElems < bf.TotalElems && !almostEq(hier.TotalElems, bf.TotalElems) {
-			t.Errorf("%s (batch %d, levels %d, weights %v): HierarchicalPerLevel %g beats BruteForcePerLevel %g — oracle violated",
+			t.Errorf("%s (batch %d, levels %d, weights %v): hierarchical %g beats brute force %g — oracle violated",
 				m.Name, batch, levels, ws, hier.TotalElems, bf.TotalElems)
 		}
 	}

@@ -1,9 +1,14 @@
 package service
 
 import (
+	"bytes"
+	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
+
+	hypar "repro"
 )
 
 // TestHeteroRequestHashDistinct pins that per-level platform
@@ -89,5 +94,45 @@ func TestHeteroInvalidSpecRejected(t *testing.T) {
 		if code != http.StatusBadRequest {
 			t.Errorf("%s: status %d (want 400): %s", body, code, resp)
 		}
+	}
+}
+
+// TestHeteroExploreMatchesCompare: /v1/explore scores a mixed array's
+// sweep with each level's platform weights, so its isHyPar point's
+// gain equals /v1/compare's HyPar performance exactly.
+func TestHeteroExploreMatchesCompare(t *testing.T) {
+	_, ts, _ := newTestServer(t)
+	cfg := `"config":{"platforms":{"0":"gpu-hbm","1":"hmc","2":"hmc","3":"hmc"}}`
+	code, b := postJSON(t, ts.URL+"/v1/compare", `{"zoo":"Lenet-c",`+cfg+`}`)
+	if code != http.StatusOK {
+		t.Fatalf("/v1/compare: status %d: %s", code, b)
+	}
+	var cmp compareResponse
+	if err := json.Unmarshal(b, &cmp); err != nil {
+		t.Fatal(err)
+	}
+	want := cmp.Gains[hypar.HyPar.String()].Performance
+
+	code, b = postJSON(t, ts.URL+"/v1/explore",
+		`{"zoo":"Lenet-c",`+cfg+`,"free":[{"level":0,"layer":0},{"level":0,"layer":1}]}`)
+	if code != http.StatusOK {
+		t.Fatalf("/v1/explore: status %d: %s", code, b)
+	}
+	found := false
+	for _, line := range bytes.Split(bytes.TrimSpace(b), []byte("\n")) {
+		var pt explorePointJSON
+		if err := json.Unmarshal(line, &pt); err != nil {
+			t.Fatalf("%s: %v", line, err)
+		}
+		if pt.Type != "point" || !pt.IsHyPar {
+			continue
+		}
+		found = true
+		if math.Float64bits(pt.Gain) != math.Float64bits(want) {
+			t.Errorf("explore isHyPar gain %v, compare HyPar performance %v", pt.Gain, want)
+		}
+	}
+	if !found {
+		t.Fatalf("no isHyPar point in %s", b)
 	}
 }

@@ -95,7 +95,7 @@ func statsEqual(a, b statsJSON) bool {
 	return reflect.DeepEqual(a, b)
 }
 
-// TestPlanFaithful proves /v1/plan equals partition.Hierarchical.
+// TestPlanFaithful proves /v1/plan equals hypar.NewPlan.
 func TestPlanFaithful(t *testing.T) {
 	_, ts, _ := newTestServer(t)
 	code, body := postJSON(t, ts.URL+"/v1/plan", `{"zoo":"AlexNet","strategy":"trick"}`)

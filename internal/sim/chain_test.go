@@ -130,13 +130,13 @@ func referenceArchs(t *testing.T) []archCase {
 func referencePlans(t *testing.T, m *nn.Model, batch, levels int, r *rand.Rand) map[string]*partition.Plan {
 	t.Helper()
 	plans := map[string]*partition.Plan{}
-	for name, mk := range map[string]func(*nn.Model, int, int) (*partition.Plan, error){
-		"hypar": partition.Hierarchical,
+	for name, mk := range map[string]func(*nn.Model, int, []partition.Weights) (*partition.Plan, error){
+		"hypar": solve,
 		"dp":    partition.DataParallel,
 		"mp":    partition.ModelParallel,
 		"trick": partition.OneWeirdTrick,
 	} {
-		p, err := mk(m, batch, levels)
+		p, err := mk(m, batch, unit(levels))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +152,7 @@ func referencePlans(t *testing.T, m *nn.Model, batch, levels int, r *rand.Rand) 
 				}
 			}
 		}
-		p, err := partition.Evaluate(m, batch, as)
+		p, err := partition.Evaluate(m, batch, as, unit(len(as)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -244,10 +244,10 @@ func TestPhaseCostKey(t *testing.T) {
 			t.Fatal(err)
 		}
 		arch := Arch{Mem: s.mem, Comp: s.comp, NoC: topo, DType: s.dt}
-		for _, mk := range []func(*nn.Model, int, int) (*partition.Plan, error){
-			partition.Hierarchical, partition.ModelParallel,
+		for _, mk := range []func(*nn.Model, int, []partition.Weights) (*partition.Plan, error){
+			solve, partition.ModelParallel,
 		} {
-			plan, err := mk(s.m, s.batch, s.levels)
+			plan, err := mk(s.m, s.batch, unit(s.levels))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -292,7 +292,7 @@ func (fixedCompute) Validate() error { return nil }
 // the serial step with exactly the engine's error.
 func TestSerialStepRejectsBadDuration(t *testing.T) {
 	m := nn.LenetC()
-	plan, err := partition.Hierarchical(m, 64, 4)
+	plan, err := solve(m, 64, unit(4))
 	if err != nil {
 		t.Fatal(err)
 	}

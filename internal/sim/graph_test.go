@@ -19,7 +19,7 @@ func TestSimulateBranchedModels(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, m := range nn.BranchedZoo() {
-		plan, err := partition.Hierarchical(m, 64, 4)
+		plan, err := solve(m, 64, unit(4))
 		if err != nil {
 			t.Fatalf("%s: %v", m.Name, err)
 		}
@@ -53,7 +53,7 @@ func TestBranchedSkipTransfersScheduled(t *testing.T) {
 	// stem(0) mp; branches(1,2) dp — both fork edges are mp-dp
 	// transitions charging 0.5·A(E) each.
 	assign := partition.Assignment{comm.MP, comm.DP, comm.DP, comm.DP, comm.DP, comm.DP}
-	plan, err := partition.Evaluate(m, 8, []partition.Assignment{assign})
+	plan, err := partition.Evaluate(m, 8, []partition.Assignment{assign}, unit(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestBranchedSkipTransfersScheduled(t *testing.T) {
 // fresh simulations of the same branched plan agree exactly.
 func TestBranchedDeterministic(t *testing.T) {
 	m := nn.SRES8()
-	plan, err := partition.Hierarchical(m, 32, 3)
+	plan, err := solve(m, 32, unit(3))
 	if err != nil {
 		t.Fatal(err)
 	}

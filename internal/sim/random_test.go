@@ -32,7 +32,7 @@ func TestRandomPlansSchedule(t *testing.T) {
 				}
 			}
 		}
-		plan, err := partition.Evaluate(m, 32, levels)
+		plan, err := partition.Evaluate(m, 32, levels, unit(len(levels)))
 		if err != nil {
 			t.Fatalf("trial %d: evaluate: %v", trial, err)
 		}
@@ -68,9 +68,9 @@ func TestTraceCollection(t *testing.T) {
 	}
 	arch.CollectTrace = true
 	m := nn.LenetC()
-	plan, err := partition.Hierarchical(m, 64, 4)
+	plan, err := solve(m, 64, unit(4))
 	if err != nil {
-		t.Fatalf("Hierarchical: %v", err)
+		t.Fatalf("Solve: %v", err)
 	}
 	stats, err := Simulate(m, plan, arch)
 	if err != nil {
@@ -111,9 +111,9 @@ func TestMemoryAccounting(t *testing.T) {
 		t.Fatalf("DefaultArch: %v", err)
 	}
 	m := nn.VGGE()
-	plan, err := partition.Hierarchical(m, 256, 4)
+	plan, err := solve(m, 256, unit(4))
 	if err != nil {
-		t.Fatalf("Hierarchical: %v", err)
+		t.Fatalf("Solve: %v", err)
 	}
 	st, err := Simulate(m, plan, arch)
 	if err != nil {
@@ -128,7 +128,7 @@ func TestMemoryAccounting(t *testing.T) {
 	}
 	// A 16k batch under pure DP retains activations for 1024 images
 	// per accelerator: far beyond 8 GB.
-	big, err := partition.DataParallel(m, 16384, 4)
+	big, err := partition.DataParallel(m, 16384, unit(4))
 	if err != nil {
 		t.Fatalf("DataParallel: %v", err)
 	}

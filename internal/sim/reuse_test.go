@@ -117,12 +117,12 @@ func TestSimulatorMatchesSimulate(t *testing.T) {
 	}
 	s := NewSimulator()
 	for _, m := range []*nn.Model{nn.LenetC(), nn.AlexNet(), nn.VGGA()} {
-		for name, mk := range map[string]func(*nn.Model, int, int) (*partition.Plan, error){
-			"hypar": partition.Hierarchical,
+		for name, mk := range map[string]func(*nn.Model, int, []partition.Weights) (*partition.Plan, error){
+			"hypar": solve,
 			"dp":    partition.DataParallel,
 			"mp":    partition.ModelParallel,
 		} {
-			plan, err := mk(m, 256, 4)
+			plan, err := mk(m, 256, unit(4))
 			if err != nil {
 				t.Fatal(err)
 			}

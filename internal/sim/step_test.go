@@ -30,18 +30,33 @@ func simulate(t *testing.T, m *nn.Model, plan *partition.Plan, a Arch) *Stats {
 	return s
 }
 
+// unit repeats the paper's unit cost weights for levels hierarchy
+// levels: the per-level weights of the single-platform HMC array.
+func unit(levels int) []partition.Weights {
+	ws := make([]partition.Weights, levels)
+	for h := range ws {
+		ws[h] = partition.UnitWeights()
+	}
+	return ws
+}
+
+// solve runs partition.Solve's default search in the baselines' shape.
+func solve(m *nn.Model, batch int, ws []partition.Weights) (*partition.Plan, error) {
+	return partition.Solve(partition.Request{Model: m, Batch: batch, Levels: ws})
+}
+
 func hyparPlan(t *testing.T, m *nn.Model, batch, levels int) *partition.Plan {
 	t.Helper()
-	p, err := partition.Hierarchical(m, batch, levels)
+	p, err := solve(m, batch, unit(levels))
 	if err != nil {
-		t.Fatalf("Hierarchical(%s): %v", m.Name, err)
+		t.Fatalf("Solve(%s): %v", m.Name, err)
 	}
 	return p
 }
 
 func dpPlan(t *testing.T, m *nn.Model, batch, levels int) *partition.Plan {
 	t.Helper()
-	p, err := partition.DataParallel(m, batch, levels)
+	p, err := partition.DataParallel(m, batch, unit(levels))
 	if err != nil {
 		t.Fatalf("DataParallel(%s): %v", m.Name, err)
 	}
@@ -50,7 +65,7 @@ func dpPlan(t *testing.T, m *nn.Model, batch, levels int) *partition.Plan {
 
 func mpPlan(t *testing.T, m *nn.Model, batch, levels int) *partition.Plan {
 	t.Helper()
-	p, err := partition.ModelParallel(m, batch, levels)
+	p, err := partition.ModelParallel(m, batch, unit(levels))
 	if err != nil {
 		t.Fatalf("ModelParallel(%s): %v", m.Name, err)
 	}

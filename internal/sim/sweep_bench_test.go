@@ -12,7 +12,7 @@ import (
 // BenchmarkSimulateSweep measures the two per-point lines of an
 // 8-variable parallelism sweep — layers 0-3 free at levels H1 and H4 on
 // top of the HyPar plan, 256 points, batch 256, H = 4, 1600 Mb/s links:
-// planning every point (partition.ExploreWith on a one-worker pool) and
+// planning every point (partition.Explore on a one-worker pool) and
 // simulating every plan on one reused Simulator. Each reports ns and
 // allocations per point; run it with -benchmem.
 func BenchmarkSimulateSweep(b *testing.B) {
@@ -22,7 +22,7 @@ func BenchmarkSimulateSweep(b *testing.B) {
 	}
 	pool := runner.New(1)
 	for _, m := range []*nn.Model{nn.LenetC(), nn.CifarC(), nn.AlexNet(), nn.VGGA()} {
-		base, err := partition.Hierarchical(m, 256, 4)
+		base, err := solve(m, 256, unit(4))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -33,7 +33,7 @@ func BenchmarkSimulateSweep(b *testing.B) {
 			}
 		}
 		plan := func() []partition.ExplorePoint {
-			pts, err := partition.ExploreWith(pool, m, 256, base.Levels, free)
+			pts, err := partition.Explore(nil, pool, m, 256, base.Levels, free, unit(4))
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -15,11 +15,11 @@ import (
 // wiringPlans returns the HyPar, DP and a seeded random plan for m.
 func wiringPlans(t *testing.T, m *nn.Model, r *rand.Rand) map[string]*partition.Plan {
 	t.Helper()
-	hy, err := partition.Hierarchical(m, 64, 4)
+	hy, err := solve(m, 64, unit(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dp, err := partition.DataParallel(m, 64, 4)
+	dp, err := partition.DataParallel(m, 64, unit(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func wiringPlans(t *testing.T, m *nn.Model, r *rand.Rand) map[string]*partition.
 			}
 		}
 	}
-	rnd, err := partition.Evaluate(m, 64, levels)
+	rnd, err := partition.Evaluate(m, 64, levels, unit(len(levels)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestSimulatorReusePermutedEdges(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := nn.Incep2()
-	plan, err := partition.Hierarchical(m, 64, 4)
+	plan, err := solve(m, 64, unit(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestAllocsSimulatorSameModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, m := range []*nn.Model{nn.VGGA(), nn.LenetC(), nn.Incep2()} {
-		plan, err := partition.Hierarchical(m, 256, 4)
+		plan, err := solve(m, 256, unit(4))
 		if err != nil {
 			t.Fatal(err)
 		}

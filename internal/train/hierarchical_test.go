@@ -23,6 +23,16 @@ func hierNet() *nn.Model {
 	}
 }
 
+// unit repeats the paper's unit cost weights for levels hierarchy
+// levels: the per-level weights of the single-platform HMC array.
+func unit(levels int) []partition.Weights {
+	ws := make([]partition.Weights, levels)
+	for h := range ws {
+		ws[h] = partition.UnitWeights()
+	}
+	return ws
+}
+
 // planOf builds a fixed two-level plan from strings like "dmd"/"mdd".
 func planOf(t *testing.T, m *nn.Model, batch int, levels ...string) *partition.Plan {
 	t.Helper()
@@ -35,7 +45,7 @@ func planOf(t *testing.T, m *nn.Model, batch int, levels ...string) *partition.P
 			}
 		}
 	}
-	p, err := partition.Evaluate(m, batch, assigns)
+	p, err := partition.Evaluate(m, batch, assigns, unit(len(assigns)))
 	if err != nil {
 		t.Fatalf("Evaluate: %v", err)
 	}
@@ -140,9 +150,9 @@ func TestHierarchicalMatchesTwoGroup(t *testing.T) {
 // output directly.
 func TestHierarchicalPlannedPlan(t *testing.T) {
 	m := hierNet()
-	plan, err := partition.Hierarchical(m, 8, 2)
+	plan, err := partition.Solve(partition.Request{Model: m, Batch: 8, Levels: unit(2)})
 	if err != nil {
-		t.Fatalf("Hierarchical: %v", err)
+		t.Fatalf("Solve: %v", err)
 	}
 	ref, _ := NewNetwork(m, 8, 9)
 	hier, err := NewHierarchicalFC(ref, plan)

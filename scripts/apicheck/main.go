@@ -1,18 +1,11 @@
-// Command apicheck freezes the partition package's wrapper surface.
-//
-// Before the unified partition.Solve core landed, every new search
-// capability grew a fresh exported variant — a ...Ctx form for
-// cancellation, a ...With form for an explicit pool, a ...Weighted or
-// ...PerLevel form for cost models — and the matrix multiplied. The
-// refactor collapsed all of them into thin wrappers over one
-// Request/Solve entry point; this lint keeps it collapsed. Any NEW
-// exported function in internal/partition whose name ends in Ctx,
-// With, Weighted or PerLevel fails CI: new capabilities belong on
-// partition.Request as fields, not on the package as combinatorial
-// function variants. The pre-refactor wrappers are grandfathered in
-// the frozen allowlist below (they are public API and stay), and
-// deleting one merely shrinks the frozen set — apicheck only rejects
-// growth.
+// Command apicheck keeps the partition package's planning surface at
+// its core entry points: Solve, Evaluate, Explore and the three
+// baselines, each taking one cost-weight set per hierarchy level. It
+// fails if internal/partition exports a function whose name ends in
+// Ctx, With, Weighted or PerLevel — the shapes a cancellation, pool or
+// cost-model variant takes. A new search capability belongs on
+// partition.Request as a field, where it composes with the others,
+// not on the package as one more function per combination.
 //
 // Usage: go run ./scripts/apicheck [dir]  (default internal/partition)
 package main
@@ -28,38 +21,7 @@ import (
 	"strings"
 )
 
-// frozen is the pre-Solve wrapper surface, verbatim. Do not add to it:
-// a new search capability is a new Request field, not a new variant.
-var frozen = map[string]bool{
-	"AssignmentCostWeighted":  true,
-	"BruteForceCtx":           true,
-	"BruteForcePerLevelCtx":   true,
-	"BruteForcePerLevelWith":  true,
-	"BruteForceWeightedCtx":   true,
-	"BruteForceWeightedWith":  true,
-	"BruteForceWith":          true,
-	"DataParallelPerLevel":    true,
-	"DataParallelWeighted":    true,
-	"EvaluatePerLevel":        true,
-	"EvaluateWeighted":        true,
-	"ExploreCtx":              true,
-	"ExploreWeightedCtx":      true,
-	"ExploreWeightedWith":     true,
-	"ExploreWith":             true,
-	"HierarchicalCtx":         true,
-	"HierarchicalPerLevel":    true,
-	"HierarchicalPerLevelCtx": true,
-	"HierarchicalWeighted":    true,
-	"HierarchicalWeightedCtx": true,
-	"ModelParallelPerLevel":   true,
-	"ModelParallelWeighted":   true,
-	"OneWeirdTrickPerLevel":   true,
-	"OneWeirdTrickWeighted":   true,
-	"TwoWayGraphCtx":          true,
-	"TwoWayWeighted":          true,
-}
-
-// variantSuffixes are the name shapes the old matrix multiplied along.
+// variantSuffixes are the name shapes of per-capability variants.
 var variantSuffixes = []string{"Ctx", "With", "Weighted", "PerLevel"}
 
 func main() {
@@ -73,19 +35,19 @@ func main() {
 		os.Exit(1)
 	}
 	if len(offenders) > 0 {
-		fmt.Fprintf(os.Stderr, "apicheck: %s grew new exported search variants:\n", dir)
+		fmt.Fprintf(os.Stderr, "apicheck: %s exports search variants:\n", dir)
 		for _, o := range offenders {
 			fmt.Fprintf(os.Stderr, "  %s\n", o)
 		}
-		fmt.Fprintln(os.Stderr, "add the capability as a partition.Request field served by Solve instead of a new wrapper")
+		fmt.Fprintln(os.Stderr, "add the capability as a partition.Request field served by Solve instead of a variant")
 		os.Exit(1)
 	}
-	fmt.Printf("apicheck: %s wrapper surface unchanged (%d frozen variants)\n", dir, len(frozen))
+	fmt.Printf("apicheck: %s exports no search variants\n", dir)
 }
 
 // check parses every non-test file in dir and returns the exported
-// top-level functions that match a variant suffix without being in the
-// frozen set, as "name (file:line)" strings sorted by name.
+// top-level functions that match a variant suffix, as
+// "name (file:line)" strings sorted by name.
 func check(dir string) ([]string, error) {
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
@@ -103,7 +65,7 @@ func check(dir string) ([]string, error) {
 					continue // methods may vary; the lint is about package-level variants
 				}
 				name := fn.Name.Name
-				if !hasVariantSuffix(name) || frozen[name] {
+				if !hasVariantSuffix(name) {
 					continue
 				}
 				pos := fset.Position(fn.Pos())
