@@ -53,7 +53,7 @@ func unitWeights(levels int) []partition.Weights {
 func BenchmarkFig5PartitionSearch(b *testing.B) {
 	cfg := hypar.DefaultConfig()
 	for i := 0; i < b.N; i++ {
-		t, err := experiments.Fig5(cfg)
+		t, err := experiments.NewSession(cfg).Fig5()
 		discardTable(b, t, err)
 	}
 }
@@ -64,7 +64,7 @@ func BenchmarkFig6Performance(b *testing.B) {
 	cfg := hypar.DefaultConfig()
 	var gain float64
 	for i := 0; i < b.N; i++ {
-		t, err := experiments.Fig6(cfg)
+		t, err := experiments.NewSession(cfg).Fig6()
 		discardTable(b, t, err)
 		_ = t
 	}
@@ -111,7 +111,7 @@ func BenchmarkFig678SharedComparison(b *testing.B) {
 func BenchmarkFig7Energy(b *testing.B) {
 	cfg := hypar.DefaultConfig()
 	for i := 0; i < b.N; i++ {
-		t, err := experiments.Fig7(cfg)
+		t, err := experiments.NewSession(cfg).Fig7()
 		discardTable(b, t, err)
 	}
 	m, err := hypar.ModelByName("AlexNet")
@@ -130,7 +130,7 @@ func BenchmarkFig7Energy(b *testing.B) {
 func BenchmarkFig8Communication(b *testing.B) {
 	cfg := hypar.DefaultConfig()
 	for i := 0; i < b.N; i++ {
-		t, err := experiments.Fig8(cfg)
+		t, err := experiments.NewSession(cfg).Fig8()
 		discardTable(b, t, err)
 	}
 	m, err := hypar.ModelByName("VGG-A")
@@ -149,7 +149,7 @@ func BenchmarkFig8Communication(b *testing.B) {
 func BenchmarkFig9Exploration(b *testing.B) {
 	cfg := hypar.DefaultConfig()
 	for i := 0; i < b.N; i++ {
-		t, _, err := experiments.Fig9(cfg)
+		t, _, err := experiments.NewSession(cfg).Fig9()
 		discardTable(b, t, err)
 	}
 }
@@ -169,7 +169,7 @@ func BenchmarkFig9ExplorationSerial(b *testing.B) {
 func BenchmarkFig10Exploration(b *testing.B) {
 	cfg := hypar.DefaultConfig()
 	for i := 0; i < b.N; i++ {
-		t, _, err := experiments.Fig10(cfg)
+		t, _, err := experiments.NewSession(cfg).Fig10()
 		discardTable(b, t, err)
 	}
 }
@@ -179,7 +179,7 @@ func BenchmarkFig10Exploration(b *testing.B) {
 func BenchmarkFig11Scalability(b *testing.B) {
 	cfg := hypar.DefaultConfig()
 	for i := 0; i < b.N; i++ {
-		t, _, err := experiments.Fig11(cfg, 6)
+		t, _, err := experiments.NewSession(cfg).Fig11(6)
 		discardTable(b, t, err)
 	}
 }
@@ -189,7 +189,7 @@ func BenchmarkFig11Scalability(b *testing.B) {
 func BenchmarkFig12Topology(b *testing.B) {
 	cfg := hypar.DefaultConfig()
 	for i := 0; i < b.N; i++ {
-		t, err := experiments.Fig12(cfg)
+		t, err := experiments.NewSession(cfg).Fig12()
 		discardTable(b, t, err)
 	}
 }
@@ -199,7 +199,7 @@ func BenchmarkFig12Topology(b *testing.B) {
 func BenchmarkFig13Trick(b *testing.B) {
 	cfg := hypar.DefaultConfig()
 	for i := 0; i < b.N; i++ {
-		t, err := experiments.Fig13(cfg)
+		t, err := experiments.NewSession(cfg).Fig13()
 		discardTable(b, t, err)
 	}
 }
@@ -295,7 +295,7 @@ func BenchmarkSimulateStepReusedEngine(b *testing.B) {
 func BenchmarkAblationHierarchyDepth(b *testing.B) {
 	cfg := hypar.DefaultConfig()
 	for i := 0; i < b.N; i++ {
-		t, err := experiments.AblationDepth(cfg, 6, "VGG-A")
+		t, err := experiments.NewSession(cfg).AblationDepth(6, "VGG-A")
 		discardTable(b, t, err)
 	}
 }
@@ -304,7 +304,7 @@ func BenchmarkAblationHierarchyDepth(b *testing.B) {
 func BenchmarkAblationTopology(b *testing.B) {
 	cfg := hypar.DefaultConfig()
 	for i := 0; i < b.N; i++ {
-		t, err := experiments.AblationTopology(cfg, "VGG-A")
+		t, err := experiments.NewSession(cfg).AblationTopology("VGG-A")
 		discardTable(b, t, err)
 	}
 }
@@ -313,7 +313,7 @@ func BenchmarkAblationTopology(b *testing.B) {
 func BenchmarkAblationBatch(b *testing.B) {
 	cfg := hypar.DefaultConfig()
 	for i := 0; i < b.N; i++ {
-		t, err := experiments.AblationBatch(cfg, "AlexNet")
+		t, err := experiments.NewSession(cfg).AblationBatch("AlexNet")
 		discardTable(b, t, err)
 	}
 }
@@ -322,7 +322,7 @@ func BenchmarkAblationBatch(b *testing.B) {
 func BenchmarkAblationLinkBandwidth(b *testing.B) {
 	cfg := hypar.DefaultConfig()
 	for i := 0; i < b.N; i++ {
-		t, err := experiments.AblationLinkBandwidth(cfg, "VGG-A")
+		t, err := experiments.NewSession(cfg).AblationLinkBandwidth("VGG-A")
 		discardTable(b, t, err)
 	}
 }
@@ -332,7 +332,7 @@ func BenchmarkAblationLinkBandwidth(b *testing.B) {
 func BenchmarkAblationOverlap(b *testing.B) {
 	cfg := hypar.DefaultConfig()
 	for i := 0; i < b.N; i++ {
-		t, err := experiments.AblationOverlap(cfg, "VGG-A")
+		t, err := experiments.NewSession(cfg).AblationOverlap("VGG-A")
 		discardTable(b, t, err)
 	}
 }
@@ -410,7 +410,7 @@ func BenchmarkHierarchicalTrainingStep(b *testing.B) {
 func BenchmarkAblationPrecision(b *testing.B) {
 	cfg := hypar.DefaultConfig()
 	for i := 0; i < b.N; i++ {
-		t, err := experiments.AblationPrecision(cfg, "VGG-A")
+		t, err := experiments.NewSession(cfg).AblationPrecision("VGG-A")
 		discardTable(b, t, err)
 	}
 }

@@ -19,7 +19,7 @@ import (
 
 func main() {
 	cfg := hypar.DefaultConfig()
-	_, ex, err := experiments.Fig9(cfg)
+	_, ex, err := experiments.NewSession(cfg).Fig9()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -102,14 +102,6 @@ func Intra(p Parallelism, a LayerAmounts) float64 {
 	}
 }
 
-// Inter returns the one-direction inter-layer communication in elements
-// for the transition from layer l (prev) to layer l+1 (cur), where a
-// holds the amounts of the boundary tensors F_{l+1} and E_{l+1}
-// (Table 2).
-func Inter(prev, cur Parallelism, a LayerAmounts) float64 {
-	return InterF(prev, cur, a) + InterE(prev, cur, a)
-}
-
 // InterF returns the feature-map share of the Table 2 transition cost.
 // It is incurred during forward propagation, when layer l+1 gathers the
 // parts of F_{l+1} its partitioning needs but layer l did not leave on

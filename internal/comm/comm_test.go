@@ -123,8 +123,8 @@ func TestInterTable2(t *testing.T) {
 		{MP, DP, 0.5 * 60},
 	}
 	for _, tt := range tests {
-		if got := Inter(tt.prev, tt.cur, a); got != tt.want {
-			t.Errorf("Inter(%v,%v) = %g, want %g", tt.prev, tt.cur, got, tt.want)
+		if got := InterF(tt.prev, tt.cur, a) + InterE(tt.prev, tt.cur, a); got != tt.want {
+			t.Errorf("InterF+InterE(%v,%v) = %g, want %g", tt.prev, tt.cur, got, tt.want)
 		}
 	}
 }
@@ -160,13 +160,13 @@ func TestParallelismString(t *testing.T) {
 func TestDPDPFreeProperty(t *testing.T) {
 	prop := func(f, e uint32) bool {
 		a := LayerAmounts{FBound: float64(f % 1e6), EBound: float64(e % 1e6)}
-		if Inter(DP, DP, a) != 0 {
+		if InterF(DP, DP, a)+InterE(DP, DP, a) != 0 {
 			return false
 		}
 		// All other transitions cost at least as much.
 		for _, p := range []Parallelism{DP, MP} {
 			for _, c := range []Parallelism{DP, MP} {
-				if Inter(p, c, a) < 0 {
+				if InterF(p, c, a)+InterE(p, c, a) < 0 {
 					return false
 				}
 			}

@@ -224,33 +224,3 @@ func (s *Session) AblationOverlap(modelName string) (*report.Table, error) {
 	}
 	return t, nil
 }
-
-// AblationDepth is the one-shot form of Session.AblationDepth.
-func AblationDepth(cfg hypar.Config, maxLevels int, modelName string) (*report.Table, error) {
-	return NewSession(cfg).AblationDepth(maxLevels, modelName)
-}
-
-// AblationTopology is the one-shot form of Session.AblationTopology.
-func AblationTopology(cfg hypar.Config, modelName string) (*report.Table, error) {
-	return NewSession(cfg).AblationTopology(modelName)
-}
-
-// AblationBatch is the one-shot form of Session.AblationBatch.
-func AblationBatch(cfg hypar.Config, modelName string) (*report.Table, error) {
-	return NewSession(cfg).AblationBatch(modelName)
-}
-
-// AblationLinkBandwidth is the one-shot form of Session.AblationLinkBandwidth.
-func AblationLinkBandwidth(cfg hypar.Config, modelName string) (*report.Table, error) {
-	return NewSession(cfg).AblationLinkBandwidth(modelName)
-}
-
-// AblationPrecision is the one-shot form of Session.AblationPrecision.
-func AblationPrecision(cfg hypar.Config, modelName string) (*report.Table, error) {
-	return NewSession(cfg).AblationPrecision(modelName)
-}
-
-// AblationOverlap is the one-shot form of Session.AblationOverlap.
-func AblationOverlap(cfg hypar.Config, modelName string) (*report.Table, error) {
-	return NewSession(cfg).AblationOverlap(modelName)
-}

@@ -119,8 +119,3 @@ func (s *Session) BeamTable() (*report.Table, error) {
 	}
 	return t, nil
 }
-
-// BeamTable is the one-shot form of Session.BeamTable.
-func BeamTable(cfg hypar.Config) (*report.Table, error) {
-	return NewSession(cfg).BeamTable()
-}

@@ -53,8 +53,3 @@ func (s *Session) BranchedTable() (*report.Table, error) {
 	}
 	return t, nil
 }
-
-// BranchedTable is the one-shot form of Session.BranchedTable.
-func BranchedTable(cfg hypar.Config) (*report.Table, error) {
-	return NewSession(cfg).BranchedTable()
-}

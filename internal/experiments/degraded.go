@@ -120,8 +120,3 @@ func (s *Session) DegradedTable() (*report.Table, error) {
 	}
 	return t, nil
 }
-
-// DegradedTable is the one-shot form of Session.DegradedTable.
-func DegradedTable(cfg hypar.Config) (*report.Table, error) {
-	return NewSession(cfg).DegradedTable()
-}

@@ -15,9 +15,7 @@
 // zoo-wide strategy comparison once and shares it across Fig5-8 and
 // Fig12, and fans every independent sweep out on a runner.Pool. All
 // fan-outs collect results in deterministic input order, so a width-1
-// session and a width-N session render byte-identical tables. The
-// package-level Fig*/Ablation* functions are one-shot conveniences
-// that each build a fresh session on the default pool.
+// session and a width-N session render byte-identical tables.
 package experiments
 
 import (
@@ -56,14 +54,7 @@ type Session struct {
 	cfg  hypar.Config
 	pool *runner.Pool
 
-	// pinMu guards the pinned model slices only. It is separate from mu
-	// because mu is held across whole comparison fan-outs (CompareZoo),
-	// and the session cache's eviction hook reads the pinned models from
-	// unrelated requests' goroutines — those must never wait on another
-	// request's compute.
-	pinMu    sync.Mutex
-	zoo      []*hypar.Model
-	branched []*hypar.Model
+	zoo, branched func() []*hypar.Model // pinned on first use
 
 	mu   sync.Mutex
 	cmps []*hypar.Comparison
@@ -83,7 +74,13 @@ func NewSession(cfg hypar.Config) *Session { return NewSessionWithPool(cfg, runn
 // NewSessionWithPool creates a session on an explicit pool (width 1 is
 // the serial reference path).
 func NewSessionWithPool(cfg hypar.Config, pool *runner.Pool) *Session {
-	return &Session{cfg: cfg, pool: pool, warm: make(map[string]*hypar.Plan)}
+	return &Session{
+		cfg:      cfg,
+		pool:     pool,
+		zoo:      sync.OnceValue(hypar.Zoo),
+		branched: sync.OnceValue(hypar.BranchedZoo),
+		warm:     make(map[string]*hypar.Plan),
+	}
 }
 
 // warmPlan returns the session's warm-start hint for the named model,
@@ -116,38 +113,12 @@ func (s *Session) Pool() *runner.Pool { return s.pool }
 // Zoo returns the session's pinned zoo models. Pinning matters: shape
 // inference memoizes per model instance, so every figure that walks
 // s.Zoo() shares one inference per (model, batch).
-func (s *Session) Zoo() []*hypar.Model {
-	s.pinMu.Lock()
-	defer s.pinMu.Unlock()
-	if s.zoo == nil {
-		s.zoo = hypar.Zoo()
-	}
-	return s.zoo
-}
+func (s *Session) Zoo() []*hypar.Model { return s.zoo() }
 
 // Branched returns the session's pinned branched (DAG) workload
 // networks, pinned on first use for the same shape-inference sharing
 // as Zoo.
-func (s *Session) Branched() []*hypar.Model {
-	s.pinMu.Lock()
-	defer s.pinMu.Unlock()
-	if s.branched == nil {
-		s.branched = hypar.BranchedZoo()
-	}
-	return s.branched
-}
-
-// PinnedModels returns every model instance the session has pinned so
-// far — zoo and branched — without forcing either set to build. The
-// session cache uses it to release a retired session's shape-cache
-// entries; it never blocks on in-flight comparison work.
-func (s *Session) PinnedModels() []*hypar.Model {
-	s.pinMu.Lock()
-	defer s.pinMu.Unlock()
-	out := make([]*hypar.Model, 0, len(s.zoo)+len(s.branched))
-	out = append(out, s.zoo...)
-	return append(out, s.branched...)
-}
+func (s *Session) Branched() []*hypar.Model { return s.branched() }
 
 // CompareZoo runs all strategies over the ten zoo networks, fanning the
 // model × strategy product out on the pool, and caches the result for
@@ -364,18 +335,3 @@ func (s *Session) Fig12() (*report.Table, error) {
 	}
 	return t, nil
 }
-
-// Fig5 is the one-shot form of Session.Fig5.
-func Fig5(cfg hypar.Config) (*report.Table, error) { return NewSession(cfg).Fig5() }
-
-// Fig6 is the one-shot form of Session.Fig6.
-func Fig6(cfg hypar.Config) (*report.Table, error) { return NewSession(cfg).Fig6() }
-
-// Fig7 is the one-shot form of Session.Fig7.
-func Fig7(cfg hypar.Config) (*report.Table, error) { return NewSession(cfg).Fig7() }
-
-// Fig8 is the one-shot form of Session.Fig8.
-func Fig8(cfg hypar.Config) (*report.Table, error) { return NewSession(cfg).Fig8() }
-
-// Fig12 is the one-shot form of Session.Fig12.
-func Fig12(cfg hypar.Config) (*report.Table, error) { return NewSession(cfg).Fig12() }

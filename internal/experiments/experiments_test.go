@@ -23,7 +23,7 @@ func TestGeomean(t *testing.T) {
 }
 
 func TestFig5(t *testing.T) {
-	tb, err := Fig5(cfg())
+	tb, err := NewSession(cfg()).Fig5()
 	if err != nil {
 		t.Fatalf("Fig5: %v", err)
 	}
@@ -41,7 +41,7 @@ func TestFig5(t *testing.T) {
 }
 
 func TestFig6Shape(t *testing.T) {
-	tb, err := Fig6(cfg())
+	tb, err := NewSession(cfg()).Fig6()
 	if err != nil {
 		t.Fatalf("Fig6: %v", err)
 	}
@@ -55,7 +55,7 @@ func TestFig6Shape(t *testing.T) {
 }
 
 func TestFig7Shape(t *testing.T) {
-	tb, err := Fig7(cfg())
+	tb, err := NewSession(cfg()).Fig7()
 	if err != nil {
 		t.Fatalf("Fig7: %v", err)
 	}
@@ -65,7 +65,7 @@ func TestFig7Shape(t *testing.T) {
 }
 
 func TestFig8Shape(t *testing.T) {
-	tb, err := Fig8(cfg())
+	tb, err := NewSession(cfg()).Fig8()
 	if err != nil {
 		t.Fatalf("Fig8: %v", err)
 	}
@@ -75,7 +75,7 @@ func TestFig8Shape(t *testing.T) {
 }
 
 func TestFig9(t *testing.T) {
-	tb, ex, err := Fig9(cfg())
+	tb, ex, err := NewSession(cfg()).Fig9()
 	if err != nil {
 		t.Fatalf("Fig9: %v", err)
 	}
@@ -92,7 +92,7 @@ func TestFig9(t *testing.T) {
 }
 
 func TestFig10(t *testing.T) {
-	_, ex, err := Fig10(cfg())
+	_, ex, err := NewSession(cfg()).Fig10()
 	if err != nil {
 		t.Fatalf("Fig10: %v", err)
 	}
@@ -111,7 +111,7 @@ func TestFig10(t *testing.T) {
 }
 
 func TestFig11(t *testing.T) {
-	tb, points, err := Fig11(cfg(), 6)
+	tb, points, err := NewSession(cfg()).Fig11(6)
 	if err != nil {
 		t.Fatalf("Fig11: %v", err)
 	}
@@ -156,7 +156,7 @@ func TestFig11(t *testing.T) {
 }
 
 func TestFig12(t *testing.T) {
-	tb, err := Fig12(cfg())
+	tb, err := NewSession(cfg()).Fig12()
 	if err != nil {
 		t.Fatalf("Fig12: %v", err)
 	}
@@ -170,7 +170,7 @@ func TestFig12(t *testing.T) {
 }
 
 func TestFig13(t *testing.T) {
-	tb, err := Fig13(cfg())
+	tb, err := NewSession(cfg()).Fig13()
 	if err != nil {
 		t.Fatalf("Fig13: %v", err)
 	}
@@ -186,40 +186,40 @@ func TestFig13(t *testing.T) {
 }
 
 func TestAblations(t *testing.T) {
-	if tb, err := AblationDepth(cfg(), 5, "VGG-A"); err != nil || tb.NumRows() != 5 {
+	if tb, err := NewSession(cfg()).AblationDepth(5, "VGG-A"); err != nil || tb.NumRows() != 5 {
 		t.Errorf("AblationDepth: rows=%v err=%v", tb, err)
 	}
-	if tb, err := AblationTopology(cfg(), "AlexNet"); err != nil || tb.NumRows() != 3 {
+	if tb, err := NewSession(cfg()).AblationTopology("AlexNet"); err != nil || tb.NumRows() != 3 {
 		t.Errorf("AblationTopology: err=%v", err)
 	}
-	if tb, err := AblationBatch(cfg(), "AlexNet"); err != nil || tb.NumRows() != 5 {
+	if tb, err := NewSession(cfg()).AblationBatch("AlexNet"); err != nil || tb.NumRows() != 5 {
 		t.Errorf("AblationBatch: err=%v", err)
 	}
-	if tb, err := AblationLinkBandwidth(cfg(), "VGG-A"); err != nil || tb.NumRows() != 6 {
+	if tb, err := NewSession(cfg()).AblationLinkBandwidth("VGG-A"); err != nil || tb.NumRows() != 6 {
 		t.Errorf("AblationLinkBandwidth: err=%v", err)
 	}
-	if tb, err := AblationOverlap(cfg(), "VGG-A"); err != nil || tb.NumRows() != 4 {
+	if tb, err := NewSession(cfg()).AblationOverlap("VGG-A"); err != nil || tb.NumRows() != 4 {
 		t.Errorf("AblationOverlap: err=%v", err)
 	}
-	if tb, err := AblationPrecision(cfg(), "VGG-A"); err != nil || tb.NumRows() != 3 {
+	if tb, err := NewSession(cfg()).AblationPrecision("VGG-A"); err != nil || tb.NumRows() != 3 {
 		t.Errorf("AblationPrecision: err=%v", err)
 	}
-	if _, err := AblationDepth(cfg(), 3, "nope"); err == nil {
+	if _, err := NewSession(cfg()).AblationDepth(3, "nope"); err == nil {
 		t.Error("unknown model accepted")
 	}
-	if _, err := AblationTopology(cfg(), "nope"); err == nil {
+	if _, err := NewSession(cfg()).AblationTopology("nope"); err == nil {
 		t.Error("unknown model accepted")
 	}
-	if _, err := AblationBatch(cfg(), "nope"); err == nil {
+	if _, err := NewSession(cfg()).AblationBatch("nope"); err == nil {
 		t.Error("unknown model accepted")
 	}
-	if _, err := AblationLinkBandwidth(cfg(), "nope"); err == nil {
+	if _, err := NewSession(cfg()).AblationLinkBandwidth("nope"); err == nil {
 		t.Error("unknown model accepted")
 	}
-	if _, err := AblationOverlap(cfg(), "nope"); err == nil {
+	if _, err := NewSession(cfg()).AblationOverlap("nope"); err == nil {
 		t.Error("unknown model accepted")
 	}
-	if _, err := AblationPrecision(cfg(), "nope"); err == nil {
+	if _, err := NewSession(cfg()).AblationPrecision("nope"); err == nil {
 		t.Error("unknown model accepted")
 	}
 }

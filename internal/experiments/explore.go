@@ -279,9 +279,3 @@ func addExploreRows(t *report.Table, ex *Exploration, keys []string) error {
 	}
 	return nil
 }
-
-// Fig9 is the one-shot form of Session.Fig9.
-func Fig9(cfg hypar.Config) (*report.Table, *Exploration, error) { return NewSession(cfg).Fig9() }
-
-// Fig10 is the one-shot form of Session.Fig10.
-func Fig10(cfg hypar.Config) (*report.Table, *Exploration, error) { return NewSession(cfg).Fig10() }

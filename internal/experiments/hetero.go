@@ -162,8 +162,3 @@ func (s *Session) HeteroTable() (*report.Table, error) {
 	}
 	return t, nil
 }
-
-// HeteroTable is the one-shot form of Session.HeteroTable.
-func HeteroTable(cfg hypar.Config) (*report.Table, error) {
-	return NewSession(cfg).HeteroTable()
-}

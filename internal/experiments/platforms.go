@@ -130,8 +130,3 @@ func (s *Session) PlatformTable() (*report.Table, error) {
 	}
 	return t, nil
 }
-
-// PlatformTable is the one-shot form of Session.PlatformTable.
-func PlatformTable(cfg hypar.Config) (*report.Table, error) {
-	return NewSession(cfg).PlatformTable()
-}

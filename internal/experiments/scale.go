@@ -66,8 +66,3 @@ func (s *Session) Fig11(maxLevels int) (*report.Table, []ScalePoint, error) {
 	}
 	return t, points, nil
 }
-
-// Fig11 is the one-shot form of Session.Fig11.
-func Fig11(cfg hypar.Config, maxLevels int) (*report.Table, []ScalePoint, error) {
-	return NewSession(cfg).Fig11(maxLevels)
-}

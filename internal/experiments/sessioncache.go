@@ -5,7 +5,6 @@ import (
 
 	hypar "repro"
 	"repro/internal/lru"
-	"repro/internal/nn"
 	"repro/internal/runner"
 )
 
@@ -27,24 +26,11 @@ type SessionCache struct {
 // NewSessionCache builds a cache bounded to max sessions, each created
 // on the given pool (nil = runner.Default). max <= 0 disables reuse:
 // every Get builds a fresh Session, the pre-cache behavior.
-//
-// Evicting a session also drops the shape-cache entries of every model
-// the session pinned: each session pins its own zoo instances, and the
-// nn shape cache memoizes per instance, so a retired session's entries
-// are dead weight the moment the last reference goes — previously they
-// lingered until the global cache aged them out, inflating it by one
-// zoo per evicted config.
 func NewSessionCache(max int, pool *runner.Pool) *SessionCache {
 	if pool == nil {
 		pool = runner.Default()
 	}
-	c := &SessionCache{c: lru.New[hypar.Config, *Session](max), pool: pool}
-	c.c.SetOnEvict(func(_ hypar.Config, s *Session) {
-		for _, m := range s.PinnedModels() {
-			nn.DropCachedShapes(m)
-		}
-	})
-	return c
+	return &SessionCache{c: lru.New[hypar.Config, *Session](max), pool: pool}
 }
 
 // SetOnBuild installs a hook invoked once per Session actually

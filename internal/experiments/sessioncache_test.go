@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	hypar "repro"
-	"repro/internal/nn"
 	"repro/internal/runner"
 )
 
@@ -103,36 +102,5 @@ func TestSessionCacheSharesWork(t *testing.T) {
 	}
 	if cmps[0] != cmps2[0] {
 		t.Error("second Get recomputed the zoo comparison")
-	}
-}
-
-// TestSessionCacheEvictionReleasesShapeCache is the shape-cache leak
-// regression: evicting a session must drop the shape-cache entries of
-// the zoo models it pinned. Thousands of distinct configs through a
-// small cache previously parked one dead zoo's worth of entries each
-// until the global cache churned them out; with the eviction hook the
-// shape cache stays bounded by the live sessions.
-func TestSessionCacheEvictionReleasesShapeCache(t *testing.T) {
-	const bound = 4
-	c := NewSessionCache(bound, runner.Serial())
-	baseline := nn.ShapeCacheLen()
-	// Live sessions can pin at most (bound+1) zoos' worth of entries
-	// (the +1 covers the session being built while the evictee is still
-	// counted); anything growing past that with the config count is the
-	// leak. Each iteration touches one zoo model so entries actually
-	// enter the shape cache.
-	limit := (bound + 1) * len(hypar.Zoo())
-	for batch := 1; batch <= 2000; batch++ {
-		s := c.Get(cacheCfg(batch))
-		if _, err := s.Zoo()[batch%10].CachedShapes(batch); err != nil {
-			t.Fatal(err)
-		}
-		if n := nn.ShapeCacheLen() - baseline; n > limit {
-			t.Fatalf("after %d distinct configs the shape cache grew by %d entries (limit %d): session eviction leaks",
-				batch, n, limit)
-		}
-	}
-	if c.Len() != bound {
-		t.Fatalf("session cache holds %d sessions, want %d", c.Len(), bound)
 	}
 }

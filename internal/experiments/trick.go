@@ -102,6 +102,3 @@ func (s *Session) Fig13() (*report.Table, error) {
 	}
 	return t, nil
 }
-
-// Fig13 is the one-shot form of Session.Fig13.
-func Fig13(cfg hypar.Config) (*report.Table, error) { return NewSession(cfg).Fig13() }

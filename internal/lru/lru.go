@@ -1,9 +1,9 @@
 // Package lru provides the one bounded, thread-safe LRU cache the rest
 // of the repository builds on: the service's sharded response cache,
-// its decoded-model intern cache, the shape-inference memo in
-// internal/nn, and the experiments session cache are all instances of
-// Cache rather than hand-rolled copies — eviction and locking
-// invariants live here once, not per call site.
+// its raw-bytes tier, its decoded-model intern cache and the
+// experiments session cache are all instances of Cache rather than
+// hand-rolled copies — eviction and locking invariants live here once,
+// not per call site.
 package lru
 
 import (
@@ -17,13 +17,12 @@ import (
 // A bound <= 0 disables storage: every Get misses and every Put is
 // dropped, while GetOrAdd still builds (it just does not retain).
 type Cache[K comparable, V any] struct {
-	mu      sync.Mutex
-	max     int
-	ll      *list.List // front = most recently used
-	items   map[K]*list.Element
-	onEvict func(K, V)
-	cost    func(K, V) int // nil = 1 per entry (max counts entries)
-	total   int            // summed cost of resident entries
+	mu    sync.Mutex
+	max   int
+	ll    *list.List // front = most recently used
+	items map[K]*list.Element
+	cost  func(K, V) int // nil = 1 per entry (max counts entries)
+	total int            // summed cost of resident entries
 }
 
 // entry is one cached value with its key (needed for eviction) and the
@@ -66,24 +65,6 @@ func (c *Cache[K, V]) costOf(key K, val V) int {
 	return 1
 }
 
-// SetOnEvict installs a hook invoked once per entry leaving the cache —
-// capacity eviction or Remove (not value refreshes). The
-// hook runs after the cache lock is released, so it may use the cache's
-// own methods; install it before the cache is shared across goroutines.
-// Hooks for entries dropped by one operation run in eviction order.
-func (c *Cache[K, V]) SetOnEvict(fn func(K, V)) { c.onEvict = fn }
-
-// notify fires the eviction hook for every dropped entry. Callers must
-// NOT hold mu.
-func (c *Cache[K, V]) notify(dropped []entry[K, V]) {
-	if c.onEvict == nil {
-		return
-	}
-	for _, e := range dropped {
-		c.onEvict(e.key, e.val)
-	}
-}
-
 // Get returns the cached value and marks it most recently used.
 func (c *Cache[K, V]) Get(key K) (V, bool) {
 	c.mu.Lock()
@@ -109,6 +90,7 @@ func (c *Cache[K, V]) Put(key K, val V) {
 		return
 	}
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
 		c.ll.MoveToFront(el)
 		e := el.Value.(*entry[K, V])
@@ -116,14 +98,10 @@ func (c *Cache[K, V]) Put(key K, val V) {
 		e.val, e.cost = val, cost
 		// A refresh can raise the entry's cost past the budget; shed
 		// colder entries the same way an insert would.
-		dropped := c.evict()
-		c.mu.Unlock()
-		c.notify(dropped)
+		c.evict()
 		return
 	}
-	dropped := c.insert(key, val, cost)
-	c.mu.Unlock()
-	c.notify(dropped)
+	c.insert(key, val, cost)
 }
 
 // GetOrAdd returns the cached value for key, building (and caching) it
@@ -133,65 +111,38 @@ func (c *Cache[K, V]) Put(key K, val V) {
 // bound every call builds and nothing is retained.
 func (c *Cache[K, V]) GetOrAdd(key K, build func() V) (V, bool) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
 		c.ll.MoveToFront(el)
-		val := el.Value.(*entry[K, V]).val
-		c.mu.Unlock()
-		return val, false
+		return el.Value.(*entry[K, V]).val, false
 	}
 	val := build()
-	var dropped []entry[K, V]
 	if cost := c.costOf(key, val); c.max > 0 && cost <= c.max {
-		dropped = c.insert(key, val, cost)
+		c.insert(key, val, cost)
 	}
-	c.mu.Unlock()
-	c.notify(dropped)
 	return val, true
 }
 
-// Remove drops the entry for key, reporting whether it was present.
-func (c *Cache[K, V]) Remove(key K) bool {
-	c.mu.Lock()
-	el, ok := c.items[key]
-	if !ok {
-		c.mu.Unlock()
-		return false
-	}
-	c.ll.Remove(el)
-	delete(c.items, key)
-	e := el.Value.(*entry[K, V])
-	c.total -= e.cost
-	c.mu.Unlock()
-	if c.onEvict != nil {
-		c.onEvict(e.key, e.val)
-	}
-	return true
-}
-
 // insert adds a fresh entry at the given cost and evicts past the
-// bound, returning the dropped entries. Callers hold mu and have
-// checked cost <= max.
-func (c *Cache[K, V]) insert(key K, val V, cost int) []entry[K, V] {
+// bound. Callers hold mu and have checked cost <= max.
+func (c *Cache[K, V]) insert(key K, val V, cost int) {
 	c.items[key] = c.ll.PushFront(&entry[K, V]{key: key, val: val, cost: cost})
 	c.total += cost
-	return c.evict()
+	c.evict()
 }
 
 // evict sheds least-recently-used entries while the summed cost is
-// over the bound, returning them. Callers hold mu. The newest entry is
-// never evicted: insert/Put guarantee its cost fits the budget alone,
-// so the loop always terminates before reaching the front.
-func (c *Cache[K, V]) evict() []entry[K, V] {
-	var dropped []entry[K, V]
+// over the bound. Callers hold mu. The newest entry is never evicted:
+// insert/Put guarantee its cost fits the budget alone, so the loop
+// always terminates before reaching the front.
+func (c *Cache[K, V]) evict() {
 	for c.total > c.max && c.ll.Len() > 1 {
 		last := c.ll.Back()
 		c.ll.Remove(last)
 		e := last.Value.(*entry[K, V])
 		delete(c.items, e.key)
 		c.total -= e.cost
-		dropped = append(dropped, *e)
 	}
-	return dropped
 }
 
 // Len returns the current entry count.

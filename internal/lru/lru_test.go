@@ -100,52 +100,6 @@ func TestLRUBoundUnderChurn(t *testing.T) {
 	}
 }
 
-// TestRemove drops one entry and leaves the rest.
-func TestRemove(t *testing.T) {
-	c := New[int, string](4)
-	c.Put(1, "a")
-	c.Put(2, "b")
-	if !c.Remove(1) {
-		t.Fatal("Remove(1) reported absent")
-	}
-	if c.Remove(1) {
-		t.Fatal("second Remove(1) reported present")
-	}
-	if _, ok := c.Get(1); ok {
-		t.Error("removed entry still present")
-	}
-	if v, ok := c.Get(2); !ok || v != "b" {
-		t.Errorf("Get(2) = %q, %v after removing 1", v, ok)
-	}
-}
-
-// TestOnEvictHook checks the hook fires exactly once per dropped entry
-// — capacity evictions and Remove — and not for refreshes,
-// and that it can safely re-enter the cache (it runs unlocked).
-func TestOnEvictHook(t *testing.T) {
-	c := New[int, string](2)
-	var evicted []int
-	c.SetOnEvict(func(k int, v string) {
-		evicted = append(evicted, k)
-		c.Len() // re-entrancy: must not deadlock
-	})
-	c.Put(1, "a")
-	c.Put(1, "a2") // refresh: no eviction
-	c.Put(2, "b")
-	c.Put(3, "c") // evicts 1 (LRU)
-	c.Remove(2)
-	c.Remove(3)
-	want := []int{1, 2, 3}
-	if len(evicted) != len(want) {
-		t.Fatalf("evicted %v, want %v", evicted, want)
-	}
-	for i := range want {
-		if evicted[i] != want[i] {
-			t.Fatalf("evicted %v, want %v", evicted, want)
-		}
-	}
-}
-
 // TestSizedBudget pins the cost-aware bound: the summed cost never
 // exceeds the budget, eviction is LRU over cost, and an entry larger
 // than the whole budget is refused without disturbing residents.
@@ -179,6 +133,31 @@ func TestSizedBudget(t *testing.T) {
 	if c.Len() != before {
 		t.Errorf("over-budget Put disturbed residents: Len %d → %d", before, c.Len())
 	}
+
+	// A refused Put evicts nothing; the next insert sheds in LRU order.
+	c = NewSized[string, string](6, func(_, v string) int { return len(v) })
+	c.Put("a", "123")     // 3
+	c.Put("b", "123")     // 3
+	c.Put("c", "1234567") // 7 > 6: refused
+	if _, ok := c.Get("c"); ok || c.Len() != 2 {
+		t.Fatalf("refused Put stored c or evicted a resident: Len=%d", c.Len())
+	}
+	if _, ok := c.Get("a"); !ok {
+		t.Fatal("refused Put evicted a")
+	}
+	if _, ok := c.Get("b"); !ok {
+		t.Fatal("refused Put evicted b")
+	}
+	c.Put("d", "12345") // 5: sheds a, then b
+	if _, ok := c.Get("a"); ok {
+		t.Error("a survived d's insert")
+	}
+	if _, ok := c.Get("b"); ok {
+		t.Error("b survived d's insert")
+	}
+	if _, ok := c.Get("d"); !ok || c.Len() != 1 {
+		t.Errorf("d missing or stray residents: Len=%d", c.Len())
+	}
 }
 
 // TestSizedRefreshCost pins that refreshing a key re-prices it: the
@@ -199,24 +178,5 @@ func TestSizedRefreshCost(t *testing.T) {
 	}
 	if c.Len() != 1 {
 		t.Errorf("Len=%d, want 1 (a and b shed to fit c's refresh)", c.Len())
-	}
-}
-
-// TestSizedEvictHook pins that cost-driven eviction fires the OnEvict
-// hook exactly once per shed entry, in eviction order.
-func TestSizedEvictHook(t *testing.T) {
-	cost := func(k, v string) int { return len(v) }
-	c := NewSized[string, string](6, cost)
-	var evicted []string
-	c.SetOnEvict(func(k, _ string) { evicted = append(evicted, k) })
-	c.Put("a", "123")     // 3
-	c.Put("b", "123")     // 3
-	c.Put("c", "1234567") // 7 > 6: refused, no evictions
-	if len(evicted) != 0 {
-		t.Fatalf("refused Put evicted %v", evicted)
-	}
-	c.Put("d", "12345") // 5: evicts a then b
-	if len(evicted) != 2 || evicted[0] != "a" || evicted[1] != "b" {
-		t.Fatalf("evicted %v, want [a b]", evicted)
 	}
 }

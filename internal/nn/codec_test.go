@@ -102,8 +102,7 @@ func TestEncodeModelCanonical(t *testing.T) {
 	}
 
 	// Explicit defaults (stride 1, pool 1, relu) collapse to the same bytes.
-	expl := *m
-	expl.Layers = append([]Layer(nil), m.Layers...)
+	expl := Model{Name: m.Name, Input: m.Input, Layers: append([]Layer(nil), m.Layers...)}
 	expl.Layers[0].Stride = 1
 	encExpl, err := EncodeModel(&expl)
 	if err != nil {

@@ -44,16 +44,6 @@ func (s LayerShapes) MACs(p Phase) int64 {
 	return s.Out.Elems() * perOut
 }
 
-// StepMACs returns the MAC count of one full training step of the layer
-// (all three phases).
-func (s LayerShapes) StepMACs() int64 {
-	var n int64
-	for _, p := range Phases {
-		n += s.MACs(p)
-	}
-	return n
-}
-
 // ActOps returns the element-wise operation count for the activation
 // (forward) or its derivative (backward); zero for NoAct.
 func (s LayerShapes) ActOps() int64 {
@@ -70,10 +60,4 @@ func (s LayerShapes) PoolOps() int64 {
 		return 0
 	}
 	return s.Carried.Elems() * int64(p*p)
-}
-
-// UpdateOps returns the element-wise weight-update operation count
-// (one multiply-add per weight).
-func (s LayerShapes) UpdateOps() int64 {
-	return s.Kernel.Elems()
 }

@@ -21,9 +21,6 @@ func TestMACsFC(t *testing.T) {
 			t.Errorf("fc1 %v MACs = %d, want %d", p, got, want)
 		}
 	}
-	if got := shapes[0].StepMACs(); got != 3*want {
-		t.Errorf("fc1 StepMACs = %d, want %d", got, 3*want)
-	}
 }
 
 func TestMACsConv(t *testing.T) {
@@ -54,9 +51,6 @@ func TestAncillaryOps(t *testing.T) {
 	fc2 := shapes[3]
 	if got := fc2.PoolOps(); got != 0 {
 		t.Errorf("fc PoolOps = %d, want 0", got)
-	}
-	if got := fc2.UpdateOps(); got != fc2.Kernel.Elems() {
-		t.Errorf("UpdateOps = %d, want kernel size", got)
 	}
 	noAct := LayerShapes{Layer: Layer{Act: NoAct}, Out: c1.Out}
 	if got := noAct.ActOps(); got != 0 {

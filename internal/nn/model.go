@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/tensor"
 )
@@ -36,6 +37,8 @@ type Model struct {
 	Name   string
 	Input  Input
 	Layers []Layer
+
+	memo atomic.Pointer[shapeMemo] // CachedShapes' snapshot
 }
 
 // IsGraph reports whether any layer declares explicit inputs, i.e.

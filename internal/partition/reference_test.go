@@ -14,7 +14,7 @@ func assignmentCost(amounts []comm.LayerAmounts, a Assignment) float64 {
 	for i := range amounts {
 		total += comm.Intra(a[i], amounts[i])
 		if i > 0 {
-			total += comm.Inter(a[i-1], a[i], amounts[i-1])
+			total += comm.InterF(a[i-1], a[i], amounts[i-1]) + comm.InterE(a[i-1], a[i], amounts[i-1])
 		}
 	}
 	return total
@@ -32,7 +32,7 @@ func assignmentCostGraph(amounts []comm.LayerAmounts, preds [][]int, a Assignmen
 		total += comm.Intra(a[i], amounts[i])
 		for _, u := range preds[i] {
 			if u >= 0 {
-				total += comm.Inter(a[u], a[i], amounts[u])
+				total += comm.InterF(a[u], a[i], amounts[u]) + comm.InterE(a[u], a[i], amounts[u])
 			}
 		}
 	}

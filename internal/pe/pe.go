@@ -111,22 +111,6 @@ func (c Config) ComputeTime(macs float64, s nn.LayerShapes) float64 {
 	return 2 * macs / (c.GOPS * c.Utilization(s))
 }
 
-// TileFactor estimates how many buffer-sized passes the layer's kernel
-// working set needs through the 108 KB on-chip buffer. It is exposed
-// for the buffer-size ablation benchmarks; the headline DRAM-traffic
-// model charges each tensor element once per phase, which is what the
-// HMC's 320 GB/s in-cube bandwidth sustains with row-stationary reuse
-// (each operand row is consumed by a whole PE diagonal once fetched).
-func (c Config) TileFactor(s nn.LayerShapes) float64 {
-	bufBytes := c.BufferKB * 1024
-	kernelBytes := float64(s.Kernel.Elems()) * c.ElemsBytes
-	// One input row-strip and one output row-strip per pass.
-	stripBytes := float64(s.In.SliceElems()+s.Out.SliceElems()) / math.Max(1, float64(s.Out.H)) * c.ElemsBytes
-	passWorkingSet := stripBytes + kernelBytes
-	passes := math.Ceil(passWorkingSet / bufBytes)
-	return math.Max(1, passes)
-}
-
 // DRAMTraffic returns the bytes one PU moves to and from its cube DRAM
 // for one phase of the layer: each locally held operand element is read
 // once and each result element written once (row-stationary reuse keeps

@@ -90,28 +90,6 @@ func TestComputeTime(t *testing.T) {
 	}
 }
 
-func TestTileFactor(t *testing.T) {
-	c := Default()
-	shapes := shapesOf(t, nn.VGGA(), 256)
-	for _, s := range shapes {
-		tf := c.TileFactor(s)
-		if tf < 1 {
-			t.Errorf("%s TileFactor = %g, want >= 1", s.Layer.Name, tf)
-		}
-	}
-	// VGG fc1 holds a 98 MB weight matrix: it cannot stream through a
-	// 108 KB buffer in one pass.
-	var fc1 nn.LayerShapes
-	for _, s := range shapes {
-		if s.Layer.Name == "fc1" {
-			fc1 = s
-		}
-	}
-	if tf := c.TileFactor(fc1); tf <= 1 {
-		t.Errorf("fc1 TileFactor = %g, want > 1", tf)
-	}
-}
-
 func TestDRAMTraffic(t *testing.T) {
 	c := Default()
 	shapes := shapesOf(t, nn.LenetC(), 32)

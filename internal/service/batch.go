@@ -68,10 +68,8 @@ func errorLine(err error) []byte {
 // order — on success exactly the bytes the item's single-request
 // endpoint returns, on failure the uniform {"error": "..."} body.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) error {
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, MaxBatchBytes))
-	dec.DisallowUnknownFields()
 	var req batchRequest
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeBody(http.MaxBytesReader(nil, r.Body, MaxBatchBytes), &req); err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			return errTooLarge(mbe.Limit)

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	hypar "repro"
+	"repro/internal/lru"
 	"repro/internal/nn"
 )
 
@@ -78,10 +79,14 @@ func internModel(t *testing.T, i int) (string, *nn.Model) {
 // set with it.
 func TestModelCacheLRU(t *testing.T) {
 	const max = 8
-	c := newModelCache(max)
+	c := lru.New[string, *nn.Model](max)
+	intern := func(key string, m *nn.Model) *nn.Model {
+		got, _ := c.GetOrAdd(key, func() *nn.Model { return m })
+		return got
+	}
 
 	hotKey, hot := internModel(t, 0)
-	if got := c.intern(hotKey, hot); got != hot {
+	if got := intern(hotKey, hot); got != hot {
 		t.Fatal("first intern did not store the instance")
 	}
 
@@ -89,12 +94,12 @@ func TestModelCacheLRU(t *testing.T) {
 	// hot model between every insertion (a realistic hot set).
 	for i := 1; i <= 4*max; i++ {
 		key, m := internModel(t, i)
-		c.intern(key, m)
+		intern(key, m)
 		_, probe := internModel(t, 0)
-		if got := c.intern(hotKey, probe); got != hot {
+		if got := intern(hotKey, probe); got != hot {
 			t.Fatalf("hot model evicted after %d unique insertions (flush-style eviction)", i)
 		}
-		if n := c.len(); n > max {
+		if n := c.Len(); n > max {
 			t.Fatalf("cache grew to %d entries past the %d bound", n, max)
 		}
 	}
@@ -103,7 +108,7 @@ func TestModelCacheLRU(t *testing.T) {
 	// re-interning it stores a fresh instance.
 	coldKey, cold1 := internModel(t, 1)
 	_, cold2 := internModel(t, 1)
-	if got := c.intern(coldKey, cold2); got == cold1 {
+	if got := intern(coldKey, cold2); got == cold1 {
 		t.Error("cold entry survived a flood 4x the bound — eviction is not happening")
 	}
 }

@@ -42,6 +42,7 @@ import (
 	"errors"
 	"fmt"
 	"hash"
+	"io"
 	"net"
 	"net/http"
 	"slices"
@@ -222,10 +223,15 @@ type Server struct {
 	// keeps its dedicated session above.
 	sessions *experiments.SessionCache
 
+	// models interns decoded user models by canonical JSON, so
+	// repeated identical submissions share one *nn.Model and with it
+	// its shape memo; the LRU bound keeps all-unique traffic from
+	// holding thousands of dead models.
+	models *lru.Cache[string, *nn.Model]
+
 	cache     *shardedLRU
 	raw       *rawCache // exact-bytes fast path (nil = disabled)
 	flight    shardedFlight
-	models    *modelCache
 	jobs      *jobTable
 	onCompute func(endpoint, key string)
 	faultHook func(ctx context.Context, endpoint, key string) error
@@ -334,7 +340,7 @@ func New(opts Options) (*Server, error) {
 		IdleTimeout:       time.Minute,
 	}
 	s.evaluators.New = func() any { return hypar.NewEvaluator() }
-	s.models = newModelCache(DefaultModelEntries)
+	s.models = lru.New[string, *nn.Model](DefaultModelEntries)
 	if s.pinned, err = pinModels(s.session); err != nil {
 		return nil, err
 	}
@@ -441,41 +447,6 @@ func (s *Server) sessionFor(cfg hypar.Config) *experiments.Session {
 
 // ---------------------------------------------------------------------------
 // Request parsing
-
-// modelCache dedupes decoded user models by canonical JSON. The shape
-// cache in internal/nn memoizes per *Model pointer, so handing repeated
-// identical submissions the same instance is what makes their shape
-// inference hit; the bound keeps hostile all-unique traffic from
-// holding thousands of dead models. Eviction is LRU (one instance of
-// the shared internal/lru cache): earlier this cache flushed the whole
-// map when full, so a flood of unique hostile models would evict the
-// hot set it exists to keep — now hostile traffic only churns the cold
-// tail while interned hot models survive.
-type modelCache struct {
-	c *lru.Cache[string, *nn.Model]
-}
-
-// newModelCache builds an intern cache bounded to max models. Evicting
-// an interned model also drops its shape-cache entries: the shape LRU
-// memoizes per *Model pointer, so a model instance leaving the intern
-// cache can never hit again — its entries are dead weight, the same
-// leak the session cache's eviction hook closes for pinned zoos.
-func newModelCache(max int) *modelCache {
-	c := &modelCache{c: lru.New[string, *nn.Model](max)}
-	c.c.SetOnEvict(func(_ string, m *nn.Model) { nn.DropCachedShapes(m) })
-	return c
-}
-
-// intern returns the cached instance for the canonical bytes, storing m
-// as the new canonical instance on a miss and evicting the least
-// recently used models beyond the bound.
-func (c *modelCache) intern(key string, m *nn.Model) *nn.Model {
-	got, _ := c.c.GetOrAdd(key, func() *nn.Model { return m })
-	return got
-}
-
-// len returns the current entry count.
-func (c *modelCache) len() int { return c.c.Len() }
 
 // freeVarJSON is the wire form of one exploration free variable.
 type freeVarJSON struct {
@@ -589,13 +560,31 @@ func (s *Server) parseRequest(r *http.Request, wantStrategy, wantFree bool) (*pa
 // in the returned parsed aliases body, so callers may release a pooled
 // body buffer once parseBody returns.
 func (s *Server) parseBody(body []byte, wantStrategy, wantFree bool) (*parsed, error) {
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
 	var req request
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeBody(bytes.NewReader(body), &req); err != nil {
 		return nil, badRequest(fmt.Errorf("%w: body: %v", ErrService, err))
 	}
 	return s.resolveRequest(req, wantStrategy, wantFree)
+}
+
+// decodeBody decodes one JSON object from r into v. Unknown fields and
+// anything but whitespace after the object are errors, as in
+// nn.DecodeModel; a read error such as *http.MaxBytesError is returned
+// as is.
+func decodeBody(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		var mbe *http.MaxBytesError
+		if errors.As(err, &mbe) {
+			return err
+		}
+		return errors.New("trailing data after the JSON object")
+	}
+	return nil
 }
 
 // resolveRequest resolves and canonicalizes an already-decoded request
@@ -627,7 +616,7 @@ func (s *Server) resolveRequest(req request, wantStrategy, wantFree bool) (*pars
 		}
 		modelEncodes.Add(1)
 		p.modelJSON = enc
-		p.model = s.models.intern(string(enc), m)
+		p.model, _ = s.models.GetOrAdd(string(enc), func() *nn.Model { return m })
 	default:
 		return nil, badRequest(fmt.Errorf(`%w: one of "zoo" or "model" is required`, ErrService))
 	}

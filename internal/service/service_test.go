@@ -398,6 +398,59 @@ func TestRequestErrors(t *testing.T) {
 	}
 }
 
+// TestTrailingDataRejected covers every request-body decode site:
+// anything but whitespace after the JSON object is a 400, while the
+// same object followed by a newline succeeds.
+func TestTrailingDataRejected(t *testing.T) {
+	n := newTestCluster(t, 2, nil)[0]
+	const fetchBody = `{"zoo":"SFC","strategy":"hypar"}`
+	p, err := n.srv.parseBody([]byte(fetchBody), true, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fetchKey := p.key("evaluate")
+	// post sends the peer headers everywhere; only /peer/v1/fetch reads them.
+	post := func(path, body string) (int, []byte) {
+		req, err := http.NewRequest(http.MethodPost, n.url+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(peerEndpointHeader, "evaluate")
+		req.Header.Set(peerKeyHeader, fetchKey)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, b
+	}
+	cases := []struct {
+		path, body, junk string
+		ok               int
+	}{
+		{"/v1/plan", `{"zoo":"SFC"}`, `{"zoo":"VGG-A"}`, http.StatusOK},
+		{"/v1/evaluate", `{"zoo":"SFC"}`, ` garbage`, http.StatusOK},
+		{"/v1/compare", `{"zoo":"SFC"}`, `}`, http.StatusOK},
+		{"/v1/degrade", `{"zoo":"SFC","config":{"faults":{"level":1,"groups":2}}}`, `[]`, http.StatusOK},
+		{"/v1/explore", `{"zoo":"Lenet-c"}`, `{}`, http.StatusOK},
+		{"/v1/jobs", `{"zoo":"Lenet-c","free":[{"level":0,"layer":0}]}`, `0`, http.StatusAccepted},
+		{"/v1/batch", `{"items":[{"zoo":"SFC"}]}`, `{"items":[]}`, http.StatusOK},
+		{PeerFetchPath, fetchBody, `"x"`, http.StatusOK},
+	}
+	for _, tc := range cases {
+		if code, b := post(tc.path, tc.body+tc.junk); code != http.StatusBadRequest {
+			t.Errorf("%s with trailing %q: status %d, want 400 (%.120s)", tc.path, tc.junk, code, b)
+		}
+		if code, b := post(tc.path, tc.body+"\n"); code != tc.ok {
+			t.Errorf("%s with a trailing newline: status %d, want %d (%.120s)", tc.path, code, tc.ok, b)
+		}
+	}
+}
+
 // freeVars renders n distinct free-variable objects for VGG-A.
 func freeVars(n int) string {
 	parts := make([]string, n)

@@ -14,7 +14,7 @@ import (
 // (no cycles), produce positive times, and carry the plan's full
 // communication volume.
 func TestSimulateBranchedModels(t *testing.T) {
-	arch, err := DefaultArch(4)
+	arch, err := defaultArch(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestBranchedSkipTransfersScheduled(t *testing.T) {
 	if forkEdges != 2 {
 		t.Fatalf("stem has %d fork edges, want 2", forkEdges)
 	}
-	arch, err := DefaultArch(1)
+	arch, err := defaultArch(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestBranchedDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arch, err := DefaultArch(3)
+	arch, err := defaultArch(3)
 	if err != nil {
 		t.Fatal(err)
 	}

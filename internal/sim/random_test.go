@@ -16,9 +16,9 @@ import (
 // resource-occupancy bound (no resource busier than the makespan).
 func TestRandomPlansSchedule(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
-	arch, err := DefaultArch(4)
+	arch, err := defaultArch(4)
 	if err != nil {
-		t.Fatalf("DefaultArch: %v", err)
+		t.Fatalf("defaultArch: %v", err)
 	}
 	models := []*nn.Model{nn.LenetC(), nn.CifarC(), nn.AlexNet()}
 	for trial := 0; trial < 50; trial++ {
@@ -62,9 +62,9 @@ func TestRandomPlansSchedule(t *testing.T) {
 // TestTraceCollection: the trace covers every task, and its makespan
 // equals the reported step time.
 func TestTraceCollection(t *testing.T) {
-	arch, err := DefaultArch(4)
+	arch, err := defaultArch(4)
 	if err != nil {
-		t.Fatalf("DefaultArch: %v", err)
+		t.Fatalf("defaultArch: %v", err)
 	}
 	arch.CollectTrace = true
 	m := nn.LenetC()
@@ -106,9 +106,9 @@ func TestTraceCollection(t *testing.T) {
 // every accelerator, so VGG-E at a huge batch blows past the 8 GB HMC
 // capacity, while HyPar's fc sharding at the paper's batch fits.
 func TestMemoryAccounting(t *testing.T) {
-	arch, err := DefaultArch(4)
+	arch, err := defaultArch(4)
 	if err != nil {
-		t.Fatalf("DefaultArch: %v", err)
+		t.Fatalf("defaultArch: %v", err)
 	}
 	m := nn.VGGE()
 	plan, err := solve(m, 256, unit(4))

@@ -111,7 +111,7 @@ func TestRunDetectsCycleAfterReset(t *testing.T) {
 // TestSimulatorMatchesSimulate checks engine reuse yields bit-identical
 // stats to the one-shot path across models and strategies.
 func TestSimulatorMatchesSimulate(t *testing.T) {
-	arch, err := DefaultArch(4)
+	arch, err := defaultArch(4)
 	if err != nil {
 		t.Fatal(err)
 	}

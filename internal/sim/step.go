@@ -48,17 +48,6 @@ type Arch struct {
 	CollectTrace bool
 }
 
-// DefaultArch returns the paper's evaluation platform: sixteen
-// HMC-based accelerators (H = 4) on an H-tree with 1600 Mb/s links.
-func DefaultArch(levels int) (Arch, error) {
-	p := platform.HMC()
-	ht, err := noc.NewHTree(levels, p.DefaultLinkMbps())
-	if err != nil {
-		return Arch{}, err
-	}
-	return Arch{Mem: p.Memory(), Comp: p.Compute(), NoC: ht, DType: tensor.Float32}, nil
-}
-
 // Validate checks the architecture.
 func (a Arch) Validate() error {
 	if a.Mem == nil {

@@ -9,14 +9,26 @@ import (
 	"repro/internal/noc"
 	"repro/internal/partition"
 	"repro/internal/pe"
+	"repro/internal/platform"
 	"repro/internal/tensor"
 )
 
+// defaultArch returns the paper's evaluation platform: 2^levels
+// HMC-based accelerators on an H-tree with 1600 Mb/s links.
+func defaultArch(levels int) (Arch, error) {
+	p := platform.HMC()
+	ht, err := noc.NewHTree(levels, p.DefaultLinkMbps())
+	if err != nil {
+		return Arch{}, err
+	}
+	return Arch{Mem: p.Memory(), Comp: p.Compute(), NoC: ht, DType: tensor.Float32}, nil
+}
+
 func arch4(t *testing.T) Arch {
 	t.Helper()
-	a, err := DefaultArch(4)
+	a, err := defaultArch(4)
 	if err != nil {
-		t.Fatalf("DefaultArch: %v", err)
+		t.Fatalf("defaultArch: %v", err)
 	}
 	return a
 }
@@ -290,7 +302,7 @@ func TestSimulateErrors(t *testing.T) {
 }
 
 func TestDefaultArchBadLevels(t *testing.T) {
-	if _, err := DefaultArch(-1); err == nil {
+	if _, err := defaultArch(-1); err == nil {
 		t.Error("negative levels accepted")
 	}
 }

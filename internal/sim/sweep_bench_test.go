@@ -16,7 +16,7 @@ import (
 // simulating every plan on one reused Simulator. Each reports ns and
 // allocations per point; run it with -benchmem.
 func BenchmarkSimulateSweep(b *testing.B) {
-	arch, err := DefaultArch(4)
+	arch, err := defaultArch(4)
 	if err != nil {
 		b.Fatal(err)
 	}

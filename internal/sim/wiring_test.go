@@ -44,7 +44,7 @@ func wiringPlans(t *testing.T, m *nn.Model, r *rand.Rand) map[string]*partition.
 // wiring memo is hit, replaced and recompiled; every result must
 // deep-equal a fresh one-shot Simulate.
 func TestSimulatorReuseAcrossModels(t *testing.T) {
-	arch, err := DefaultArch(4)
+	arch, err := defaultArch(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestSimulatorReuseAcrossModels(t *testing.T) {
 // carrying an edge the model does not have fails with ErrSim right
 // after a memo hit.
 func TestSimulatorReusePermutedEdges(t *testing.T) {
-	arch, err := DefaultArch(4)
+	arch, err := defaultArch(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestSimulatorReusePermutedEdges(t *testing.T) {
 // and its CommSeconds, on the serial path (VGG-A, Lenet-c) and the
 // engine path (Incep-2) alike.
 func TestAllocsSimulatorSameModel(t *testing.T) {
-	arch, err := DefaultArch(4)
+	arch, err := defaultArch(4)
 	if err != nil {
 		t.Fatal(err)
 	}

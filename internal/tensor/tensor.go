@@ -67,15 +67,6 @@ type FeatureMap struct {
 	C int // channels (fc layers use H = W = 1, C = neurons)
 }
 
-// NewFeatureMap validates and constructs a FeatureMap.
-func NewFeatureMap(b, h, w, c int) (FeatureMap, error) {
-	f := FeatureMap{B: b, H: h, W: w, C: c}
-	if err := f.Validate(); err != nil {
-		return FeatureMap{}, err
-	}
-	return f, nil
-}
-
 // Validate reports whether all dimensions are positive.
 func (f FeatureMap) Validate() error {
 	if f.B <= 0 || f.H <= 0 || f.W <= 0 || f.C <= 0 {

@@ -116,14 +116,3 @@ func Summarize(recs []Record) ([]Occupancy, error) {
 	})
 	return out, nil
 }
-
-// Makespan returns the latest finish time across the records.
-func Makespan(recs []Record) float64 {
-	var m float64
-	for _, r := range recs {
-		if r.Finish > m {
-			m = r.Finish
-		}
-	}
-	return m
-}

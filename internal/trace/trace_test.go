@@ -71,12 +71,3 @@ func TestSummarize(t *testing.T) {
 		t.Errorf("invalid record accepted: %v", err)
 	}
 }
-
-func TestMakespan(t *testing.T) {
-	if m := Makespan(sample()); m != 5 {
-		t.Errorf("makespan = %g, want 5", m)
-	}
-	if m := Makespan(nil); m != 0 {
-		t.Errorf("empty makespan = %g", m)
-	}
-}

@@ -325,6 +325,3 @@ func (h *HierarchicalFC) FullWeights(l int) (*Tensor, error) {
 	}
 	return full, nil
 }
-
-// Workers returns the worker count 2^H.
-func (h *HierarchicalFC) Workers() int { return h.workers }

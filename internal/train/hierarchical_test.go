@@ -71,9 +71,6 @@ func TestHierarchicalEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("NewHierarchicalFC: %v", err)
 				}
-				if hier.Workers() != 4 {
-					t.Fatalf("workers = %d, want 4", hier.Workers())
-				}
 				x, labels, err := SyntheticBatch(m, batch, 4, 31)
 				if err != nil {
 					t.Fatal(err)

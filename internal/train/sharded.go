@@ -126,13 +126,6 @@ func (s *ShardedFC) TotalRemote() float64 {
 	return t
 }
 
-// ResetCounters zeroes the measured traffic.
-func (s *ShardedFC) ResetCounters() {
-	for l := range s.IntraFwd {
-		s.IntraFwd[l], s.IntraGrad[l], s.InterF[l], s.InterE[l] = 0, 0, 0, 0
-	}
-}
-
 // matmul computes out = a [r×k] · b [k×c].
 func matmul(a, b *Tensor, r, k, c int) (*Tensor, error) {
 	out, err := NewTensor(r, c)
