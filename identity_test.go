@@ -57,7 +57,13 @@ func TestIdentityDigests(t *testing.T) {
 		"explore/mixed":  "efc75034357bb26b",
 		"errors":         "117b2298d7961aa3",
 	}
-	got := identityDigests(t)
+	checkDigests(t, identityDigests(t), want)
+}
+
+// checkDigests compares every computed group digest with its pinned
+// value and, on any mismatch, logs all of them ready to paste.
+func checkDigests(t *testing.T, got, want map[string]string) {
+	t.Helper()
 	var names []string
 	for name := range got {
 		names = append(names, name)

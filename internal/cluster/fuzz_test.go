@@ -10,7 +10,8 @@ import (
 // (so hypardctl can distinguish bad specs from I/O errors), and any
 // accepted topology re-validates and yields a constructible ring plus
 // per-replica flag sets — the exact artifacts `hypardctl validate`
-// hands to the operator.
+// hands to the operator — and is rejected once a stray `}` or `]`
+// follows it.
 func FuzzParseTopology(f *testing.F) {
 	f.Add([]byte(validTopologyJSON()))
 	f.Add([]byte(`{"replicas":[{"name":"solo","addr":"localhost:8080"}]}`))
@@ -41,6 +42,11 @@ func FuzzParseTopology(f *testing.F) {
 		}
 		if topo.Summary() == "" {
 			t.Fatal("accepted topology has empty summary")
+		}
+		for _, tail := range []string{"}", "]"} {
+			if _, err := ParseTopology(append(append([]byte(nil), data...), tail...)); err == nil {
+				t.Fatalf("accepted topology followed by %q is accepted too", tail)
+			}
 		}
 	})
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"sort"
@@ -136,9 +137,9 @@ func ParseTopology(b []byte) (*Topology, error) {
 	if err := dec.Decode(&t); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrTopology, err)
 	}
-	// Trailing garbage after the object is a malformed spec, not an
-	// extension point.
-	if dec.More() {
+	// Anything but whitespace after the object, a stray closing
+	// delimiter included, is a malformed spec, not an extension point.
+	if _, err := dec.Token(); err != io.EOF {
 		return nil, fmt.Errorf("%w: trailing data after topology object", ErrTopology)
 	}
 	if err := t.Validate(); err != nil {

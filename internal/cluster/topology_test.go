@@ -45,6 +45,24 @@ func TestParseTopologyValid(t *testing.T) {
 	}
 }
 
+// TestParseTopologyTrailingData: only whitespace may follow the
+// topology object. A stray closing delimiter is trailing data too,
+// although json.Decoder.More reports no further value in front of one.
+func TestParseTopologyTrailingData(t *testing.T) {
+	spec := `{"replicas":[{"name":"a","addr":"h:1"}]}`
+	for _, tail := range []string{"}", "]", " ] ", "{}", "x", "1"} {
+		_, err := ParseTopology([]byte(spec + tail))
+		if !errors.Is(err, ErrTopology) || !strings.Contains(err.Error(), "trailing data") {
+			t.Errorf("spec + %q = %v, want a trailing-data ErrTopology", tail, err)
+		}
+	}
+	for _, tail := range []string{"\n", " \t\r\n"} {
+		if _, err := ParseTopology([]byte(spec + tail)); err != nil {
+			t.Errorf("spec + %q = %v, want it accepted", tail, err)
+		}
+	}
+}
+
 func TestParseTopologyRejects(t *testing.T) {
 	cases := []struct {
 		name string

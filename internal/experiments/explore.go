@@ -63,9 +63,10 @@ func ExploreLabelKey(fv partition.FreeVar) string {
 // variables on top of the model's HyPar plan, simulates each point on
 // the session pool, and hands the points to emit in code order as they
 // become ready — point p's emission does not wait for the sweep's tail,
-// so NDJSON consumers see results immediately. label may be nil
-// (DefaultExploreLabel is used). An emit error cancels the remaining
-// sweep and is returned.
+// so NDJSON consumers see results immediately. Workers share the
+// sweep's table, each filling points into its own plan and Simulator.
+// label may be nil (DefaultExploreLabel is used). An emit error stops
+// the sweep between points and is returned.
 func (s *Session) ExploreStream(m *hypar.Model, free []partition.FreeVar,
 	label func(code int) map[string]string, emit func(ExplorePoint) error) error {
 	if label == nil {
@@ -104,25 +105,33 @@ func (s *Session) ExploreStream(m *hypar.Model, free []partition.FreeVar,
 	if err != nil {
 		return err
 	}
-	points, err := partition.Explore(nil, s.pool, m, s.cfg.Batch, base.Levels, free, a.PartitionWeights())
+	sw, err := partition.NewSweep(m, s.cfg.Batch, base.Levels, free, a.PartitionWeights())
 	if err != nil {
 		return err
 	}
 	dpStep := dp.Stats.StepSeconds
-	return runner.StreamWith(s.pool, points, sim.NewSimulator,
-		func(sm *sim.Simulator, _ int, pt partition.ExplorePoint) (ExplorePoint, error) {
-			stats, err := sm.Simulate(m, pt.Plan, arch)
+	return runner.StreamWith(s.pool, make([]struct{}, sw.Points()),
+		func() *sweepWorker { return &sweepWorker{sim: sim.NewSimulator()} },
+		func(w *sweepWorker, code int, _ struct{}) (ExplorePoint, error) {
+			w.plan = sw.Fill(w.plan, code)
+			stats, err := w.sim.Simulate(m, w.plan, arch)
 			if err != nil {
 				return ExplorePoint{}, err
 			}
 			return ExplorePoint{
-				Code:    pt.Code,
-				Labels:  label(pt.Code),
+				Code:    code,
+				Labels:  label(code),
 				Gain:    dpStep / stats.StepSeconds,
-				IsHyPar: pt.Code == hyparCode,
+				IsHyPar: code == hyparCode,
 			}, nil
 		},
 		func(_ int, ep ExplorePoint) error { return emit(ep) })
+}
+
+// sweepWorker is an ExploreStream worker's Simulator and point plan.
+type sweepWorker struct {
+	sim  *sim.Simulator
+	plan *partition.Plan
 }
 
 // Explore evaluates all settings of the free variables on top of the

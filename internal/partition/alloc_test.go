@@ -8,7 +8,7 @@ import (
 )
 
 // sweepInputs returns VGG-A's shapes, edges and a mixed assignment at
-// the given depth: the inputs one sweep point is scored from.
+// the given depth: the inputs one plan is scored from.
 func sweepInputs(t *testing.T, levels int) (*nn.Model, []nn.LayerShapes, []Edge, []Assignment) {
 	t.Helper()
 	m := nn.VGGA()
@@ -28,10 +28,11 @@ func sweepInputs(t *testing.T, levels int) (*nn.Model, []nn.LayerShapes, []Edge,
 	return m, shapes, EdgesOf(preds), as
 }
 
-// TestAllocsSweepPoint bounds scoring one sweep point: the plan, its
-// level list, one array for every level's assignment, the shard and
-// amounts scratch, the Details list and one array for every level's
-// volumes — seven allocations whatever the depth.
+// TestAllocsSweepPoint bounds Evaluate's scoring of one plan
+// (evaluateShapes): the plan, its level list, one array for every
+// level's assignment, the shard and amounts scratch, the Details list
+// and one array for every level's volumes — seven allocations whatever
+// the depth.
 func TestAllocsSweepPoint(t *testing.T) {
 	first := -1.0
 	for _, levels := range []int{2, 4, 5} {
@@ -45,14 +46,37 @@ func TestAllocsSweepPoint(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		t.Logf("H=%d: %.1f allocs per sweep point", levels, allocs)
+		t.Logf("H=%d: %.1f allocs per evaluated plan", levels, allocs)
 		if allocs > 7 {
-			t.Errorf("H=%d: scoring a sweep point allocates %.1f objects, want <= 7", levels, allocs)
+			t.Errorf("H=%d: evaluating a plan allocates %.1f objects, want <= 7", levels, allocs)
 		}
 		if first < 0 {
 			first = allocs
 		} else if allocs > first {
 			t.Errorf("H=%d: %.1f allocations, more than the %.1f at H=2", levels, allocs, first)
+		}
+	}
+}
+
+// TestAllocsSweepRefill gates the sweep's per-point cost: refilling a
+// point into a plan the sweep filled before allocates nothing, at any
+// depth.
+func TestAllocsSweepRefill(t *testing.T) {
+	for _, levels := range []int{2, 4, 5} {
+		m, shapes, _, as := sweepInputs(t, levels)
+		free := []FreeVar{{Level: 0, Layer: 0}, {Level: levels - 1, Layer: len(shapes) - 1}, {Level: 1, Layer: 3}}
+		sw, err := NewSweep(m, 256, as, free, unit(levels))
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan := sw.Fill(nil, 0)
+		code := 0
+		allocs := testing.AllocsPerRun(100, func() {
+			code = (code + 1) % sw.Points()
+			plan = sw.Fill(plan, code)
+		})
+		if allocs != 0 {
+			t.Errorf("H=%d: refilling a sweep point allocates %.1f objects, want 0", levels, allocs)
 		}
 	}
 }

@@ -36,21 +36,13 @@ func OneWeirdTrick(m *nn.Model, batch int, ws []Weights) (*Plan, error) {
 // repeated at every level. The plan copies the levels, so they can all
 // share one assignment.
 func baseline(m *nn.Model, batch int, ws []Weights, choose func(nn.Layer) comm.Parallelism) (*Plan, error) {
-	cs, err := levelCosts(ws, ObjectiveTraining)
-	if err != nil {
-		return nil, err
-	}
-	shapes, preds, err := prepare(m, batch, len(ws), true)
-	if err != nil {
-		return nil, err
-	}
-	a := make(Assignment, len(shapes))
-	for l := range shapes {
-		a[l] = choose(shapes[l].Layer)
+	a := make(Assignment, len(m.Layers))
+	for l, layer := range m.Layers {
+		a[l] = choose(layer)
 	}
 	levels := make([]Assignment, len(ws))
 	for h := range levels {
 		levels[h] = a
 	}
-	return evaluateShapes(m, batch, levels, shapes, EdgesOf(preds), cs)
+	return Evaluate(m, batch, levels, ws)
 }

@@ -63,11 +63,6 @@ func TestPreCanceledContextRefusesWork(t *testing.T) {
 	if _, err := Solve(Request{Model: fork, Batch: 2, Levels: unit(2), Ctx: ctx}); !errors.Is(err, context.Canceled) {
 		t.Errorf("Solve = %v, want context.Canceled", err)
 	}
-	base := []Assignment{Uniform(len(chain.Layers), comm.DP)}
-	free := []FreeVar{{Level: 0, Layer: 0}, {Level: 0, Layer: 1}}
-	if _, err := Explore(ctx, pool, chain, 2, base, free, unit(1)); !errors.Is(err, context.Canceled) {
-		t.Errorf("Explore = %v, want context.Canceled", err)
-	}
 
 	shapes, err := fork.Shapes(2)
 	if err != nil {
@@ -109,30 +104,6 @@ func TestBruteForceCancelMidSearch(t *testing.T) {
 	}
 }
 
-// TestExploreCancelMidSweep cancels a 2^20-point sweep mid-flight.
-func TestExploreCancelMidSweep(t *testing.T) {
-	m := cancelChain(20)
-	base := []Assignment{Uniform(len(m.Layers), comm.DP)}
-	free := make([]FreeVar, 20)
-	for i := range free {
-		free[i] = FreeVar{Level: 0, Layer: i}
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(50 * time.Millisecond)
-		cancel()
-	}()
-	t0 := time.Now()
-	_, err := Explore(ctx, runner.Default(), m, 2, base, free, unit(1))
-	elapsed := time.Since(t0)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("Explore = %v, want context.Canceled", err)
-	}
-	if elapsed > 5*time.Second {
-		t.Fatalf("cancellation took %v, want well under 5s", elapsed)
-	}
-}
-
 // TestFrontierCap: the exact graph DP's frontier is capped at a fixed
 // maxGraphFrontier open layers. Every entry point that runs or scores
 // the exact objective refuses a wider graph up front with ErrTooWide
@@ -158,8 +129,8 @@ func TestFrontierCap(t *testing.T) {
 			_, err := Evaluate(wide, 2, base, ws)
 			return err
 		},
-		"Explore": func() error {
-			_, err := Explore(nil, runner.Serial(), wide, 2, base, []FreeVar{{Level: 0, Layer: 0}}, ws)
+		"NewSweep": func() error {
+			_, err := NewSweep(wide, 2, base, []FreeVar{{Level: 0, Layer: 0}}, ws)
 			return err
 		},
 		"DataParallel": func() error {

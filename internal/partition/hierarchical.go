@@ -27,32 +27,61 @@ func Evaluate(m *nn.Model, batch int, levels []Assignment, ws []Weights) (*Plan,
 	return evaluateShapes(m, batch, levels, shapes, EdgesOf(preds), cs)
 }
 
-// evaluateShapes is Evaluate with shape inference, edge resolution and
-// cost compilation already done, so the enumeration hot paths (brute
-// force, exploration) share them across every plan they score; edges
-// is shared read-only (every plan aliases it).
+// evaluateShapes is Evaluate after shape inference, edge resolution
+// and cost compilation; the plan aliases edges, shared read-only.
 func evaluateShapes(m *nn.Model, batch int, levels []Assignment, shapes []nn.LayerShapes, edges []Edge, cs []costs) (*Plan, error) {
-	if len(cs) != len(levels) {
-		return nil, fmt.Errorf("%w: %d per-level cost models for %d levels", ErrPlan, len(cs), len(levels))
+	if err := checkLevels(m.Name, levels, len(shapes), cs); err != nil {
+		return nil, err
 	}
-	for h, a := range levels {
-		if len(a) != len(shapes) {
-			return nil, fmt.Errorf("%w: level %d has %d choices, model %q has %d layers",
-				ErrPlan, h, len(a), m.Name, len(shapes))
-		}
-	}
-	// The plan's assignments share one backing array, cut into
-	// cap-limited per-level slices so an append to one level can never
-	// overwrite the next.
-	nl := len(shapes)
-	plan := &Plan{Model: m.Name, Batch: batch, Levels: make([]Assignment, len(levels)), Edges: edges}
-	marks := make([]comm.Parallelism, len(levels)*nl)
+	plan := &Plan{Model: m.Name, Batch: batch, Levels: cutLevels(len(levels), len(shapes)), Edges: edges}
 	for h := range levels {
-		plan.Levels[h] = marks[h*nl : (h+1)*nl : (h+1)*nl]
 		copy(plan.Levels[h], levels[h])
 	}
 	fillDetails(plan, shapes, cs)
 	return plan, nil
+}
+
+// checkLevels checks levels' shape against cs and nl, and each choice.
+func checkLevels(model string, levels []Assignment, nl int, cs []costs) error {
+	if len(cs) != len(levels) {
+		return fmt.Errorf("%w: %d per-level cost models for %d levels", ErrPlan, len(cs), len(levels))
+	}
+	for h, a := range levels {
+		if len(a) != nl {
+			return fmt.Errorf("%w: level %d has %d choices, model %q has %d layers",
+				ErrPlan, h, len(a), model, nl)
+		}
+	}
+	return (&Plan{Levels: levels}).Validate()
+}
+
+// cutLevels returns levels assignments of nl choices cut, cap-limited,
+// from one backing array, so an append to one never overwrites the next.
+func cutLevels(levels, nl int) []Assignment {
+	as := make([]Assignment, levels)
+	marks := make([]comm.Parallelism, levels*nl)
+	for h := range as {
+		as[h] = marks[h*nl : (h+1)*nl : (h+1)*nl]
+	}
+	return as
+}
+
+// cutDetails returns levels zeroed LevelDetails for nl layers and ne
+// edges whose volume vectors are cap-limited cuts of one backing array.
+func cutDetails(levels, nl, ne int) []LevelDetail {
+	ds := make([]LevelDetail, levels)
+	per := 2*nl + 2*ne
+	vols := make([]float64, levels*per)
+	for h := range ds {
+		v := vols[h*per : (h+1)*per : (h+1)*per]
+		ds[h] = LevelDetail{
+			IntraFwd:  v[:nl:nl],
+			IntraGrad: v[nl : 2*nl : 2*nl],
+			InterF:    v[2*nl : 2*nl+ne : 2*nl+ne],
+			InterE:    v[2*nl+ne:],
+		}
+	}
+	return ds
 }
 
 // prepare bounds the hierarchy depth, runs (memoized) shape inference,
@@ -116,26 +145,18 @@ func amountsAt(amounts []comm.LayerAmounts, shapes []nn.LayerShapes, shards []te
 // charged per edge (plan.Edges) on the producer's boundary tensors, so
 // a forked feature map pays one conversion per disagreeing consumer.
 // Every level's volume vectors are cap-limited cuts of one backing
-// array.
+// array (cutDetails).
 func fillDetails(plan *Plan, shapes []nn.LayerShapes, cs []costs) {
-	nl, ne := len(shapes), len(plan.Edges)
+	nl := len(shapes)
 	shards := make([]tensor.Shard, nl)
 	amounts := make([]comm.LayerAmounts, nl)
-	plan.Details = make([]LevelDetail, len(plan.Levels))
+	plan.Details = cutDetails(len(plan.Levels), nl, len(plan.Edges))
 	plan.TotalElems = 0
-	per := 2*nl + 2*ne
-	vols := make([]float64, len(plan.Levels)*per)
 
 	for h, assign := range plan.Levels {
 		c := cs[h]
 		amountsAt(amounts, shapes, shards)
-		v := vols[h*per : (h+1)*per : (h+1)*per]
-		d := LevelDetail{
-			IntraFwd:  v[:nl:nl],
-			IntraGrad: v[nl : 2*nl : 2*nl],
-			InterF:    v[2*nl : 2*nl+ne : 2*nl+ne],
-			InterE:    v[2*nl+ne:],
-		}
+		d := plan.Details[h]
 		for l := 0; l < nl; l++ {
 			switch assign[l] {
 			case comm.MP:
@@ -148,7 +169,6 @@ func fillDetails(plan *Plan, shapes []nn.LayerShapes, cs []costs) {
 			d.InterF[e] = c.interF(assign[ed.Src], assign[ed.Dst], amounts[ed.Src])
 			d.InterE[e] = c.interE(assign[ed.Src], assign[ed.Dst], amounts[ed.Src])
 		}
-		plan.Details[h] = d
 		pairs := float64(int64(1) << uint(h))
 		plan.TotalElems += pairs * plan.PerPairElems(h)
 

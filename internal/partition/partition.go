@@ -4,10 +4,10 @@
 // and Algorithm 2 (the hierarchical recursion that applies Algorithm 1
 // at every level of a 2^H accelerator array, com = com_h + 2·com_n).
 //
-// The package also provides plan evaluation for arbitrary assignments
-// (used by the brute-force reference, the parallelism-space exploration
-// of Figures 9 and 10, and the published baselines: Data Parallelism,
-// Model Parallelism and Krizhevsky's "one weird trick").
+// The package also scores arbitrary assignments (Evaluate, behind the
+// Data Parallelism, Model Parallelism and "one weird trick" baselines)
+// and sweeps the parallelism space of Figures 9 and 10 (Sweep, a table
+// filled once per sweep, which the brute-force reference runs on too).
 package partition
 
 import (

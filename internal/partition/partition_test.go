@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/nn"
-	"repro/internal/runner"
 	"repro/internal/tensor"
 )
 
@@ -308,16 +307,16 @@ func TestPlanAccessors(t *testing.T) {
 	}
 }
 
-func TestExplore(t *testing.T) {
+func TestSweep(t *testing.T) {
 	m := nn.LenetC()
 	hp := mustHier(t, m, 256, 4)
 	free := []FreeVar{{Level: 0, Layer: 0}, {Level: 0, Layer: 1}}
-	points, err := Explore(nil, runner.Default(), m, 256, hp.Levels, free, unit(4))
+	sw, err := NewSweep(m, 256, hp.Levels, free, unit(4))
 	if err != nil {
-		t.Fatalf("Explore: %v", err)
+		t.Fatalf("NewSweep: %v", err)
 	}
-	if len(points) != 4 {
-		t.Fatalf("explore points = %d, want 4", len(points))
+	if sw.Points() != 4 {
+		t.Fatalf("sweep points = %d, want 4", sw.Points())
 	}
 	// The point whose bits match HyPar's own choices must cost the same.
 	var hpCode int
@@ -326,27 +325,28 @@ func TestExplore(t *testing.T) {
 			hpCode |= 1 << uint(i)
 		}
 	}
-	found := false
-	for _, pt := range points {
-		if pt.Code == hpCode {
-			found = true
-			if math.Abs(pt.Plan.TotalElems-hp.TotalElems) > 1e-6*hp.TotalElems {
-				t.Errorf("explore point %d = %g, HyPar = %g", pt.Code, pt.Plan.TotalElems, hp.TotalElems)
-			}
-		}
-	}
-	if !found {
-		t.Error("HyPar's own code not in exploration")
+	pt := sw.Fill(nil, hpCode)
+	if math.Abs(pt.TotalElems-hp.TotalElems) > 1e-6*hp.TotalElems {
+		t.Errorf("sweep point %d = %g, HyPar = %g", hpCode, pt.TotalElems, hp.TotalElems)
 	}
 	// Error paths.
-	if _, err := Explore(nil, runner.Default(), m, 256, hp.Levels, []FreeVar{{Level: 9, Layer: 0}}, unit(4)); !errors.Is(err, ErrPlan) {
+	if _, err := NewSweep(m, 256, hp.Levels, []FreeVar{{Level: 9, Layer: 0}}, unit(4)); !errors.Is(err, ErrPlan) {
 		t.Errorf("bad level accepted: %v", err)
 	}
-	if _, err := Explore(nil, runner.Default(), m, 256, hp.Levels, []FreeVar{{Level: 0, Layer: 9}}, unit(4)); !errors.Is(err, ErrPlan) {
+	if _, err := NewSweep(m, 256, hp.Levels, []FreeVar{{Level: 0, Layer: 9}}, unit(4)); !errors.Is(err, ErrPlan) {
 		t.Errorf("bad layer accepted: %v", err)
 	}
-	if _, err := Explore(nil, runner.Default(), m, 256, hp.Levels, make([]FreeVar, 21), unit(4)); !errors.Is(err, ErrPlan) {
+	if _, err := NewSweep(m, 256, hp.Levels, make([]FreeVar, 21), unit(4)); !errors.Is(err, ErrPlan) {
 		t.Errorf("oversized exploration accepted: %v", err)
+	}
+	if _, err := NewSweep(m, 256, hp.Levels, free, unit(3)); !errors.Is(err, ErrPlan) {
+		t.Errorf("3 weight sets for a 4-level base accepted: %v", err)
+	}
+	if _, err := NewSweep(m, 256, []Assignment{Uniform(3, comm.DP)}, nil, unit(1)); !errors.Is(err, ErrPlan) {
+		t.Errorf("3-layer base for a 4-layer model accepted: %v", err)
+	}
+	if _, err := NewSweep(m, 256, []Assignment{{0, 1, 2, 0}}, nil, unit(1)); !errors.Is(err, ErrPlan) {
+		t.Errorf("invalid parallelism in the base accepted: %v", err)
 	}
 }
 

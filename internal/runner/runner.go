@@ -10,7 +10,7 @@
 // the serial run (which always reports the first). Successful runs are
 // fully deterministic at any width.
 //
-// A Pool is a width, not a shared queue: every Map/ForEach call spawns
+// A Pool is a width, not a shared queue: every Map/Stream call spawns
 // its own bounded set of workers, so nested fan-outs cannot deadlock
 // (they merely oversubscribe). Width 1 runs inline on the calling
 // goroutine — the serial reference path every determinism test and
@@ -129,13 +129,6 @@ func (p *Pool) run(n int, fn func(worker, index int) error) error {
 	}
 	wg.Wait()
 	return firstMu.err
-}
-
-// ForEach runs fn over every index of items on the pool. Item order of
-// side effects is unspecified across workers; fn must not assume
-// serial execution unless the pool width is 1.
-func ForEach[T any](p *Pool, items []T, fn func(i int, item T) error) error {
-	return p.run(len(items), func(_, i int) error { return fn(i, items[i]) })
 }
 
 // Map applies fn to every item and returns the results in input order,

@@ -109,27 +109,6 @@ func TestCancellationStopsDispatch(t *testing.T) {
 	}
 }
 
-func TestForEach(t *testing.T) {
-	out := make([]int, 50)
-	err := ForEach(New(8), out, func(i, _ int) error { out[i] = i + 1; return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range out {
-		if v != i+1 {
-			t.Fatalf("out[%d] = %d", i, v)
-		}
-	}
-	if err := ForEach(New(3), make([]int, 10), func(i, _ int) error {
-		if i == 7 {
-			return errors.New("seven")
-		}
-		return nil
-	}); err == nil {
-		t.Error("ForEach swallowed the error")
-	}
-}
-
 func TestMapWithPerWorkerState(t *testing.T) {
 	var created atomic.Int64
 	type state struct{ id int64 }

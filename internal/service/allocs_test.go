@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/runner"
 )
 
 // These tests pin the hot path's allocation behavior. CI runs them in a
@@ -190,6 +192,40 @@ func TestAllocsColdMiss(t *testing.T) {
 	t.Logf("cold zoo /v1/evaluate: %.0f allocs/op", allocs)
 	if allocs > 300 {
 		t.Errorf("cold zoo /v1/evaluate allocates %.0f objects per request, want <= 300", allocs)
+	}
+}
+
+// TestAllocsExploreSweep bounds a whole /v1/explore sweep body —
+// VGG-A's default 256-point sweep, BenchmarkExploreSweep's input — at 3
+// allocations per point, fixed costs included, on a two-worker pool:
+// the sweep's volume table is built once, each worker refills one plan
+// on its own Simulator, and a point costs little more than its Stats.
+func TestAllocsExploreSweep(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime's own allocations inflate the per-point count; CI gates it in the un-instrumented pass")
+	}
+	srv, err := New(Options{Pool: runner.New(2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := srv.resolveRequest(request{Zoo: "VGG-A"}, false, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := finishExploreParse(p); err != nil {
+		t.Fatal(err)
+	}
+	points := 1 << uint(len(p.free))
+	sweep := func() {
+		if _, err := srv.exploreBody(context.Background(), p, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sweep()
+	perPoint := testing.AllocsPerRun(10, sweep) / float64(points)
+	t.Logf("%.2f allocations per point over %d points", perPoint, points)
+	if perPoint > 3 {
+		t.Errorf("a VGG-A sweep allocates %.2f objects per point, want <= 3", perPoint)
 	}
 }
 

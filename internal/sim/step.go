@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/comm"
@@ -159,21 +160,24 @@ func Simulate(m *nn.Model, plan *partition.Plan, arch Arch) (*Stats, error) {
 //   - the phase-cost table of the last (model, batch, depth, cost
 //     models, element width), so a sweep prices each layer phase once
 //     per leaf shard instead of once per plan;
+//   - the transfer prices of the last topology, per-level energy models
+//     and element type, so a sweep prices each (level, volume) once;
 //   - the step builder's scratch, so a reused Simulator allocates only
 //     the returned Stats.
 //
-// Both memos hold the *nn.Model, so the pointer cannot be recycled for
-// another model; like CachedShapes, they rely on models not being
-// mutated after first use. A Simulator is not safe for concurrent use:
-// give each worker its own (runner.MapWith exists for exactly that).
+// The wiring and phase-cost memos hold the *nn.Model, so the pointer
+// cannot be recycled for another model; like CachedShapes, they rely
+// on models not being mutated after first use. A Simulator is not safe
+// for concurrent use: give each worker its own (see runner.MapWith).
 type Simulator struct {
 	eng *Engine
 
 	model *nn.Model // model whose wiring is compiled, nil before the first simulation
 	wire  wiring
 
-	costs costTable
-	b     stepBuilder
+	costs  costTable
+	prices priceTable
+	b      stepBuilder
 }
 
 // wiring is a model's layer graph compiled for the step builder: the
@@ -286,6 +290,48 @@ func (t *costTable) cellsFor(key costKey, layers int) []phaseCost {
 	return t.cells
 }
 
+// priceBits sizes each level's transfer-price memo: a sweep's level
+// sees only a few distinct volumes.
+const priceBits = 7
+
+// price is a memoized transfer of the volume whose float64 bits are
+// bits, valid while gen is its table's generation.
+type price struct {
+	bits, gen   uint64
+	dur, energy float64
+}
+
+// priceTable memoizes transfer prices per (level, volume), one
+// direct-mapped table per level, under the inputs that price them: the
+// topology, each level's energy model and the element type, compared as
+// interface values like costKey's. Bumping gen empties it, clearing no memory.
+type priceTable struct {
+	noc   noc.Topology
+	mems  []platform.Memory
+	dtype tensor.DType
+	gen   uint64
+	slots [][1 << priceBits]price
+}
+
+// slotsFor returns the first levels levels' slots and generation,
+// emptied unless arch prices each level as the arch they hold did. The
+// first step under new inputs gets none, so one-off steps never touch it.
+func (t *priceTable) slotsFor(arch *Arch, levels int) ([][1 << priceBits]price, uint64) {
+	same := t.noc == arch.NoC && t.dtype == arch.DType && len(t.mems) >= levels
+	for h := 0; same && h < levels; h++ {
+		same = t.mems[h] == arch.LevelMem(h)
+	}
+	if !same {
+		t.noc, t.dtype, t.mems = arch.NoC, arch.DType, resize(t.mems, levels)
+		for h := range t.mems {
+			t.mems[h] = arch.LevelMem(h)
+		}
+		t.slots, t.gen = resize(t.slots, levels), t.gen+1
+		return nil, 0
+	}
+	return t.slots, t.gen
+}
+
 // resize returns s with length n, reallocating only when its capacity
 // is short. The contents are unspecified.
 func resize[T any](s []T, n int) []T {
@@ -340,6 +386,7 @@ func (s *Simulator) Simulate(m *nn.Model, plan *partition.Plan, arch Arch) (*Sta
 		model: m, batch: plan.Batch, depth: levels,
 		comp: arch.Comp, mem: arch.Mem, dtype: arch.DType,
 	}, len(shapes))
+	b.prices, b.priceGen = s.prices.slotsFor(&arch, levels)
 	if err := b.route(wire); err != nil {
 		return nil, err
 	}
@@ -395,6 +442,9 @@ type stepBuilder struct {
 	// costs is the Simulator's phase-cost table for this step's key,
 	// indexed by costIndex.
 	costs []phaseCost
+	// prices[h] memoizes level h's transfers (slots of priceGen; nil: none).
+	prices   [][1 << priceBits]price
+	priceGen uint64
 
 	// edges is the model's layer-to-layer edge list in the canonical
 	// (Src, Dst) order the plan's per-edge volumes are indexed by;
@@ -623,8 +673,16 @@ func (b *stepBuilder) phaseBytes(l int, p nn.Phase) (op, res float64) {
 // one-direction elements per pair, charging the link energy. The
 // exchange a link carries is both directions (the paper's 2× counting),
 // and all pairs of a level move concurrently on that level's link
-// resource.
+// resource. A price is memoized only once its duration passes checkDuration.
 func (b *stepBuilder) transfer(h int, elems float64) (float64, error) {
+	key := math.Float64bits(elems)
+	var p *price
+	if b.prices != nil {
+		if p = &b.prices[h][key*0x9e3779b97f4a7c15>>(64-priceBits)]; p.bits == key && p.gen == b.priceGen {
+			b.stats.EnergyLink += p.energy
+			return p.dur, nil
+		}
+	}
 	bytes := 2 * elems * b.es
 	dur, err := b.arch.NoC.TransferTime(h, bytes)
 	if err != nil {
@@ -634,7 +692,11 @@ func (b *stepBuilder) transfer(h int, elems float64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	b.stats.EnergyLink += b.arch.LevelMem(h).LinkEnergy(linkBytes)
+	energy := b.arch.LevelMem(h).LinkEnergy(linkBytes)
+	if p != nil && checkDuration("", dur) == nil {
+		*p = price{key, b.priceGen, dur, energy}
+	}
+	b.stats.EnergyLink += energy
 	return dur, nil
 }
 

@@ -6,21 +6,20 @@ import (
 
 	"repro/internal/nn"
 	"repro/internal/partition"
-	"repro/internal/runner"
 )
 
 // BenchmarkSimulateSweep measures the two per-point lines of an
 // 8-variable parallelism sweep — layers 0-3 free at levels H1 and H4 on
 // top of the HyPar plan, 256 points, batch 256, H = 4, 1600 Mb/s links:
-// planning every point (partition.Explore on a one-worker pool) and
-// simulating every plan on one reused Simulator. Each reports ns and
-// allocations per point; run it with -benchmem.
+// planning every point (partition.NewSweep's table, then every point
+// filled into one reused plan) and simulating every point's plan on one
+// reused Simulator. Each reports ns and allocations per point; run it
+// with -benchmem.
 func BenchmarkSimulateSweep(b *testing.B) {
 	arch, err := defaultArch(4)
 	if err != nil {
 		b.Fatal(err)
 	}
-	pool := runner.New(1)
 	for _, m := range []*nn.Model{nn.LenetC(), nn.CifarC(), nn.AlexNet(), nn.VGGA()} {
 		base, err := solve(m, 256, unit(4))
 		if err != nil {
@@ -32,22 +31,32 @@ func BenchmarkSimulateSweep(b *testing.B) {
 				free = append(free, partition.FreeVar{Level: h, Layer: l})
 			}
 		}
-		plan := func() []partition.ExplorePoint {
-			pts, err := partition.Explore(nil, pool, m, 256, base.Levels, free, unit(4))
+		sweep := func() *partition.Sweep {
+			sw, err := partition.NewSweep(m, 256, base.Levels, free, unit(4))
 			if err != nil {
 				b.Fatal(err)
 			}
-			return pts
+			return sw
 		}
-		pts := plan()
+		sw := sweep()
+		plans := make([]*partition.Plan, sw.Points())
+		for code := range plans {
+			plans[code] = sw.Fill(nil, code)
+		}
 		b.Run("plan/"+m.Name, func(b *testing.B) {
-			perPoint(b, len(pts), func() { plan() })
+			var plan *partition.Plan
+			perPoint(b, len(plans), func() {
+				sw := sweep()
+				for code := range plans {
+					plan = sw.Fill(plan, code)
+				}
+			})
 		})
 		b.Run("simulate/"+m.Name, func(b *testing.B) {
 			sm := NewSimulator()
-			perPoint(b, len(pts), func() {
-				for _, pt := range pts {
-					if _, err := sm.Simulate(m, pt.Plan, arch); err != nil {
+			perPoint(b, len(plans), func() {
+				for _, plan := range plans {
+					if _, err := sm.Simulate(m, plan, arch); err != nil {
 						b.Fatal(err)
 					}
 				}

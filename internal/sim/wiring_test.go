@@ -137,9 +137,9 @@ func TestSimulatorReusePermutedEdges(t *testing.T) {
 
 // TestAllocsSimulatorSameModel bounds re-simulating one model and plan
 // on a reused Simulator: the wiring memo, the phase-cost table, the
-// builder's scratch and the engine's slab leave only the returned Stats
-// and its CommSeconds, on the serial path (VGG-A, Lenet-c) and the
-// engine path (Incep-2) alike.
+// transfer prices, the builder's scratch and the engine's slab leave
+// only the returned Stats and its CommSeconds, on the serial path
+// (VGG-A, Lenet-c) and the engine path (Incep-2) alike.
 func TestAllocsSimulatorSameModel(t *testing.T) {
 	arch, err := defaultArch(4)
 	if err != nil {

@@ -1,5 +1,5 @@
 // Command apicheck keeps the partition package's planning surface at
-// its core entry points: Solve, Evaluate, Explore and the three
+// its core entry points: Solve, Evaluate, NewSweep and the three
 // baselines, each taking one cost-weight set per hierarchy level. It
 // fails if internal/partition exports a function whose name ends in
 // Ctx, With, Weighted or PerLevel — the shapes a cancellation, pool or
