@@ -55,7 +55,7 @@ func TestIdentityDigests(t *testing.T) {
 		"beam":           "8f07f4c2d8daf1b8",
 		"explore/single": "9f6f7fe1270fd02f",
 		"explore/mixed":  "efc75034357bb26b",
-		"errors":         "117b2298d7961aa3",
+		"errors":         "50aab6f84cf8c132",
 	}
 	checkDigests(t, identityDigests(t), want)
 }

@@ -64,7 +64,8 @@ func ExploreLabelKey(fv partition.FreeVar) string {
 // the session pool, and hands the points to emit in code order as they
 // become ready — point p's emission does not wait for the sweep's tail,
 // so NDJSON consumers see results immediately. Workers share the
-// sweep's table, each filling points into its own plan and Simulator.
+// sweep's volume table, each pricing points on its own Simulator
+// (sim.Simulator.SweepStep), which holds the sweep's durations.
 // label may be nil (DefaultExploreLabel is used). An emit error stops
 // the sweep between points and is returned.
 func (s *Session) ExploreStream(m *hypar.Model, free []partition.FreeVar,
@@ -110,28 +111,20 @@ func (s *Session) ExploreStream(m *hypar.Model, free []partition.FreeVar,
 		return err
 	}
 	dpStep := dp.Stats.StepSeconds
-	return runner.StreamWith(s.pool, make([]struct{}, sw.Points()),
-		func() *sweepWorker { return &sweepWorker{sim: sim.NewSimulator()} },
-		func(w *sweepWorker, code int, _ struct{}) (ExplorePoint, error) {
-			w.plan = sw.Fill(w.plan, code)
-			stats, err := w.sim.Simulate(m, w.plan, arch)
+	return runner.StreamWith(s.pool, make([]struct{}, sw.Points()), sim.NewSimulator,
+		func(sm *sim.Simulator, code int, _ struct{}) (ExplorePoint, error) {
+			step, err := sm.SweepStep(m, sw, arch, code)
 			if err != nil {
 				return ExplorePoint{}, err
 			}
 			return ExplorePoint{
 				Code:    code,
 				Labels:  label(code),
-				Gain:    dpStep / stats.StepSeconds,
+				Gain:    dpStep / step,
 				IsHyPar: code == hyparCode,
 			}, nil
 		},
 		func(_ int, ep ExplorePoint) error { return emit(ep) })
-}
-
-// sweepWorker is an ExploreStream worker's Simulator and point plan.
-type sweepWorker struct {
-	sim  *sim.Simulator
-	plan *partition.Plan
 }
 
 // Explore evaluates all settings of the free variables on top of the
@@ -183,8 +176,13 @@ func bits(code, offset, width int) string {
 // parallelisms of all four weighted layers at levels H1 and H4 sweep
 // over 2^8 = 256 points while H2 and H3 stay at HyPar's optimum. The
 // returned table lists the peak point, HyPar's point, and the sweep
-// sorted by gain (top ten rows).
+// sorted by gain (top ten rows). The top and bottom levels must
+// differ, so the hierarchy needs at least 2 levels.
 func (s *Session) Fig9() (*report.Table, *Exploration, error) {
+	if s.cfg.Levels < 2 {
+		return nil, nil, fmt.Errorf("%w: Figure 9 sweeps the top and bottom levels and needs a hierarchy of at least 2 levels, have %d",
+			ErrExperiment, s.cfg.Levels)
+	}
 	m, err := hypar.ModelByName("Lenet-c")
 	if err != nil {
 		return nil, nil, err

@@ -16,9 +16,9 @@ import (
 )
 
 // TestExploreStreamCancelMidSweep: a 2^20-point sweep whose emit fails
-// after 1,000 points returns that error promptly. Points are filled and
-// simulated as the stream asks for them, so the failure never waits on
-// the other 2^20 plans.
+// after 1,000 points returns that error promptly. Points are priced as
+// the stream asks for them, so the failure never waits on the other
+// 2^20.
 func TestExploreStreamCancelMidSweep(t *testing.T) {
 	m := &hypar.Model{Name: "chain-20", Input: nn.Input{H: 4, W: 4, C: 2}}
 	free := make([]partition.FreeVar, 20)
@@ -46,11 +46,26 @@ func TestExploreStreamCancelMidSweep(t *testing.T) {
 	}
 }
 
+// TestFig9NeedsTwoLevels: Figure 9 sweeps the top and bottom levels, so
+// a one-level hierarchy — where both are level 0 and every cell would be
+// swept twice under two labels — is refused.
+func TestFig9NeedsTwoLevels(t *testing.T) {
+	c := cfg()
+	c.Levels = 1
+	if _, _, err := NewSession(c).Fig9(); !errors.Is(err, ErrExperiment) {
+		t.Errorf("Fig9 at one level: err %v, want ErrExperiment", err)
+	}
+	c.Levels = 2
+	if _, ex, err := NewSession(c).Fig9(); err != nil || len(ex.Points) != 256 {
+		t.Errorf("Fig9 at two levels: err %v", err)
+	}
+}
+
 // TestExploreConcurrentSweepsOneSession runs 16 sweeps at once on one
-// Session at pool width 4: the sweep tables are shared read-only by
-// each sweep's workers, and every worker fills its own plan on its own
-// Simulator. Each sweep must equal the same sweep run alone on a serial
-// session.
+// Session at pool width 4: each sweep's volume table is shared
+// read-only by its workers, and every worker prices points on its own
+// Simulator and duration table. Each sweep must equal the same sweep
+// run alone on a serial session.
 func TestExploreConcurrentSweepsOneSession(t *testing.T) {
 	shared := NewSessionWithPool(cfg(), runner.New(4))
 	serial := NewSessionWithPool(cfg(), runner.Serial())

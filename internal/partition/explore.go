@@ -3,6 +3,7 @@ package partition
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/comm"
 	"repro/internal/nn"
@@ -84,7 +85,10 @@ type FreeVar struct {
 // counting the levels above h that chose dp for l, so a point's volumes
 // depend only on (h, k) and the choices at h. NewSweep tabulates them
 // once with Evaluate's cost models, and Fill scores a point by lookups
-// and additions. A Sweep is read-only: goroutines share it, each
+// and additions. A reader that needs less than a point's plan — the
+// simulator's sweep step prices each volume once per sweep — reads the
+// free cells (Free) and the tabulated volumes (IntraVolume,
+// InterVolume) instead. A Sweep is read-only: goroutines share it, each
 // filling its own plan.
 type Sweep struct {
 	model string
@@ -112,9 +116,14 @@ func NewSweep(m *nn.Model, batch int, base []Assignment, free []FreeVar, ws []We
 	if len(free) > 20 {
 		return nil, fmt.Errorf("%w: exploring 2^%d points", ErrPlan, len(free))
 	}
-	for _, fv := range free {
+	for i, fv := range free {
 		if fv.Level < 0 || fv.Level >= len(base) || fv.Layer < 0 || fv.Layer >= len(base[fv.Level]) {
 			return nil, fmt.Errorf("%w: free variable (level %d, layer %d) out of range", ErrPlan, fv.Level, fv.Layer)
+		}
+		// A repeated cell would sweep each setting twice, the later bit
+		// overriding the earlier in every point.
+		if slices.Contains(free[:i], fv) {
+			return nil, fmt.Errorf("%w: free variable (level %d, layer %d) given twice", ErrPlan, fv.Level, fv.Layer)
 		}
 	}
 	shapes, preds, err := prepare(m, batch, len(base), true)
@@ -188,7 +197,7 @@ func (s *Sweep) Fill(dst *Plan, code int) *Plan {
 		k := 0
 		for h, a := range dst.Levels {
 			d := &dst.Details[h]
-			v := s.vols[s.block(h, k)+2*l+int(a[l])]
+			v := s.IntraVolume(h, k, l, a[l])
 			if a[l] == comm.MP {
 				d.IntraFwd[l], d.IntraGrad[l] = v, 0
 			} else {
@@ -200,9 +209,10 @@ func (s *Sweep) Fill(dst *Plan, code int) *Plan {
 	for e, ed := range s.edges {
 		k := 0
 		for h, a := range dst.Levels {
-			i := s.block(h, k) + 2*s.nl + 8*e + 4*int(a[ed.Src]) + 2*int(a[ed.Dst])
-			dst.Details[h].InterF[e], dst.Details[h].InterE[e] = s.vols[i], s.vols[i+1]
-			if a[ed.Src] == comm.DP {
+			ps, pd := a[ed.Src], a[ed.Dst]
+			dst.Details[h].InterF[e] = s.InterVolume(h, k, e, ps, pd, nn.Forward)
+			dst.Details[h].InterE[e] = s.InterVolume(h, k, e, ps, pd, nn.Backward)
+			if ps == comm.DP {
 				k++
 			}
 		}
@@ -212,6 +222,30 @@ func (s *Sweep) Fill(dst *Plan, code int) *Plan {
 		dst.TotalElems += float64(int64(1)<<uint(h)) * dst.PerPairElems(h)
 	}
 	return dst
+}
+
+// Free returns the free cells in code order: bit i of a point's code is
+// free[i]'s choice. The slice is the sweep's own; callers must not
+// modify it.
+func (s *Sweep) Free() []FreeVar { return s.free }
+
+// IntraVolume returns layer l's tabulated intra volume at level h under
+// choice p, where k of the levels above h chose dp for l: a point's
+// IntraFwd[l] at h when p is mp, its IntraGrad[l] when p is dp.
+func (s *Sweep) IntraVolume(h, k, l int, p comm.Parallelism) float64 {
+	return s.vols[s.block(h, k)+2*l+int(p)]
+}
+
+// InterVolume returns edge e's tabulated conversion volume at level h
+// for producer choice src and consumer choice dst, where k of the
+// levels above h chose dp for the producer: a point's InterF[e] at h
+// for phase nn.Forward, its InterE[e] for nn.Backward.
+func (s *Sweep) InterVolume(h, k, e int, src, dst comm.Parallelism, p nn.Phase) float64 {
+	i := s.block(h, k) + 2*s.nl + 8*e + 4*int(src) + 2*int(dst)
+	if p != nn.Forward {
+		i++
+	}
+	return s.vols[i]
 }
 
 // fits reports whether p has the shape of this sweep's plans.

@@ -1,10 +1,12 @@
 package partition
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/comm"
@@ -119,6 +121,23 @@ func TestSweepMatchesEvaluate(t *testing.T) {
 		}
 	}
 	t.Logf("%d models, %d points", len(models), points)
+}
+
+// TestSweepRefusesRepeatedCell: a free cell listed twice would sweep
+// each setting twice, the later bit overriding the earlier, so NewSweep
+// refuses it — wherever the repeat sits in the list.
+func TestSweepRefusesRepeatedCell(t *testing.T) {
+	m := nn.LenetC()
+	base := mustHier(t, m, 256, 2).Levels
+	for _, free := range [][]FreeVar{
+		{{Level: 0, Layer: 1}, {Level: 0, Layer: 1}},
+		{{Level: 1, Layer: 3}, {Level: 0, Layer: 0}, {Level: 1, Layer: 2}, {Level: 1, Layer: 3}},
+	} {
+		sw, err := NewSweep(m, 256, base, free, unit(2))
+		if !errors.Is(err, ErrPlan) || !strings.Contains(err.Error(), "given twice") {
+			t.Errorf("free %v: sweep %v, err %v; want a repeated-cell ErrPlan", free, sw != nil, err)
+		}
+	}
 }
 
 // TestSweepFillReshapes: a plan not shaped like the sweep's — another

@@ -161,14 +161,20 @@ func Simulate(m *nn.Model, plan *partition.Plan, arch Arch) (*Stats, error) {
 //     models, element width), so a sweep prices each layer phase once
 //     per leaf shard instead of once per plan;
 //   - the transfer prices of the last topology, per-level energy models
-//     and element type, so a sweep prices each (level, volume) once;
+//     and element type, so steps that share them — a DAG or overlap
+//     sweep's points, a comparison's strategies — price each (level,
+//     volume) once;
 //   - the step builder's scratch, so a reused Simulator allocates only
-//     the returned Stats.
+//     the returned Stats;
+//   - the last sweep SweepStep priced, checked once, with its points'
+//     phase and transfer durations, so a chain sweep's point is a walk
+//     of table lookups and additions that allocates nothing.
 //
-// The wiring and phase-cost memos hold the *nn.Model, so the pointer
-// cannot be recycled for another model; like CachedShapes, they rely
-// on models not being mutated after first use. A Simulator is not safe
-// for concurrent use: give each worker its own (see runner.MapWith).
+// The wiring, phase-cost and sweep memos hold the *nn.Model, so the
+// pointer cannot be recycled for another model; like CachedShapes, they
+// rely on models not being mutated after first use. A Simulator is not
+// safe for concurrent use: give each worker its own (see
+// runner.StreamWith); workers may share one read-only partition.Sweep.
 type Simulator struct {
 	eng *Engine
 
@@ -178,6 +184,7 @@ type Simulator struct {
 	costs  costTable
 	prices priceTable
 	b      stepBuilder
+	sweep  sweepTable
 }
 
 // wiring is a model's layer graph compiled for the step builder: the
@@ -343,53 +350,13 @@ func resize[T any](s []T, n int) []T {
 
 // Simulate is Simulate on the Simulator's engine, memos and scratch.
 func (s *Simulator) Simulate(m *nn.Model, plan *partition.Plan, arch Arch) (*Stats, error) {
-	if err := arch.Validate(); err != nil {
-		return nil, err
-	}
-	if err := plan.Validate(); err != nil {
-		return nil, err
-	}
-	shapes, err := m.CachedShapes(plan.Batch)
-	if err != nil {
-		return nil, err
-	}
-	if len(plan.Levels) > 0 && len(shapes) != len(plan.Levels[0]) {
-		return nil, fmt.Errorf("%w: plan is for %d layers, model %q has %d",
-			ErrSim, len(plan.Levels[0]), m.Name, len(shapes))
-	}
-	wire, err := s.wiringOf(m)
-	if err != nil {
-		return nil, err
-	}
-	if plan.Model != "" && plan.Model != m.Name {
-		return nil, fmt.Errorf("%w: plan was computed for model %q, not %q",
-			ErrSim, plan.Model, m.Name)
-	}
-	levels := plan.NumLevels()
-	if arch.NoC.Levels() < levels {
-		return nil, fmt.Errorf("%w: topology has %d levels, plan needs %d",
-			ErrSim, arch.NoC.Levels(), levels)
-	}
-	if arch.LevelMems != nil && len(arch.LevelMems) < levels {
-		return nil, fmt.Errorf("%w: %d per-level memory models, plan needs %d",
-			ErrSim, len(arch.LevelMems), levels)
-	}
-
 	b := &s.b
-	b.shapes, b.plan, b.arch = shapes, plan, arch
-	b.levels = levels
-	b.accs = float64(int64(1) << uint(levels))
-	b.es = float64(arch.DType.Size())
-	b.named = arch.CollectTrace
-	b.stats = &Stats{CommSeconds: make([]float64, levels)}
-	b.costs = s.costs.cellsFor(costKey{
-		model: m, batch: plan.Batch, depth: levels,
-		comp: arch.Comp, mem: arch.Mem, dtype: arch.DType,
-	}, len(shapes))
-	b.prices, b.priceGen = s.prices.slotsFor(&arch, levels)
-	if err := b.route(wire); err != nil {
+	wire, err := s.begin(b, m, plan, arch)
+	if err != nil {
 		return nil, err
 	}
+	b.stats = &Stats{CommSeconds: make([]float64, b.levels)}
+	b.prices, b.priceGen = s.prices.slotsFor(&arch, b.levels)
 	b.shard()
 
 	if wire.chain && !arch.OverlapGradComm && !arch.CollectTrace {
@@ -423,6 +390,58 @@ func (s *Simulator) Simulate(m *nn.Model, plan *partition.Plan, arch Arch) (*Sta
 	b.stats.PeakMemoryBytes = b.workingSet()
 	b.stats.FitsMemory = arch.Mem.Fits(b.stats.PeakMemoryBytes)
 	return b.stats, nil
+}
+
+// begin runs Simulate's checks of m, plan and arch, in Simulate's order
+// and with its error text, and points b at them: shapes, depth, element
+// size, the phase-cost cells of their key and the edge order to
+// schedule. b's stats and transfer-price slots are the caller's to set.
+func (s *Simulator) begin(b *stepBuilder, m *nn.Model, plan *partition.Plan, arch Arch) (*wiring, error) {
+	if err := arch.Validate(); err != nil {
+		return nil, err
+	}
+	if err := plan.Validate(); err != nil {
+		return nil, err
+	}
+	shapes, err := m.CachedShapes(plan.Batch)
+	if err != nil {
+		return nil, err
+	}
+	if len(plan.Levels) > 0 && len(shapes) != len(plan.Levels[0]) {
+		return nil, fmt.Errorf("%w: plan is for %d layers, model %q has %d",
+			ErrSim, len(plan.Levels[0]), m.Name, len(shapes))
+	}
+	wire, err := s.wiringOf(m)
+	if err != nil {
+		return nil, err
+	}
+	if plan.Model != "" && plan.Model != m.Name {
+		return nil, fmt.Errorf("%w: plan was computed for model %q, not %q",
+			ErrSim, plan.Model, m.Name)
+	}
+	levels := plan.NumLevels()
+	if arch.NoC.Levels() < levels {
+		return nil, fmt.Errorf("%w: topology has %d levels, plan needs %d",
+			ErrSim, arch.NoC.Levels(), levels)
+	}
+	if arch.LevelMems != nil && len(arch.LevelMems) < levels {
+		return nil, fmt.Errorf("%w: %d per-level memory models, plan needs %d",
+			ErrSim, len(arch.LevelMems), levels)
+	}
+
+	b.shapes, b.plan, b.arch = shapes, plan, arch
+	b.levels = levels
+	b.accs = float64(int64(1) << uint(levels))
+	b.es = float64(arch.DType.Size())
+	b.named = arch.CollectTrace
+	b.costs = s.costs.cellsFor(costKey{
+		model: m, batch: plan.Batch, depth: levels,
+		comp: arch.Comp, mem: arch.Mem, dtype: arch.DType,
+	}, len(shapes))
+	if err := b.route(wire); err != nil {
+		return nil, err
+	}
+	return wire, nil
 }
 
 // stepBuilder compiles one training step and accrues its energy. It

@@ -8,13 +8,15 @@ import (
 	"repro/internal/partition"
 )
 
-// BenchmarkSimulateSweep measures the two per-point lines of an
-// 8-variable parallelism sweep — layers 0-3 free at levels H1 and H4 on
-// top of the HyPar plan, 256 points, batch 256, H = 4, 1600 Mb/s links:
-// planning every point (partition.NewSweep's table, then every point
-// filled into one reused plan) and simulating every point's plan on one
-// reused Simulator. Each reports ns and allocations per point; run it
-// with -benchmem.
+// BenchmarkSimulateSweep measures the per-point lines of an 8-variable
+// parallelism sweep — layers 0-3 free at levels H1 and H4 on top of the
+// HyPar plan, 256 points, batch 256, H = 4, 1600 Mb/s links: planning
+// every point (partition.NewSweep's table, then every point filled into
+// one reused plan), simulating every point's plan on one reused
+// Simulator, and pricing every point's step time with SweepStep, what
+// an exploration runs (a new table and a new Simulator per sweep, so
+// the per-sweep pricing counts). Each reports ns and allocations per
+// point; run it with -benchmem.
 func BenchmarkSimulateSweep(b *testing.B) {
 	arch, err := defaultArch(4)
 	if err != nil {
@@ -57,6 +59,16 @@ func BenchmarkSimulateSweep(b *testing.B) {
 			perPoint(b, len(plans), func() {
 				for _, plan := range plans {
 					if _, err := sm.Simulate(m, plan, arch); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		})
+		b.Run("step/"+m.Name, func(b *testing.B) {
+			perPoint(b, len(plans), func() {
+				sw, sm := sweep(), NewSimulator()
+				for code := range plans {
+					if _, err := sm.SweepStep(m, sw, arch, code); err != nil {
 						b.Fatal(err)
 					}
 				}
