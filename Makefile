@@ -40,7 +40,11 @@ cover:
 serve:
 	$(GO) run ./cmd/hypard -addr :8080
 
+# bench/ is its own module, so ./... never reaches it; the allocation
+# gates need a pass without -race, which inflates allocation counts.
 check: vet test race
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on: $$unformatted"; exit 1; fi
 	$(GO) run ./scripts/apicheck
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+	$(GO) test -run TestAllocs -count=1 ./internal/service ./internal/sim ./internal/partition ./internal/nn .

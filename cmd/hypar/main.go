@@ -266,7 +266,10 @@ func postBatch(url string, body []byte, nItems int, w io.Writer) error {
 	return nil
 }
 
-// runModel plans (and unless planOnly, simulates) one network.
+// runModel plans (and unless planOnly, evaluates) one network. The plan
+// table and the step statistics come from one evaluation, traced or
+// not: for a degraded array that can be the grouped candidate, whose
+// plan is one group's.
 func runModel(name, strategyName string, planOnly bool, traceFile string, cfg hypar.Config,
 	emit func(*report.Table) error, w io.Writer) error {
 	m, err := hypar.ModelByName(name)
@@ -278,12 +281,26 @@ func runModel(name, strategyName string, planOnly bool, traceFile string, cfg hy
 		return err
 	}
 
-	plan, err := hypar.NewPlan(m, strat, cfg)
+	var (
+		plan *hypar.Plan
+		res  *hypar.Result
+	)
+	if planOnly {
+		plan, err = hypar.NewPlan(m, strat, cfg)
+	} else if res, err = hypar.Run(m, strat, cfg); err == nil {
+		plan = res.Plan
+	}
 	if err != nil {
 		return err
 	}
+	if res != nil && res.DegradedGroups > 0 && traceFile != "" {
+		// The grouped step adds a cross-group gradient allreduce to one
+		// group's simulated schedule, so no trace shows the step printed.
+		return fmt.Errorf("-trace: under fault %v the fastest step runs %d surviving groups in data parallel, and no simulated schedule holds their gradient allreduce; run without -trace",
+			cfg.Faults, res.DegradedGroups)
+	}
 	pt := report.NewTable(fmt.Sprintf("%s / %s: parallelism per layer (H1..H%d, 0=dp 1=mp)",
-		m.Name, strat, cfg.EffectiveLevels()), "layer", "levels")
+		m.Name, strat, plan.NumLevels()), "layer", "levels")
 	for l, layer := range m.Layers {
 		if err := pt.AddRow(layer.Name, plan.LayerString(l)); err != nil {
 			return err
@@ -296,14 +313,10 @@ func runModel(name, strategyName string, planOnly bool, traceFile string, cfg hy
 		return nil
 	}
 
-	var res *hypar.Result
 	if traceFile != "" {
-		res, err = runTraced(m, strat, cfg, traceFile, w)
-	} else {
-		res, err = hypar.Run(m, strat, cfg)
-	}
-	if err != nil {
-		return err
+		if err := writeTrace(m, plan, cfg, traceFile, w); err != nil {
+			return err
+		}
 	}
 	st := report.NewTable("simulated training step", "metric", "value")
 	rows := []struct {
@@ -332,9 +345,15 @@ func runModel(name, strategyName string, planOnly bool, traceFile string, cfg hy
 	if err := emit(st); err != nil {
 		return err
 	}
+	accs := plan.NumAccelerators()
 	if !cfg.Faults.IsZero() {
-		fmt.Fprintf(w, "degraded array: fault %v leaves %d of %d accelerators (planning at depth %d)\n",
-			cfg.Faults, cfg.SurvivingAccelerators(), 1<<uint(cfg.Levels), cfg.EffectiveLevels())
+		layout := fmt.Sprintf("planning at depth %d", plan.NumLevels())
+		if g := res.DegradedGroups; g > 0 {
+			layout = fmt.Sprintf("%d groups of %d in data parallel", g, accs)
+			accs *= g
+		}
+		fmt.Fprintf(w, "degraded array: fault %v leaves %d of %d accelerators (%s)\n",
+			cfg.Faults, cfg.SurvivingAccelerators(), 1<<uint(cfg.Levels), layout)
 	}
 	platName, topoName := cfg.Platform, cfg.Topology
 	if !cfg.Platforms.IsZero() {
@@ -344,38 +363,33 @@ func runModel(name, strategyName string, planOnly bool, traceFile string, cfg hy
 		}
 	}
 	_, err = fmt.Fprintf(w, "accelerators: %d, platform: %s, topology: %s, batch: %d\n",
-		plan.NumAccelerators(), platName, topoName, cfg.Batch)
+		accs, platName, topoName, cfg.Batch)
 	return err
 }
 
-// runTraced simulates with trace collection and writes the Chrome
-// trace plus an occupancy summary.
-func runTraced(m *hypar.Model, strat hypar.Strategy, cfg hypar.Config,
-	traceFile string, w io.Writer) (*hypar.Result, error) {
-	plan, err := hypar.NewPlan(m, strat, cfg)
-	if err != nil {
-		return nil, err
-	}
+// writeTrace simulates the evaluated plan again with trace collection
+// and writes the Chrome trace plus an occupancy summary.
+func writeTrace(m *hypar.Model, plan *hypar.Plan, cfg hypar.Config, traceFile string, w io.Writer) error {
 	arch, err := hypar.BuildArch(cfg)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	arch.CollectTrace = true
 	stats, err := sim.Simulate(m, plan, arch)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	f, err := os.Create(traceFile)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer f.Close()
 	if err := trace.WriteChrome(f, stats.Trace); err != nil {
-		return nil, err
+		return err
 	}
 	occ, err := trace.Summarize(stats.Trace)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	ot := report.NewTable("resource occupancy", "resource", "busy-s", "tasks")
 	for _, o := range occ {
@@ -384,14 +398,14 @@ func runTraced(m *hypar.Model, strat hypar.Strategy, cfg hypar.Config,
 			name = "(unbound)"
 		}
 		if err := ot.AddRow(name, o.Busy, o.Tasks); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	if err := ot.WriteText(w); err != nil {
-		return nil, err
+		return err
 	}
-	fmt.Fprintf(w, "chrome trace written to %s (%d tasks)\n\n", traceFile, len(stats.Trace))
-	return &hypar.Result{Strategy: strat, Plan: plan, Stats: stats}, nil
+	_, err = fmt.Fprintf(w, "chrome trace written to %s (%d tasks)\n\n", traceFile, len(stats.Trace))
+	return err
 }
 
 // runExperiments regenerates one or all paper artifacts. All figures

@@ -1,11 +1,13 @@
 package main
 
 import (
+	"fmt"
 	"net/http/httptest"
 	"os"
 	"strings"
 	"testing"
 
+	hypar "repro"
 	"repro/internal/service"
 )
 
@@ -128,6 +130,80 @@ func TestRunTraceFlag(t *testing.T) {
 	// An unwritable path fails cleanly.
 	if err := run([]string{"-model", "Lenet-c", "-trace", dir + "/nope/x.json"}, &b); err == nil {
 		t.Error("unwritable trace path accepted")
+	}
+}
+
+// TestRunTraceKeepsNumbers: the plan and step tables come from one
+// evaluation, so -trace adds its occupancy section and changes nothing
+// else. A degraded array whose fastest step is the grouped candidate
+// prints that candidate's group plan and step, and refuses -trace, since
+// no simulated schedule holds its cross-group allreduce.
+func TestRunTraceKeepsNumbers(t *testing.T) {
+	path := t.TempDir() + "/trace.json"
+	for _, args := range [][]string{
+		{"-model", "AlexNet"},
+		{"-model", "AlexNet", "-faults", "1:2"},
+		{"-model", "Incep-2", "-platforms-per-level", "gpu-hbm,hmc,hmc,hmc"},
+	} {
+		var plain, traced strings.Builder
+		if err := run(args, &plain); err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		if err := run(append(args, "-trace", path), &traced); err != nil {
+			t.Fatalf("%v -trace: %v", args, err)
+		}
+		out := traced.String()
+		start, end := strings.Index(out, "## resource occupancy\n"), strings.Index(out, " tasks)\n\n")
+		if start < 0 || end < start {
+			t.Fatalf("%v -trace: no occupancy section:\n%s", args, out)
+		}
+		if got := out[:start] + out[end+len(" tasks)\n\n"):]; got != plain.String() {
+			t.Errorf("%v: -trace changed the tables:\n%s\nwithout -trace:\n%s", args, got, plain.String())
+		}
+	}
+
+	args := []string{"-model", "AlexNet", "-faults", "1:1"}
+	var b strings.Builder
+	if err := run(args, &b); err != nil {
+		t.Fatal(err)
+	}
+	m, err := hypar.ModelByName("AlexNet")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := hypar.DefaultConfig()
+	cfg.Faults = hypar.Faults{Level: 1, Groups: 1}
+	res, err := hypar.Run(m, hypar.HyPar, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.DegradedGroups == 0 {
+		t.Fatal("fault 1:1 no longer evaluates the grouped candidate")
+	}
+	out := b.String()
+	rows := map[string]string{}
+	for _, line := range strings.Split(out, "\n") {
+		if f := strings.Fields(line); len(f) == 2 {
+			rows[f[0]] = f[1]
+		}
+	}
+	for l, layer := range m.Layers {
+		if rows[layer.Name] != res.Plan.LayerString(l) {
+			t.Errorf("grouped evaluation: %s printed as %q, evaluated as %q", layer.Name, rows[layer.Name], res.Plan.LayerString(l))
+		}
+	}
+	for _, w := range []string{
+		fmt.Sprintf("(H1..H%d, 0=dp 1=mp)", res.Plan.NumLevels()),
+		fmt.Sprintf("scheduled tasks                   %d\n", res.Stats.Tasks),
+		fmt.Sprintf("(%d groups of 4 in data parallel)", res.DegradedGroups),
+	} {
+		if !strings.Contains(out, w) {
+			t.Errorf("grouped evaluation: output lacks %q:\n%s", w, out)
+		}
+	}
+	err = run(append(args, "-trace", path), &b)
+	if err == nil || !strings.Contains(err.Error(), "groups in data parallel") {
+		t.Errorf("-trace on a grouped step: err %v, want a refusal naming the groups", err)
 	}
 }
 

@@ -80,6 +80,11 @@ func TestValidateRejectsBadTopologies(t *testing.T) {
 			`{"cacheEntries":8,"replicas":[{"name":"a","addr":"10.0.0.1:8080"}]}`,
 			"under-provisions",
 		},
+		{
+			"platform level named twice",
+			`{"platformsPerLevel":{"0":"hmc","00":"gpu-hbm","1":"tpu-systolic"},"replicas":[{"name":"a","addr":"10.0.0.1:8080"}]}`,
+			"level 0 named twice",
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -30,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -351,8 +352,9 @@ func (s PlatformSpec) MarshalJSON() ([]byte, error) {
 
 // UnmarshalJSON parses the wire object {"<level>": "<platform>", ...}.
 // Levels may be sparse (holes inherit Config.Platform); keys must be
-// integer level indices within the supported hierarchy depth, and names
-// must not contain commas (the internal separator).
+// integer level indices within the supported hierarchy depth, no two
+// naming one level, and names must not contain commas (the internal
+// separator).
 func (s *PlatformSpec) UnmarshalJSON(data []byte) error {
 	var m map[string]string
 	if err := json.Unmarshal(data, &m); err != nil {
@@ -372,6 +374,11 @@ func (s *PlatformSpec) UnmarshalJSON(data []byte) error {
 		}
 		if strings.Contains(v, ",") {
 			return fmt.Errorf("%w: platforms level %d: invalid name %q", ErrConfig, i, v)
+		}
+		// Keys such as "0" and "00" name one level; letting either win
+		// would make the result depend on map order.
+		if _, dup := byLevel[i]; dup {
+			return fmt.Errorf("%w: platforms level %d named twice", ErrConfig, i)
 		}
 		byLevel[i] = v
 		if i > max {
@@ -706,53 +713,35 @@ func (c Config) dtype() (tensor.DType, error) {
 // DType resolves the configured precision to the tensor element type.
 func (c Config) DType() (DType, error) { return c.dtype() }
 
-// PlatformFor resolves the configuration's accelerator platform
-// (applying the Canonical default for an empty name) through the
-// registry's single resolution path. For a heterogeneous per-level
-// assignment it returns the node platform — the deepest level's, the
-// one whose accelerators do the compute; use AssignmentFor for the full
-// per-level view.
+// PlatformFor resolves the configuration's node platform — the deepest
+// level's, the one whose accelerators do the compute: AssignmentFor's
+// Node. Use AssignmentFor for the full per-level view.
 func PlatformFor(c Config) (Platform, error) {
-	if !c.Platforms.IsZero() {
-		a, err := AssignmentFor(c)
-		if err != nil {
-			return nil, err
-		}
-		return a.Node(), nil
-	}
-	p, err := platform.Resolve(c.Platform)
+	a, err := AssignmentFor(c)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrConfig, err)
+		return nil, err
 	}
-	return p, nil
+	return a.Node(), nil
 }
 
 // AssignmentFor resolves the configuration's per-level platform
 // assignment at the depth planning actually runs at (EffectiveLevels:
 // a degraded array keeps the deepest surviving levels, platforms
-// included). A config without a Platforms spec yields the uniform
-// assignment of its single platform.
+// included). A config without a Platforms spec names its platform at
+// every level, and at least once: a zero-depth array is the Tail(0) of
+// a one-level array of its node platform.
 func AssignmentFor(c Config) (platform.Assignment, error) {
 	c = c.Canonical()
-	if c.Platforms.IsZero() {
-		p, err := platform.Resolve(c.Platform)
-		if err != nil {
-			return platform.Assignment{}, fmt.Errorf("%w: %v", ErrConfig, err)
-		}
-		a, err := platform.UniformAssignment(p, c.EffectiveLevels())
-		if err != nil {
-			return platform.Assignment{}, fmt.Errorf("%w: %v", ErrConfig, err)
-		}
-		return a, nil
-	}
 	names := c.Platforms.Names()
-	if len(names) != c.Levels {
+	if names == nil {
+		names = slices.Repeat([]string{c.Platform}, max(c.Levels, 1))
+	} else if len(names) != c.Levels {
 		return platform.Assignment{}, fmt.Errorf("%w: per-level platform assignment covers %d levels, hierarchy has %d",
 			ErrConfig, len(names), c.Levels)
 	}
 	per := make([]platform.Platform, len(names))
 	for h, n := range names {
-		p, err := platform.ByName(platform.CanonicalName(n))
+		p, err := platform.Resolve(n)
 		if err != nil {
 			return platform.Assignment{}, fmt.Errorf("%w: level %d: %v", ErrConfig, h, err)
 		}
@@ -771,8 +760,8 @@ func AssignmentFor(c Config) (platform.Assignment, error) {
 
 // BuildArch materializes the simulated platform for the configuration:
 // the node platform's compute and memory, the assignment's fabric (a
-// mixed assignment adds boundary-adapter charges) and, for a mixed
-// assignment, each level's link energy model.
+// mixed assignment adds boundary-adapter charges) and each level's link
+// energy model.
 func BuildArch(c Config) (Arch, error) {
 	if err := c.Validate(); err != nil {
 		return Arch{}, err
@@ -1087,18 +1076,14 @@ func (e *Evaluator) runGrouped(ctx context.Context, m *Model, s Strategy, c Conf
 		if h < 0 {
 			h = 0
 		}
-		tt, err := arch.NoC.TransferTime(h, bytes)
-		if err != nil {
-			return nil, err
-		}
-		linkBytes, err := arch.NoC.LinkBytes(h, bytes)
+		tt, energy, err := arch.Transfer(h, bytes)
 		if err != nil {
 			return nil, err
 		}
 		st.StepSeconds += tt
 		comm[h] += tt
 		st.CommBytes += bytes
-		st.EnergyLink += arch.LevelMem(h).LinkEnergy(linkBytes)
+		st.EnergyLink += energy
 	}
 	st.CommSeconds = comm
 	return &Result{Strategy: s, Plan: plan, Stats: &st, DegradedGroups: groups}, nil

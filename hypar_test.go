@@ -1,11 +1,15 @@
 package hypar_test
 
 import (
+	"encoding/json"
 	"errors"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	hypar "repro"
+	"repro/internal/platform"
 )
 
 func TestDefaultConfig(t *testing.T) {
@@ -50,6 +54,82 @@ func TestConfigValidate(t *testing.T) {
 	canon := blank.Canonical()
 	if canon.Platform != "hmc" || canon.Topology != "htree" || canon.LinkMbps != 1600 {
 		t.Errorf("canonical defaults = %+v, want hmc/htree/1600", canon)
+	}
+}
+
+// TestPlatformSpecRefusesRepeatedLevel: keys spelling one level two
+// ways ("0", "00", "+0", "-0") are refused rather than left to map
+// order, which decoded one body to two configs.
+func TestPlatformSpecRefusesRepeatedLevel(t *testing.T) {
+	for _, body := range []string{
+		`{"batch":64,"levels":2,"platforms":{"0":"hmc","00":"gpu-hbm","1":"tpu-systolic"}}`,
+		`{"batch":64,"levels":2,"platforms":{"-0":"gpu-hbm","+0":"hmc","1":"hmc"}}`,
+		`{"batch":64,"levels":2,"platforms":{"0":"gpu-hbm","1":"hmc","01":"hmc"}}`,
+	} {
+		var c hypar.Config
+		err := json.Unmarshal([]byte(body), &c)
+		if !errors.Is(err, hypar.ErrConfig) || !strings.Contains(err.Error(), "named twice") {
+			t.Errorf("%s: err %v, want ErrConfig naming the repeated level", body, err)
+		}
+	}
+	var c hypar.Config
+	if err := json.Unmarshal([]byte(`{"batch":64,"levels":2,"platforms":{"00":"gpu-hbm","+1":"hmc"}}`), &c); err != nil || c.Platforms != "gpu-hbm,hmc" {
+		t.Errorf("one spelling per level decoded to %q, %v", c.Platforms, err)
+	}
+}
+
+// TestAssignmentForOnePath: at every depth, healthy or degraded, a
+// single-platform config resolves to the assignment of its platform
+// spelled per level — names, node, partition weights and memories — and
+// BuildArch bills each effective level's links at the node memory.
+func TestAssignmentForOnePath(t *testing.T) {
+	for _, name := range hypar.Platforms() {
+		p, err := platform.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for levels := 0; levels <= 5; levels++ {
+			cfgs := []hypar.Config{{Batch: 64, Levels: levels, Platform: name}}
+			if levels > 0 {
+				cfgs = append(cfgs, hypar.Config{Batch: 64, Levels: levels, Platform: name, Faults: hypar.Faults{Level: 0, Groups: 1}})
+			}
+			for _, c := range cfgs {
+				depth := c.EffectiveLevels()
+				full, err := platform.NewAssignment(slices.Repeat([]platform.Platform{p}, max(levels, 1)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := full.Tail(depth)
+				if err != nil {
+					t.Fatal(err)
+				}
+				spelled := c
+				if levels > 0 {
+					spelled.Platform, spelled.Platforms = "", hypar.PlatformSpec(strings.Join(slices.Repeat([]string{name}, levels), ","))
+				}
+				for _, cc := range []hypar.Config{c, spelled} {
+					got, err := hypar.AssignmentFor(cc)
+					if err != nil {
+						t.Fatalf("%+v: %v", cc, err)
+					}
+					if got.Node() != p || !slices.Equal(got.Names(), want.Names()) ||
+						!slices.Equal(got.PartitionWeights(), want.PartitionWeights()) ||
+						!slices.Equal(got.LevelMemories(), want.LevelMemories()) {
+						t.Errorf("%+v: assignment %v, want %v", cc, got, want)
+					}
+					if node, err := hypar.PlatformFor(cc); err != nil || node != p {
+						t.Errorf("%+v: PlatformFor = %v, %v; want %s", cc, node, err, name)
+					}
+					arch, err := hypar.BuildArch(cc)
+					if err != nil {
+						t.Fatalf("%+v: %v", cc, err)
+					}
+					if !slices.Equal(arch.LevelMems, slices.Repeat([]platform.Memory{p.Memory()}, depth)) || arch.Mem != p.Memory() {
+						t.Errorf("%+v: BuildArch memories %v (node %v), want %d of the node's", cc, arch.LevelMems, arch.Mem, depth)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"sync"
 	"time"
 
+	hypar "repro"
 	"repro/internal/platform"
 )
 
@@ -44,9 +45,6 @@ const (
 	// (an over-capacity topology: 1 GiB of pinned response bytes per
 	// replica is a misconfiguration, not a cache).
 	MaxRawCacheBytes = 1 << 30
-	// MaxAssignLevels bounds per-level platform assignment indices,
-	// mirroring the hierarchy depth the daemon's config accepts.
-	MaxAssignLevels = 20
 )
 
 // Replica is one hypard instance of the fleet.
@@ -57,13 +55,14 @@ type Replica struct {
 	// at.
 	Addr string `json:"addr"`
 	// PlatformsPerLevel optionally spells out this replica's default
-	// per-level platform assignment (level index → platform name).
-	// Every replica's effective assignment must be identical: request
-	// hashes cover the canonical config, so a replica whose default
-	// assignment drifts from the fleet's computes different keys than
-	// the ring's owners and 409s on every /peer/v1/fetch. Validate
-	// rejects the drift before any replica boots.
-	PlatformsPerLevel map[string]string `json:"platformsPerLevel,omitempty"`
+	// per-level platform assignment, in the config's wire form (level
+	// index → platform name). Every replica's effective assignment must
+	// be identical: request hashes cover the canonical config, so a
+	// replica whose default assignment drifts from the fleet's computes
+	// different keys than the ring's owners and 409s on every
+	// /peer/v1/fetch. Validate rejects the drift before any replica
+	// boots.
+	PlatformsPerLevel hypar.PlatformSpec `json:"platformsPerLevel,omitempty"`
 }
 
 // URL returns the replica's peer URL.
@@ -93,38 +92,23 @@ type Topology struct {
 	// replica as -platforms-per-level. A replica may spell out its own
 	// PlatformsPerLevel, but it must match this one — see
 	// Replica.PlatformsPerLevel for why drift is fatal.
-	PlatformsPerLevel map[string]string `json:"platformsPerLevel,omitempty"`
+	PlatformsPerLevel hypar.PlatformSpec `json:"platformsPerLevel,omitempty"`
 	// Replicas lists every hypard instance of the fleet.
 	Replicas []Replica `json:"replicas"`
 }
 
-// canonicalAssignment compiles a per-level platform map to its
-// canonical comma form (root cut first, holes empty), validating that
-// keys are level indices and names are registered platforms. where
-// names the spec's owner in errors.
-func canonicalAssignment(m map[string]string, where string) (string, error) {
-	if len(m) == 0 {
-		return "", nil
-	}
-	names := make([]string, MaxAssignLevels)
-	max := -1
-	for k, v := range m {
-		i, err := strconv.Atoi(k)
-		if err != nil || i < 0 || i >= MaxAssignLevels {
-			return "", fmt.Errorf("%w: %s platformsPerLevel key %q (want a level index 0..%d)",
-				ErrTopology, where, k, MaxAssignLevels-1)
+// knownPlatforms checks that every platform spec names is registered;
+// where names the spec's owner in errors.
+func knownPlatforms(spec hypar.PlatformSpec, where string) error {
+	for h, n := range spec.Names() {
+		if n == "" {
+			continue
 		}
-		if v != "" {
-			if _, err := platform.ByName(v); err != nil {
-				return "", fmt.Errorf("%w: %s platformsPerLevel level %d: %v", ErrTopology, where, i, err)
-			}
-		}
-		names[i] = v
-		if i > max {
-			max = i
+		if _, err := platform.ByName(n); err != nil {
+			return fmt.Errorf("%w: %s platformsPerLevel level %d: %v", ErrTopology, where, h, err)
 		}
 	}
-	return strings.Join(names[:max+1], ","), nil
+	return nil
 }
 
 // ParseTopology decodes and validates a topology spec. Unknown fields
@@ -224,23 +208,22 @@ func (t *Topology) Validate() error {
 	// Per-level platform assignments must agree across the whole fleet:
 	// the canonical config feeds every request hash, so one replica
 	// defaulting to a different assignment owns no key it computes and
-	// 409s on every peer fetch. Compare canonically so spelling
-	// differences ({"0":"hmc"} vs {"00":"hmc"}) don't mask — or fake —
-	// drift.
-	fleetSpec, err := canonicalAssignment(t.PlatformsPerLevel, "topology")
-	if err != nil {
+	// 409s on every peer fetch. Specs decode to their canonical comma
+	// form, so spelling differences ({"0":"hmc"} vs {"00":"hmc"}) don't
+	// mask — or fake — drift.
+	if err := knownPlatforms(t.PlatformsPerLevel, "topology"); err != nil {
 		return err
 	}
-	agreed, agreedBy := fleetSpec, "the topology"
+	agreed, agreedBy := t.PlatformsPerLevel, "the topology"
 	for _, r := range t.Replicas {
-		spec, err := canonicalAssignment(r.PlatformsPerLevel, "replica "+strconv.Quote(r.Name))
-		if err != nil {
+		spec := r.PlatformsPerLevel
+		if err := knownPlatforms(spec, "replica "+strconv.Quote(r.Name)); err != nil {
 			return err
 		}
-		if spec == "" {
+		if spec.IsZero() {
 			continue // inherits the fleet default
 		}
-		if agreed == "" {
+		if agreed.IsZero() {
 			agreed, agreedBy = spec, "replica "+strconv.Quote(r.Name)
 			continue
 		}
@@ -293,12 +276,12 @@ func (t *Topology) Flags(i int) []string {
 	// Validate guarantees replica and fleet specs agree, so emit
 	// whichever is spelled out (the replica's own wins as the more
 	// specific spelling of the same assignment).
-	spec, err := canonicalAssignment(r.PlatformsPerLevel, "replica")
-	if spec == "" && err == nil {
-		spec, _ = canonicalAssignment(t.PlatformsPerLevel, "topology")
+	spec := r.PlatformsPerLevel
+	if spec.IsZero() {
+		spec = t.PlatformsPerLevel
 	}
-	if spec != "" {
-		flags = append(flags, "-platforms-per-level", spec)
+	if !spec.IsZero() {
+		flags = append(flags, "-platforms-per-level", string(spec))
 	}
 	return flags
 }

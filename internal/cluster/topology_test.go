@@ -232,6 +232,7 @@ func TestTopologyPlatformAssignment(t *testing.T) {
 			{"out-of-range key", `{"platformsPerLevel":{"25":"hmc"},"replicas":[{"name":"a","addr":"h:1"}]}`, `key "25"`},
 			{"negative key", `{"platformsPerLevel":{"-1":"hmc"},"replicas":[{"name":"a","addr":"h:1"}]}`, `key "-1"`},
 			{"unknown platform", `{"replicas":[{"name":"a","addr":"h:1","platformsPerLevel":{"0":"quantum"}}]}`, "quantum"},
+			{"level named twice", `{"replicas":[{"name":"a","addr":"h:1","platformsPerLevel":{"0":"hmc","-0":"gpu-hbm"}}]}`, "level 0 named twice"},
 		}
 		for _, tc := range cases {
 			t.Run(tc.name, func(t *testing.T) {

@@ -73,7 +73,7 @@ func (s *Session) BeamTable() (*report.Table, error) {
 	beamCfg.SearchMethod = "beam"
 	beamCfg.BeamWidth = 0 // canonical default width
 
-	rows, err := runner.MapCtx(nil, s.pool, models,
+	rows, err := runner.Map(s.pool, models,
 		func(_ int, m *hypar.Model) (beamRow, error) {
 			preds, err := m.LayerPreds()
 			if err != nil {

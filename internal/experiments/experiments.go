@@ -25,6 +25,7 @@ import (
 	"sync"
 
 	hypar "repro"
+	"repro/internal/lru"
 	"repro/internal/report"
 	"repro/internal/runner"
 )
@@ -59,14 +60,21 @@ type Session struct {
 	mu   sync.Mutex
 	cmps []*hypar.Comparison
 
-	// warmMu guards warm, the per-model warm-start hints: the last HyPar
-	// plan the session computed for each model name. Explorations and
-	// repeated sweeps hand the previous plan back to the planner, which
-	// re-relaxes only the hierarchy levels whose inputs changed (zero
-	// levels when only simulation-side knobs like bandwidth moved).
-	warmMu sync.Mutex
-	warm   map[string]*hypar.Plan
+	// warm holds the per-model warm-start hints: the last HyPar plan the
+	// session computed for each of the sessionWarm most recently planned
+	// model names. Explorations and repeated sweeps hand the previous
+	// plan back to the planner, which re-relaxes only the hierarchy
+	// levels whose inputs changed (zero levels when only simulation-side
+	// knobs like bandwidth moved). It is bounded because a daemon's base
+	// session lives as long as the process while inline models bring
+	// fresh names.
+	warm *lru.Cache[string, *hypar.Plan]
 }
+
+// sessionWarm bounds a Session's warm-start hints, as evaluatorWarm
+// bounds an Evaluator's: the pinned zoo and branched workloads are
+// twelve model names.
+const sessionWarm = 32
 
 // NewSession creates a session on the default runner pool.
 func NewSession(cfg hypar.Config) *Session { return NewSessionWithPool(cfg, runner.Default()) }
@@ -79,7 +87,7 @@ func NewSessionWithPool(cfg hypar.Config, pool *runner.Pool) *Session {
 		pool:     pool,
 		zoo:      sync.OnceValue(hypar.Zoo),
 		branched: sync.OnceValue(hypar.BranchedZoo),
-		warm:     make(map[string]*hypar.Plan),
+		warm:     lru.New[string, *hypar.Plan](sessionWarm),
 	}
 }
 
@@ -88,9 +96,8 @@ func NewSessionWithPool(cfg hypar.Config, pool *runner.Pool) *Session {
 // hint: the planner fingerprints each level's inputs and ignores levels
 // that do not match, so a stale plan can never change a result.
 func (s *Session) warmPlan(name string) *hypar.Plan {
-	s.warmMu.Lock()
-	defer s.warmMu.Unlock()
-	return s.warm[name]
+	p, _ := s.warm.Get(name)
+	return p
 }
 
 // storeWarm records the latest HyPar plan for the named model as the
@@ -99,9 +106,7 @@ func (s *Session) storeWarm(name string, p *hypar.Plan) {
 	if p == nil {
 		return
 	}
-	s.warmMu.Lock()
-	defer s.warmMu.Unlock()
-	s.warm[name] = p
+	s.warm.Put(name, p)
 }
 
 // Config returns the session's base configuration.

@@ -115,7 +115,7 @@ func TestFrontierCap(t *testing.T) {
 		t.Fatalf("8-wide fork under the cap: %v", err)
 	}
 	wide := cancelFork(maxGraphFrontier + 2)
-	base := []Assignment{Uniform(len(wide.Layers), comm.DP)}
+	base := []Assignment{make(Assignment, len(wide.Layers))}
 	for name, run := range map[string]func() error{
 		"Solve": func() error {
 			_, err := Solve(Request{Model: wide, Batch: 2, Levels: ws})

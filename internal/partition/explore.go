@@ -40,7 +40,7 @@ func bruteForceCore(ctx context.Context, pool *runner.Pool, m *nn.Model, batch i
 		return nil, err
 	}
 
-	chunks := runner.Chunks(sw.Points(), pool.Width(), 0)
+	chunks := runner.Chunks(sw.Points(), pool.Width())
 	bests, err := runner.MapCtx(ctx, pool, chunks, func(_ int, ck [2]int) (*Plan, error) {
 		var best, work *Plan
 		for code := ck[0]; code < ck[1]; code++ {

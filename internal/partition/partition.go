@@ -42,15 +42,6 @@ func (a Assignment) Clone() Assignment {
 	return c
 }
 
-// Uniform returns an assignment with every layer set to p.
-func Uniform(layers int, p comm.Parallelism) Assignment {
-	a := make(Assignment, layers)
-	for i := range a {
-		a[i] = p
-	}
-	return a
-}
-
 // Edge is one producer→consumer connection between weighted layers of
 // a model graph. A linear chain has edges (l, l+1); branched models add
 // skip and branch edges. Edges from the model input carry no partition

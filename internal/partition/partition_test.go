@@ -262,10 +262,10 @@ func TestOneWeirdTrick(t *testing.T) {
 
 func TestEvaluateErrors(t *testing.T) {
 	m := nn.LenetC()
-	if _, err := Evaluate(m, 64, []Assignment{Uniform(3, comm.DP)}, unit(1)); !errors.Is(err, ErrPlan) {
+	if _, err := Evaluate(m, 64, []Assignment{make(Assignment, 3)}, unit(1)); !errors.Is(err, ErrPlan) {
 		t.Errorf("wrong-width assignment accepted: %v", err)
 	}
-	if _, err := Evaluate(m, 64, []Assignment{Uniform(4, comm.DP)}, unit(2)); !errors.Is(err, ErrPlan) {
+	if _, err := Evaluate(m, 64, []Assignment{make(Assignment, 4)}, unit(2)); !errors.Is(err, ErrPlan) {
 		t.Errorf("weights for the wrong depth accepted: %v", err)
 	}
 	if _, err := Solve(Request{Model: m, Batch: 64, Levels: unit(30)}); !errors.Is(err, ErrPlan) {
@@ -297,7 +297,7 @@ func TestPlanAccessors(t *testing.T) {
 	if err := nilPlan.Validate(); !errors.Is(err, ErrPlan) {
 		t.Errorf("nil plan accepted: %v", err)
 	}
-	bad := &Plan{Levels: []Assignment{Uniform(2, comm.DP), Uniform(3, comm.DP)}}
+	bad := &Plan{Levels: []Assignment{make(Assignment, 2), make(Assignment, 3)}}
 	if err := bad.Validate(); !errors.Is(err, ErrPlan) {
 		t.Errorf("ragged plan accepted: %v", err)
 	}
@@ -342,7 +342,7 @@ func TestSweep(t *testing.T) {
 	if _, err := NewSweep(m, 256, hp.Levels, free, unit(3)); !errors.Is(err, ErrPlan) {
 		t.Errorf("3 weight sets for a 4-level base accepted: %v", err)
 	}
-	if _, err := NewSweep(m, 256, []Assignment{Uniform(3, comm.DP)}, nil, unit(1)); !errors.Is(err, ErrPlan) {
+	if _, err := NewSweep(m, 256, []Assignment{make(Assignment, 3)}, nil, unit(1)); !errors.Is(err, ErrPlan) {
 		t.Errorf("3-layer base for a 4-layer model accepted: %v", err)
 	}
 	if _, err := NewSweep(m, 256, []Assignment{{0, 1, 2, 0}}, nil, unit(1)); !errors.Is(err, ErrPlan) {

@@ -28,8 +28,8 @@ type Assignment struct {
 
 // NewAssignment builds the assignment from one platform per hierarchy
 // level, root cut first. The deepest level's platform becomes the node
-// platform. At least one level is required — use UniformAssignment for
-// a zero-depth (single accelerator) array.
+// platform. At least one level is required: a zero-depth (single
+// accelerator) array is the Tail(0) of a one-level assignment.
 func NewAssignment(perLevel []Platform) (Assignment, error) {
 	if len(perLevel) == 0 {
 		return Assignment{}, fmt.Errorf("%w: empty per-level assignment", ErrPlatform)
@@ -44,22 +44,6 @@ func NewAssignment(perLevel []Platform) (Assignment, error) {
 	return Assignment{levels: levels, node: levels[len(levels)-1]}, nil
 }
 
-// UniformAssignment assigns one platform to every level of a
-// levels-deep hierarchy (levels may be zero: a single accelerator).
-func UniformAssignment(p Platform, levels int) (Assignment, error) {
-	if p == nil {
-		return Assignment{}, fmt.Errorf("%w: nil platform", ErrPlatform)
-	}
-	if levels < 0 {
-		return Assignment{}, fmt.Errorf("%w: negative hierarchy depth %d", ErrPlatform, levels)
-	}
-	per := make([]Platform, levels)
-	for h := range per {
-		per[h] = p
-	}
-	return Assignment{levels: per, node: p}, nil
-}
-
 // Levels returns the hierarchy depth the assignment covers.
 func (a Assignment) Levels() int { return len(a.levels) }
 
@@ -70,8 +54,8 @@ func (a Assignment) At(h int) Platform { return a.levels[h] }
 // whose nodes do the compute and hold the working set.
 func (a Assignment) Node() Platform { return a.node }
 
-// IsUniform reports whether every level runs the node platform, i.e.
-// the assignment degenerates to the historical single-platform array.
+// IsUniform reports whether every level runs the node platform: the
+// single-platform array, whose fabric is its platform's own.
 func (a Assignment) IsUniform() bool {
 	for _, p := range a.levels {
 		if p.Name() != a.node.Name() {
@@ -121,12 +105,9 @@ func (a Assignment) PartitionWeights() []partition.Weights {
 }
 
 // LevelMemories returns each level's memory/energy model for link
-// accounting, or nil for a uniform assignment (the node model covers
-// every level, the historical single-platform accounting).
+// accounting, root cut first: on a single-platform array, the node
+// model at every level.
 func (a Assignment) LevelMemories() []Memory {
-	if a.IsUniform() {
-		return nil
-	}
 	mems := make([]Memory, len(a.levels))
 	for h, p := range a.levels {
 		mems[h] = p.Memory()
@@ -183,14 +164,15 @@ func (a Assignment) ConvertLinkBytes(h int, exchBytes float64) float64 {
 }
 
 // NewTopology builds the assignment's interconnect. A uniform
-// assignment delegates to its platform exactly as the single-platform
-// path always has (name/link zero-values resolve to the platform's
-// native defaults). A mixed assignment builds each level's fabric from
-// that level's platform — name and linkMbps, when set, apply to every
-// level and each level's platform must support them; when unset, each
-// level uses its platform's native topology and link rate — and wraps
-// them in a composite that answers level h with level h's fabric plus
-// the boundary adapter charge.
+// assignment builds its platform's one fabric (name/link zero-values
+// resolve to the platform's native defaults): the composite would build
+// a fabric per level and add a zero adapter charge to every transfer
+// for the same prices. A mixed assignment builds each level's fabric
+// from that level's platform — name and linkMbps, when set, apply to
+// every level and each level's platform must support them; when unset,
+// each level uses its platform's native topology and link rate — and
+// wraps them in a composite that answers level h with level h's fabric
+// plus the boundary adapter charge.
 func (a Assignment) NewTopology(name string, linkMbps float64) (noc.Topology, error) {
 	depth := len(a.levels)
 	if a.IsUniform() {

@@ -8,16 +8,22 @@ import (
 	"repro/internal/platform"
 )
 
+// byName resolves a registered platform or fails the test.
+func byName(t *testing.T, name string) platform.Platform {
+	t.Helper()
+	p, err := platform.ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 // mustAssignment resolves names into an Assignment or fails the test.
 func mustAssignment(t *testing.T, names ...string) platform.Assignment {
 	t.Helper()
 	per := make([]platform.Platform, len(names))
 	for i, n := range names {
-		p, err := platform.ByName(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		per[i] = p
+		per[i] = byName(t, n)
 	}
 	a, err := platform.NewAssignment(per)
 	if err != nil {
@@ -44,24 +50,6 @@ func TestResolveFallback(t *testing.T) {
 	}
 }
 
-// TestBuiltinAccessors: the exported constructors hand out the same
-// instances the registry serves, so there is exactly one of each.
-func TestBuiltinAccessors(t *testing.T) {
-	for name, p := range map[string]platform.Platform{
-		"hmc":          platform.HMC(),
-		"gpu-hbm":      platform.GPUHBM(),
-		"tpu-systolic": platform.TPUSystolic(),
-	} {
-		reg, err := platform.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p != reg {
-			t.Errorf("%s accessor and registry disagree", name)
-		}
-	}
-}
-
 // TestRegisterPanics: registration collisions are programming errors
 // and must fail loudly at init time, not shadow an existing platform.
 func TestRegisterPanics(t *testing.T) {
@@ -75,7 +63,8 @@ func TestRegisterPanics(t *testing.T) {
 		f()
 	}
 	mustPanic("nil platform", func() { platform.Register(nil) })
-	mustPanic("duplicate name", func() { platform.Register(platform.HMC()) })
+	hmc := byName(t, "hmc")
+	mustPanic("duplicate name", func() { platform.Register(hmc) })
 }
 
 // TestAssignmentAccessors covers the read surface of an Assignment:
@@ -101,7 +90,7 @@ func TestAssignmentAccessors(t *testing.T) {
 		t.Errorf("String() = %q", a.String())
 	}
 
-	zero, err := platform.UniformAssignment(platform.HMC(), 0)
+	zero, err := mustAssignment(t, "hmc").Tail(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,20 +99,14 @@ func TestAssignmentAccessors(t *testing.T) {
 	}
 }
 
-// TestAssignmentConstructorErrors: empty or nil per-level slots and
-// negative depths are rejected with ErrPlatform.
+// TestAssignmentConstructorErrors: empty or nil per-level slots are
+// rejected with ErrPlatform.
 func TestAssignmentConstructorErrors(t *testing.T) {
 	if _, err := platform.NewAssignment(nil); !errors.Is(err, platform.ErrPlatform) {
 		t.Errorf("NewAssignment(nil) error = %v", err)
 	}
-	if _, err := platform.NewAssignment([]platform.Platform{platform.HMC(), nil}); !errors.Is(err, platform.ErrPlatform) {
+	if _, err := platform.NewAssignment([]platform.Platform{byName(t, "hmc"), nil}); !errors.Is(err, platform.ErrPlatform) {
 		t.Errorf("nil level error = %v", err)
-	}
-	if _, err := platform.UniformAssignment(nil, 2); !errors.Is(err, platform.ErrPlatform) {
-		t.Errorf("UniformAssignment(nil) error = %v", err)
-	}
-	if _, err := platform.UniformAssignment(platform.HMC(), -1); !errors.Is(err, platform.ErrPlatform) {
-		t.Errorf("negative depth error = %v", err)
 	}
 }
 
@@ -152,31 +135,29 @@ func TestAssignmentTail(t *testing.T) {
 }
 
 // TestAssignmentPerLevelModels: PartitionWeights and LevelMemories hand
-// each stage that level's cost model — and LevelMemories is nil for a
-// uniform assignment, the historical single-model accounting.
+// each stage that level's cost model — on a uniform assignment, the node
+// platform's at every level.
 func TestAssignmentPerLevelModels(t *testing.T) {
+	gpuHBM, hmc := byName(t, "gpu-hbm"), byName(t, "hmc")
 	a := mustAssignment(t, "gpu-hbm", "hmc")
 	ws := a.PartitionWeights()
 	if len(ws) != 2 {
 		t.Fatalf("PartitionWeights len = %d", len(ws))
 	}
-	if ws[0] != platform.GPUHBM().PartitionWeights() || ws[1] != platform.HMC().PartitionWeights() {
+	if ws[0] != gpuHBM.PartitionWeights() || ws[1] != hmc.PartitionWeights() {
 		t.Errorf("PartitionWeights = %v, want per-level platform weights", ws)
 	}
 	mems := a.LevelMemories()
 	if len(mems) != 2 {
 		t.Fatalf("LevelMemories len = %d", len(mems))
 	}
-	if mems[0] != platform.GPUHBM().Memory() || mems[1] != platform.HMC().Memory() {
+	if mems[0] != gpuHBM.Memory() || mems[1] != hmc.Memory() {
 		t.Error("LevelMemories not the per-level platform memories")
 	}
 
-	u, err := platform.UniformAssignment(platform.HMC(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u.LevelMemories() != nil {
-		t.Error("uniform LevelMemories != nil")
+	u := mustAssignment(t, "hmc", "hmc", "hmc")
+	if mems := u.LevelMemories(); len(mems) != 3 || mems[0] != hmc.Memory() || mems[2] != hmc.Memory() {
+		t.Errorf("uniform LevelMemories = %v, want the node memory at each of 3 levels", mems)
 	}
 	if len(u.PartitionWeights()) != 3 {
 		t.Errorf("uniform PartitionWeights len = %d", len(u.PartitionWeights()))
@@ -187,10 +168,7 @@ func TestAssignmentPerLevelModels(t *testing.T) {
 // platform (explicit names included), mixed ones build the composite
 // fabric — whose levels, name, and out-of-range errors this pins.
 func TestAssignmentTopology(t *testing.T) {
-	u, err := platform.UniformAssignment(platform.HMC(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	u := mustAssignment(t, "hmc", "hmc")
 	topo, err := u.NewTopology("torus", 800)
 	if err != nil {
 		t.Fatal(err)
@@ -225,7 +203,8 @@ func TestAssignmentTopology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := platform.GPUHBM().NewTopology("torus", 3, platform.GPUHBM().DefaultLinkMbps())
+	gpuHBM := byName(t, "gpu-hbm")
+	base, err := gpuHBM.NewTopology("torus", 3, gpuHBM.DefaultLinkMbps())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,21 +76,6 @@ func (b *basic) Validate() error {
 	return b.weights.Validate()
 }
 
-// HMC is the paper's evaluation platform: Eyeriss-style row-stationary
-// units on HMC logic dies, natively wired as an H-tree with 1600 Mb/s
-// serial links (paper §5-6.1).
-func HMC() Platform { return hmcPlatform }
-
-// GPUHBM is a V100-class HBM accelerator array: SIMT nodes over HBM2,
-// natively wired as an NVLink-style torus (the DGX hybrid cube-mesh
-// maps onto the torus model's contiguous-block cuts).
-func GPUHBM() Platform { return gpuPlatform }
-
-// TPUSystolic is a TPU-class array: weight-stationary 128×128 systolic
-// matrix units over HBM, natively wired as an ICI-style 2D torus (the
-// published pod interconnect).
-func TPUSystolic() Platform { return tpuPlatform }
-
 var (
 	hmcPlatform = &basic{
 		name:     "hmc",

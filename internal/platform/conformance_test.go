@@ -323,7 +323,8 @@ func TestConformanceSimulate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		arch := sim.Arch{Mem: p.Memory(), Comp: p.Compute(), NoC: topo, DType: tensor.Float32}
+		arch := sim.Arch{Mem: p.Memory(), Comp: p.Compute(), NoC: topo, DType: tensor.Float32,
+			LevelMems: []platform.Memory{p.Memory(), p.Memory()}}
 		stats, err := sim.Simulate(m, plan, arch)
 		if err != nil {
 			t.Fatalf("Simulate: %v", err)

@@ -81,7 +81,7 @@ func TestConformanceMixedOracle(t *testing.T) {
 // byte-identical to their historical cost accounting.
 func TestBoundaryCostUniformIsFree(t *testing.T) {
 	forEachPlatform(t, func(t *testing.T, p platform.Platform) {
-		a, err := platform.UniformAssignment(p, 4)
+		a, err := platform.NewAssignment([]platform.Platform{p, p, p, p})
 		if err != nil {
 			t.Fatal(err)
 		}

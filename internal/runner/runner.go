@@ -10,7 +10,7 @@
 // the serial run (which always reports the first). Successful runs are
 // fully deterministic at any width.
 //
-// A Pool is a width, not a shared queue: every Map/Stream call spawns
+// A Pool is a width, not a shared queue: every Map/StreamWith call spawns
 // its own bounded set of workers, so nested fan-outs cannot deadlock
 // (they merely oversubscribe). Width 1 runs inline on the calling
 // goroutine — the serial reference path every determinism test and
@@ -199,25 +199,20 @@ func MapWith[S, T, R any](p *Pool, items []T, newState func() S, fn func(s S, i 
 }
 
 // errStreamStopped is the sentinel workers return once the consumer has
-// aborted a Stream; it never escapes to the caller.
+// aborted a StreamWith; it never escapes to the caller.
 var errStreamStopped = errors.New("runner: stream stopped by consumer")
 
-// Stream applies fn to every item on the pool and hands each result to
-// emit in input order, while later items are still being computed: item
-// i's emit only waits for items 0..i, not for the whole batch. emit runs
-// on the calling goroutine, so it may write to non-thread-safe sinks
-// (an http.ResponseWriter, a terminal). An emit error cancels the
-// remaining computation and is returned. With width 1 the behavior is
-// compute-then-emit per item, the serial reference path.
-func Stream[T, R any](p *Pool, items []T, fn func(i int, item T) (R, error), emit func(i int, r R) error) error {
-	return StreamWith(p, items, func() struct{} { return struct{}{} },
-		func(_ struct{}, i int, item T) (R, error) { return fn(i, item) }, emit)
-}
-
-// StreamWith is Stream with per-worker state (see MapWith). Workers
-// stay at most 2·width items ahead of the emit cursor, so a slow
-// consumer bounds buffering and an emit error cancels outstanding work
-// promptly instead of after the whole batch.
+// StreamWith applies fn to every item on the pool, with per-worker
+// state (see MapWith), and hands each result to emit in input order
+// while later items are still being computed: item i's emit only waits
+// for items 0..i, not for the whole batch. emit runs on the calling
+// goroutine, so it may write to non-thread-safe sinks (an
+// http.ResponseWriter, a terminal). An emit error cancels the remaining
+// computation and is returned. With width 1 the behavior is
+// compute-then-emit per item, the serial reference path. Workers stay
+// at most 2·width items ahead of the emit cursor, so a slow consumer
+// bounds buffering and an emit error cancels outstanding work promptly
+// instead of after the whole batch.
 func StreamWith[S, T, R any](p *Pool, items []T, newState func() S,
 	fn func(s S, i int, item T) (R, error), emit func(i int, r R) error) error {
 	n := len(items)
@@ -319,23 +314,17 @@ func StreamWith[S, T, R any](p *Pool, items []T, newState func() S,
 	return err
 }
 
-// Chunks splits [0, n) into roughly perChunk-sized half-open ranges so
-// range enumerations (brute force, explorations) can fan out without a
-// task per point. perChunk <= 0 picks a size that yields about four
-// chunks per worker of the given width.
-func Chunks(n, width, perChunk int) [][2]int {
+// Chunks splits [0, n) into about four half-open ranges per worker of
+// the given width, so range enumerations (brute force, explorations)
+// can fan out without a task per point.
+func Chunks(n, width int) [][2]int {
 	if n <= 0 {
 		return nil
 	}
 	if width <= 0 {
 		width = 1
 	}
-	if perChunk <= 0 {
-		perChunk = (n + 4*width - 1) / (4 * width)
-		if perChunk < 1 {
-			perChunk = 1
-		}
-	}
+	perChunk := (n + 4*width - 1) / (4 * width)
 	chunks := make([][2]int, 0, (n+perChunk-1)/perChunk)
 	for lo := 0; lo < n; lo += perChunk {
 		hi := lo + perChunk

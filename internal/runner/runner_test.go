@@ -136,10 +136,10 @@ func TestMapWithPerWorkerState(t *testing.T) {
 }
 
 func TestChunksCoverRange(t *testing.T) {
-	for _, tc := range []struct{ n, width, per int }{
-		{0, 4, 0}, {1, 4, 0}, {256, 4, 0}, {256, 1, 0}, {257, 8, 16}, {10, 100, 0},
+	for _, tc := range []struct{ n, width int }{
+		{0, 4}, {1, 4}, {256, 4}, {256, 1}, {257, 8}, {10, 100},
 	} {
-		chunks := Chunks(tc.n, tc.width, tc.per)
+		chunks := Chunks(tc.n, tc.width)
 		next := 0
 		for _, c := range chunks {
 			if c[0] != next || c[1] <= c[0] {

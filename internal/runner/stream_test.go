@@ -7,6 +7,12 @@ import (
 	"testing"
 )
 
+// stream is StreamWith without per-worker state.
+func stream[T, R any](p *Pool, items []T, fn func(i int, item T) (R, error), emit func(i int, r R) error) error {
+	return StreamWith(p, items, func() struct{} { return struct{}{} },
+		func(_ struct{}, i int, item T) (R, error) { return fn(i, item) }, emit)
+}
+
 func TestStreamOrderAndResults(t *testing.T) {
 	for _, width := range []int{1, 2, 8} {
 		items := make([]int, 100)
@@ -14,7 +20,7 @@ func TestStreamOrderAndResults(t *testing.T) {
 			items[i] = i
 		}
 		var got []int
-		err := Stream(New(width), items,
+		err := stream(New(width), items,
 			func(_ int, v int) (int, error) { return v * v, nil },
 			func(i int, r int) error {
 				if r != i*i {
@@ -38,7 +44,7 @@ func TestStreamOrderAndResults(t *testing.T) {
 }
 
 func TestStreamEmpty(t *testing.T) {
-	err := Stream(New(4), nil,
+	err := stream(New(4), nil,
 		func(_ int, v int) (int, error) { return v, nil },
 		func(int, int) error { t.Fatal("emit on empty input"); return nil })
 	if err != nil {
@@ -50,7 +56,7 @@ func TestStreamComputeError(t *testing.T) {
 	boom := errors.New("boom")
 	for _, width := range []int{1, 4} {
 		var emitted atomic.Int64
-		err := Stream(New(width), []int{0, 1, 2, 3, 4, 5, 6, 7},
+		err := stream(New(width), []int{0, 1, 2, 3, 4, 5, 6, 7},
 			func(_ int, v int) (int, error) {
 				if v == 3 {
 					return 0, boom
@@ -78,7 +84,7 @@ func TestStreamEmitErrorCancels(t *testing.T) {
 	for _, width := range []int{1, 4} {
 		var computed atomic.Int64
 		items := make([]int, 1000)
-		err := Stream(New(width), items,
+		err := stream(New(width), items,
 			func(_ int, v int) (int, error) {
 				computed.Add(1)
 				return v, nil

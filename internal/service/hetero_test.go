@@ -82,13 +82,16 @@ func TestHeteroUniformSpecCanonicalHash(t *testing.T) {
 
 // TestHeteroInvalidSpecRejected proves malformed per-level assignments
 // are 400s, not served evaluations: an unknown platform name, a
-// non-integer level key, and an out-of-range level index.
+// non-integer level key, an out-of-range level index, and two keys
+// naming one level (which map order would otherwise resolve).
 func TestHeteroInvalidSpecRejected(t *testing.T) {
 	_, ts, _ := newTestServer(t)
 	for _, body := range []string{
 		`{"zoo":"Lenet-c","config":{"platforms":{"0":"quantum"}}}`,
 		`{"zoo":"Lenet-c","config":{"platforms":{"root":"hmc"}}}`,
 		`{"zoo":"Lenet-c","config":{"platforms":{"25":"hmc"}}}`,
+		`{"zoo":"Lenet-c","config":{"batch":64,"levels":2,"platforms":{"0":"hmc","00":"gpu-hbm","1":"tpu-systolic"}}}`,
+		`{"zoo":"Lenet-c","config":{"levels":2,"platforms":{"1":"hmc","+1":"hmc","0":"gpu-hbm"}}}`,
 	} {
 		code, resp := postJSON(t, ts.URL+"/v1/evaluate", body)
 		if code != http.StatusBadRequest {

@@ -1313,7 +1313,7 @@ func noLabels(int) map[string]string { return nil }
 
 // handleExplore answers POST /v1/explore with an NDJSON stream: a
 // header line, one line per sweep point in code order, and a summary
-// line. The stream begins before the sweep finishes (runner.Stream
+// line. The stream begins before the sweep finishes (runner.StreamWith
 // backpressure), is teed into the cache, and coalesced followers replay
 // the leader's bytes. Only the header line is flushed at once, so the
 // client sees the 200 and the point count immediately; later lines

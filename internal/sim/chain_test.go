@@ -12,7 +12,6 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/hmc"
 	"repro/internal/nn"
-	"repro/internal/noc"
 	"repro/internal/partition"
 	"repro/internal/pe"
 	"repro/internal/platform"
@@ -70,19 +69,11 @@ type archCase struct {
 // platformArch builds a single-platform Arch at its native link rate.
 func platformArch(t *testing.T, name, topo string, levels int, dt tensor.DType) archCase {
 	t.Helper()
-	p, err := platform.ByName(name)
+	arch, err := newArch(uniform(name, levels), topo, 0, dt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nt, err := p.NewTopology(topo, levels, p.DefaultLinkMbps())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return archCase{
-		name:   fmt.Sprintf("%s/%s/H%d/%d", name, topo, levels, dt.Size()),
-		levels: levels,
-		arch:   Arch{Mem: p.Memory(), Comp: p.Compute(), NoC: nt, DType: dt},
-	}
+	return archCase{name: fmt.Sprintf("%s/%s/H%d/%d", name, topo, levels, dt.Size()), levels: levels, arch: arch}
 }
 
 // referenceArchs covers levels 1-5 on every platform and fabric, fp16
@@ -100,29 +91,12 @@ func referenceArchs(t *testing.T) []archCase {
 	for _, dt := range []tensor.DType{tensor.Float16, tensor.Int8} {
 		cases = append(cases, platformArch(t, "hmc", "htree", 4, dt), platformArch(t, "tpu-systolic", "torus", 2, dt))
 	}
-	var per []platform.Platform
-	for _, n := range []string{"gpu-hbm", "hmc", "tpu-systolic"} {
-		p, err := platform.ByName(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		per = append(per, p)
-	}
-	a, err := platform.NewAssignment(per)
+	per := []string{"gpu-hbm", "hmc", "tpu-systolic"}
+	mixed, err := newArch(per, "htree", 1600, tensor.Float32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nt, err := a.NewTopology("htree", 1600)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases = append(cases, archCase{
-		name:   "platforms=" + a.String(),
-		levels: a.Levels(),
-		arch: Arch{Mem: a.Node().Memory(), Comp: a.Node().Compute(), NoC: nt,
-			DType: tensor.Float32, LevelMems: a.LevelMemories()},
-	})
-	return cases
+	return append(cases, archCase{name: "platforms=" + strings.Join(per, ","), levels: len(per), arch: mixed})
 }
 
 // referencePlans returns HyPar, DP, MP, the trick and ten seeded random
@@ -239,11 +213,11 @@ func TestPhaseCostKey(t *testing.T) {
 	}
 	run := func(t *testing.T, sm *Simulator, s setup) {
 		t.Helper()
-		topo, err := noc.NewHTree(s.levels, 1600)
+		arch, err := newArch(uniform("hmc", s.levels), "htree", 1600, s.dt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		arch := Arch{Mem: s.mem, Comp: s.comp, NoC: topo, DType: s.dt}
+		arch.Mem, arch.Comp = s.mem, s.comp
 		for _, mk := range []func(*nn.Model, int, []partition.Weights) (*partition.Plan, error){
 			solve, partition.ModelParallel,
 		} {

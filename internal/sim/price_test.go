@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/nn"
@@ -53,10 +54,7 @@ func TestTransferPriceKey(t *testing.T) {
 		fp16 := ac
 		fp16.arch.DType = tensor.Float16
 		leaf := ac
-		leaf.arch.LevelMems = make([]platform.Memory, ac.levels)
-		for h := range leaf.arch.LevelMems {
-			leaf.arch.LevelMems[h] = ac.arch.LevelMem(h)
-		}
+		leaf.arch.LevelMems = slices.Clone(ac.arch.LevelMems)
 		leaf.arch.LevelMems[ac.levels-1] = gpuHBM.Memory()
 		node := ac
 		node.arch.Mem = gpuHBM.Memory()
@@ -88,6 +86,28 @@ func TestTransferPriceKey(t *testing.T) {
 		}
 	}
 	t.Logf("%d interleaved (arch, plan) cases bit-identical", cases)
+}
+
+// TestArchTransfer: a transfer's price is the fabric's time and link
+// bytes billed on that level's energy model, and a level without an
+// energy model is an error.
+func TestArchTransfer(t *testing.T) {
+	a, err := newArch([]string{"gpu-hbm", "hmc", "tpu-systolic"}, "", 0, tensor.Float32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for h := range 3 {
+		dur, energy, err := a.Transfer(h, 1e6)
+		wantDur, terr := a.NoC.TransferTime(h, 1e6)
+		linkBytes, lerr := a.NoC.LinkBytes(h, 1e6)
+		if err != nil || terr != nil || lerr != nil || dur != wantDur || energy != a.LevelMems[h].LinkEnergy(linkBytes) {
+			t.Errorf("level %d: Transfer = %v, %v, %v; want %v, %v", h, dur, energy, err, wantDur, a.LevelMems[h].LinkEnergy(linkBytes))
+		}
+	}
+	a.LevelMems = a.LevelMems[:2]
+	if _, _, err := a.Transfer(2, 1e6); !errors.Is(err, ErrSim) {
+		t.Errorf("level without an energy model: err %v, want ErrSim", err)
+	}
 }
 
 // flakyTopology wraps a fabric, counting transfer pricings and, while

@@ -26,14 +26,13 @@ type Arch struct {
 	NoC   noc.Topology
 	DType tensor.DType
 
-	// LevelMems optionally overrides the energy model per hierarchy
-	// level for link accounting: level h's transfers charge
-	// LevelMems[h].LinkEnergy instead of Mem's, so a heterogeneous array
-	// bills each cut's bytes at that cut's platform. Nil (the
-	// single-platform array) charges everything to Mem — the historical
-	// accounting, byte for byte. Compute, DRAM and capacity stay on Mem:
-	// the node platform owns the accelerators regardless of what fabrics
-	// sit above them.
+	// LevelMems holds the energy model billing each hierarchy level's
+	// link bytes, root cut first: level h's transfers charge
+	// LevelMems[h].LinkEnergy, so a heterogeneous array bills each cut's
+	// bytes at that cut's platform, and a single-platform array holds Mem
+	// at every level. It must cover every level a simulated plan has.
+	// Compute, DRAM and capacity stay on Mem: the node platform owns the
+	// accelerators regardless of what fabrics sit above them.
 	LevelMems []platform.Memory
 
 	// OverlapGradComm lets gradient partial-sum exchanges proceed
@@ -77,14 +76,22 @@ func (a Arch) Validate() error {
 	return nil
 }
 
-// LevelMem returns the energy model billing hierarchy level h's link
-// bytes: the per-level override when present, the node memory model
-// otherwise.
-func (a Arch) LevelMem(h int) platform.Memory {
-	if h >= 0 && h < len(a.LevelMems) {
-		return a.LevelMems[h]
+// Transfer prices one exchange of bytes (both directions, per pair) on
+// hierarchy level h's links: how long the level takes, and the energy
+// its link bytes cost under LevelMems[h].
+func (a Arch) Transfer(h int, bytes float64) (seconds, joules float64, err error) {
+	seconds, err = a.NoC.TransferTime(h, bytes)
+	if err != nil {
+		return 0, 0, err
 	}
-	return a.Mem
+	linkBytes, err := a.NoC.LinkBytes(h, bytes)
+	if err != nil {
+		return 0, 0, err
+	}
+	if h < 0 || h >= len(a.LevelMems) {
+		return 0, 0, fmt.Errorf("%w: %d per-level memory models, level %d has none", ErrSim, len(a.LevelMems), h)
+	}
+	return seconds, a.LevelMems[h].LinkEnergy(linkBytes), nil
 }
 
 // Stats aggregates the outcome of simulating one training step.
@@ -326,13 +333,10 @@ type priceTable struct {
 func (t *priceTable) slotsFor(arch *Arch, levels int) ([][1 << priceBits]price, uint64) {
 	same := t.noc == arch.NoC && t.dtype == arch.DType && len(t.mems) >= levels
 	for h := 0; same && h < levels; h++ {
-		same = t.mems[h] == arch.LevelMem(h)
+		same = t.mems[h] == arch.LevelMems[h]
 	}
 	if !same {
-		t.noc, t.dtype, t.mems = arch.NoC, arch.DType, resize(t.mems, levels)
-		for h := range t.mems {
-			t.mems[h] = arch.LevelMem(h)
-		}
+		t.noc, t.dtype, t.mems = arch.NoC, arch.DType, append(t.mems[:0], arch.LevelMems[:levels]...)
 		t.slots, t.gen = resize(t.slots, levels), t.gen+1
 		return nil, 0
 	}
@@ -424,7 +428,7 @@ func (s *Simulator) begin(b *stepBuilder, m *nn.Model, plan *partition.Plan, arc
 		return nil, fmt.Errorf("%w: topology has %d levels, plan needs %d",
 			ErrSim, arch.NoC.Levels(), levels)
 	}
-	if arch.LevelMems != nil && len(arch.LevelMems) < levels {
+	if len(arch.LevelMems) < levels {
 		return nil, fmt.Errorf("%w: %d per-level memory models, plan needs %d",
 			ErrSim, len(arch.LevelMems), levels)
 	}
@@ -702,16 +706,10 @@ func (b *stepBuilder) transfer(h int, elems float64) (float64, error) {
 			return p.dur, nil
 		}
 	}
-	bytes := 2 * elems * b.es
-	dur, err := b.arch.NoC.TransferTime(h, bytes)
+	dur, energy, err := b.arch.Transfer(h, 2*elems*b.es)
 	if err != nil {
 		return 0, err
 	}
-	linkBytes, err := b.arch.NoC.LinkBytes(h, bytes)
-	if err != nil {
-		return 0, err
-	}
-	energy := b.arch.LevelMem(h).LinkEnergy(linkBytes)
 	if p != nil && checkDuration("", dur) == nil {
 		*p = price{key, b.priceGen, dur, energy}
 	}

@@ -2,6 +2,9 @@ package sim
 
 import (
 	"errors"
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/hmc"
@@ -13,15 +16,39 @@ import (
 	"repro/internal/tensor"
 )
 
-// defaultArch returns the paper's evaluation platform: 2^levels
-// HMC-based accelerators on an H-tree with 1600 Mb/s links.
-func defaultArch(levels int) (Arch, error) {
-	p := platform.HMC()
-	ht, err := noc.NewHTree(levels, p.DefaultLinkMbps())
+// newArch is how sim's tests build an Arch, the way hypar.BuildArch
+// does: the named platforms, root cut first, on the assignment's topo
+// fabric at linkMbps (0: each level's native rate), with the node
+// platform's compute and memory and each level's link energy model.
+func newArch(names []string, topo string, linkMbps float64, dt tensor.DType) (Arch, error) {
+	per := make([]platform.Platform, len(names))
+	for h, n := range names {
+		p, err := platform.ByName(n)
+		if err != nil {
+			return Arch{}, err
+		}
+		per[h] = p
+	}
+	a, err := platform.NewAssignment(per)
 	if err != nil {
 		return Arch{}, err
 	}
-	return Arch{Mem: p.Memory(), Comp: p.Compute(), NoC: ht, DType: tensor.Float32}, nil
+	nt, err := a.NewTopology(topo, linkMbps)
+	if err != nil {
+		return Arch{}, err
+	}
+	return Arch{Mem: a.Node().Memory(), Comp: a.Node().Compute(), NoC: nt, DType: dt, LevelMems: a.LevelMemories()}, nil
+}
+
+// uniform names platform p at each of levels levels (none below zero).
+func uniform(p string, levels int) []string {
+	return slices.Repeat([]string{p}, max(levels, 0))
+}
+
+// defaultArch returns the paper's evaluation platform: 2^levels
+// HMC-based accelerators on an H-tree with 1600 Mb/s links.
+func defaultArch(levels int) (Arch, error) {
+	return newArch(uniform("hmc", levels), "htree", 1600, tensor.Float32)
 }
 
 func arch4(t *testing.T) Arch {
@@ -262,7 +289,7 @@ func TestSimulateErrors(t *testing.T) {
 	}
 	// Structurally invalid (ragged) plan.
 	ragged := &partition.Plan{Batch: 256, Levels: []partition.Assignment{
-		partition.Uniform(4, 0), partition.Uniform(3, 0),
+		make(partition.Assignment, 4), make(partition.Assignment, 3),
 	}}
 	if _, err := Simulate(m, ragged, a); err == nil {
 		t.Error("ragged plan accepted")
@@ -298,6 +325,15 @@ func TestSimulateErrors(t *testing.T) {
 	bad6.Mem = nil
 	if _, err := Simulate(m, plan, bad6); !errors.Is(err, ErrSim) {
 		t.Errorf("nil memory model accepted: %v", err)
+	}
+	// Per-level memory models must cover the plan's levels.
+	for _, mems := range [][]platform.Memory{nil, {}, {a.Mem, a.Mem, a.Mem}} {
+		bad7 := a
+		bad7.LevelMems = mems
+		want := fmt.Sprintf("%d per-level memory models, plan needs 4", len(mems))
+		if _, err := Simulate(m, plan, bad7); !errors.Is(err, ErrSim) || !strings.Contains(err.Error(), want) {
+			t.Errorf("%d per-level memory models: err %v, want %q", len(mems), err, want)
+		}
 	}
 }
 

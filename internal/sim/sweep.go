@@ -37,10 +37,10 @@ const maxSweepDurations = 1 << 16
 //	               conversion for e = 1
 //
 // The phases are priced from the Simulator's cost table, the transfers
-// through transfer. NaN marks an entry not yet priced, and an entry is
-// stored only once it passes checkDuration. An entry for a transfer
-// serialTransfers skips is 0, and adding 0 leaves the non-negative
-// clock's bits as they are.
+// through Arch.Transfer. NaN marks an entry not yet priced, and an
+// entry is stored only once it passes checkDuration. An entry for a
+// transfer serialTransfers skips is 0, and adding 0 leaves the
+// non-negative clock's bits as they are.
 type sweepTable struct {
 	// The held sweep's inputs; sw is nil until a sweep's checks pass.
 	model *nn.Model
@@ -52,11 +52,9 @@ type sweepTable struct {
 	plan *partition.Plan
 	walk bool // chain wiring, OverlapGradComm off, no trace, table within its cap
 
-	// b prices entries: the checked shapes, depth and arch, no
-	// transfer-price memo, and stats absorbing the energy it charges.
-	b     stepBuilder
-	stats Stats
-	key   costKey
+	// b prices entries: the checked shapes, depth and arch.
+	b   stepBuilder
+	key costKey
 
 	durs  []float64
 	first []int       // offset of layer l's block with every free cell dp
@@ -120,7 +118,7 @@ func (t *sweepTable) holds(m *nn.Model, sw *partition.Sweep, a *Arch) bool {
 	return t.sw == sw && t.model == m &&
 		t.arch.Mem == a.Mem && t.arch.Comp == a.Comp && t.arch.NoC == a.NoC && t.arch.DType == a.DType &&
 		t.arch.OverlapGradComm == a.OverlapGradComm && t.arch.CollectTrace == a.CollectTrace &&
-		(t.arch.LevelMems == nil) == (a.LevelMems == nil) && slices.Equal(t.arch.LevelMems, a.LevelMems)
+		slices.Equal(t.arch.LevelMems, a.LevelMems)
 }
 
 // beginSweep runs Simulate's checks on sw's point 0 and, when they pass,
@@ -178,7 +176,7 @@ func (s *Simulator) beginSweep(m *nn.Model, sw *partition.Sweep, arch Arch) erro
 			t.base[l] |= uint(p) << h
 		}
 	}
-	b.arch, b.stats, b.prices = arch, &t.stats, nil
+	b.arch = arch
 	b.leafShard = resize(b.leafShard, nl)
 	t.key = costKey{model: m, batch: t.plan.Batch, depth: b.levels, comp: arch.Comp, mem: arch.Mem, dtype: arch.DType}
 	return nil
@@ -308,7 +306,7 @@ func (s *Simulator) price(l, j int) (float64, error) {
 	if elems <= 0 {
 		return t.store(j, 0)
 	}
-	dur, err := b.transfer(h, elems)
+	dur, _, err := b.arch.Transfer(h, 2*elems*b.es)
 	if err != nil {
 		return 0, err
 	}

@@ -402,8 +402,6 @@ func TestSweepStepChecks(t *testing.T) {
 		t.Fatal(err)
 	}
 	good := arch4(t)
-	perLevel := good
-	perLevel.LevelMems = []platform.Memory{good.Mem, good.Mem, good.Mem, good.Mem}
 	shallow, err := defaultArch(3)
 	if err != nil {
 		t.Fatal(err)
@@ -425,12 +423,13 @@ func TestSweepStepChecks(t *testing.T) {
 		{"memory", good, m, func(a Arch) Arch { a.Mem = badMem; return a }},
 		{"nil memory", good, m, func(a Arch) Arch { a.Mem = nil; return a }},
 		{"compute", good, m, func(a Arch) Arch { a.Comp = badComp; return a }},
-		{"level memory", perLevel, m, func(a Arch) Arch {
+		{"level memory", good, m, func(a Arch) Arch {
 			a.LevelMems = []platform.Memory{a.Mem, a.Mem, badMem, a.Mem}
 			return a
 		}},
-		{"level memories", perLevel, m, func(a Arch) Arch { a.LevelMems = a.LevelMems[:3]; return a }},
+		{"level memories", good, m, func(a Arch) Arch { a.LevelMems = []platform.Memory{a.Mem, a.Mem, a.Mem}; return a }},
 		{"no level memories", good, m, func(a Arch) Arch { a.LevelMems = []platform.Memory{}; return a }},
+		{"nil level memories", good, m, func(a Arch) Arch { a.LevelMems = nil; return a }},
 		{"depth", good, m, func(Arch) Arch { return shallow }},
 		{"layers", good, longer, func(a Arch) Arch { return a }},
 		{"model", good, renamed, func(a Arch) Arch { return a }},
