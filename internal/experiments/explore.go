@@ -61,13 +61,14 @@ func ExploreLabelKey(fv partition.FreeVar) string {
 
 // ExploreStream evaluates all 2^len(free) settings of the free
 // variables on top of the model's HyPar plan, simulates each point on
-// the session pool, and hands the points to emit in code order as they
-// become ready — point p's emission does not wait for the sweep's tail,
-// so NDJSON consumers see results immediately. Workers share the
-// sweep's volume table, each pricing points on its own Simulator
-// (sim.Simulator.SweepStep), which holds the sweep's durations.
-// label may be nil (DefaultExploreLabel is used). An emit error stops
-// the sweep between points and is returned.
+// the session pool, and hands the points to emit in code order a range
+// at a time (runner.StreamWith) — point p's emission waits for its
+// range, not for the sweep's tail, so NDJSON consumers see results
+// before the sweep ends. Workers share the sweep's volume table, each
+// pricing points on its own Simulator (sim.Simulator.SweepStep), which
+// holds the sweep's durations. label may be nil (DefaultExploreLabel
+// is used). An emit error stops the sweep between points and is
+// returned.
 func (s *Session) ExploreStream(m *hypar.Model, free []partition.FreeVar,
 	label func(code int) map[string]string, emit func(ExplorePoint) error) error {
 	if label == nil {

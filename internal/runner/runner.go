@@ -12,14 +12,15 @@
 //
 // A Pool is a width, not a shared queue: every Map/StreamWith call spawns
 // its own bounded set of workers, so nested fan-outs cannot deadlock
-// (they merely oversubscribe). Width 1 runs inline on the calling
+// (they merely oversubscribe). StreamWith hands results to its consumer
+// a range of items at a time (Chunks), so the hand-off costs one lock
+// per range, not per item. Width 1 runs inline on the calling
 // goroutine — the serial reference path every determinism test and
 // benchmark baseline uses.
 package runner
 
 import (
 	"context"
-	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -198,21 +199,24 @@ func MapWith[S, T, R any](p *Pool, items []T, newState func() S, fn func(s S, i 
 	return out, nil
 }
 
-// errStreamStopped is the sentinel workers return once the consumer has
-// aborted a StreamWith; it never escapes to the caller.
-var errStreamStopped = errors.New("runner: stream stopped by consumer")
-
 // StreamWith applies fn to every item on the pool, with per-worker
 // state (see MapWith), and hands each result to emit in input order
-// while later items are still being computed: item i's emit only waits
-// for items 0..i, not for the whole batch. emit runs on the calling
-// goroutine, so it may write to non-thread-safe sinks (an
-// http.ResponseWriter, a terminal). An emit error cancels the remaining
-// computation and is returned. With width 1 the behavior is
-// compute-then-emit per item, the serial reference path. Workers stay
-// at most 2·width items ahead of the emit cursor, so a slow consumer
+// while later items are still being computed. Items are handed over in
+// the ranges of Chunks(len(items), width): a worker computes a whole
+// range without the stream's lock and publishes it at once, and item
+// i's emit waits for its range, not for the whole batch. emit runs on
+// the calling goroutine, so it may write to non-thread-safe sinks (an
+// http.ResponseWriter, a terminal). Workers claim no range more than
+// 2·width ranges ahead of the one being emitted, so a slow consumer
 // bounds buffering and an emit error cancels outstanding work promptly
 // instead of after the whole batch.
+//
+// Workers check for cancellation before every item. A compute error
+// stops the stream: nothing at or past the failed index is emitted, and
+// the error returned is the lowest-indexed failure among the items that
+// ran. An emit error stops the stream too and is returned. With width 1
+// every item is computed and then emitted on the calling goroutine, the
+// serial reference path, which reports the first error.
 func StreamWith[S, T, R any](p *Pool, items []T, newState func() S,
 	fn func(s S, i int, item T) (R, error), emit func(i int, r R) error) error {
 	n := len(items)
@@ -223,95 +227,116 @@ func StreamWith[S, T, R any](p *Pool, items []T, newState func() S,
 	if width > n {
 		width = n
 	}
+	if width == 1 {
+		s := newState()
+		for i, item := range items {
+			r, err := fn(s, i, item)
+			if err != nil {
+				return err
+			}
+			if err := emit(i, r); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+
+	chunks := Chunks(n, width)
 	window := 2 * width
 	var (
-		mu       sync.Mutex
-		cond     = sync.NewCond(&mu)
-		out      = make([]R, n)
-		ready    = make([]bool, n)
-		emitNext int  // next index the consumer will emit
-		done     bool // producer finished
-		failIdx  = -1 // lowest index whose fn call failed
-		failErr  error
-		stopped  atomic.Bool // consumer aborted
-		states   = make([]S, width)
-		made     = make([]bool, width)
-		doneCh   = make(chan struct{})
+		mu     sync.Mutex
+		filled = sync.NewCond(&mu) // the emitter waits for its range
+		room   = sync.NewCond(&mu) // workers wait for the window
+		// ends[c] is the end of range c's computed prefix once a worker
+		// has published the range, -1 before: the range's high bound,
+		// or the index where a failure or the stop flag cut it short.
+		ends    = make([]int, len(chunks))
+		next    int // next range to claim
+		cursor  int // range the emitter is waiting on or emitting
+		failIdx = n // lowest index whose fn call failed
+		failErr error
+		stopped atomic.Bool // a compute or emit error ends the stream
+		out     = make([]R, n)
+		wg      sync.WaitGroup
 	)
-	go func() {
-		// The p.run error is the errStreamStopped sentinel whenever fn
-		// failed (real errors are recorded in failIdx/failErr instead,
-		// because a window-waiting worker can abort with the sentinel at
-		// a lower index than the real failure), so it is ignored here.
-		_ = p.run(n, func(worker, i int) error {
+	for c := range ends {
+		ends[c] = -1
+	}
+	for w := 0; w < width; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var s S
+			made := false
 			mu.Lock()
-			for i >= emitNext+window && !stopped.Load() && failIdx == -1 {
-				cond.Wait()
-			}
-			aborted := stopped.Load() || failIdx != -1
-			mu.Unlock()
-			if aborted {
-				return errStreamStopped
-			}
-			if !made[worker] {
-				states[worker] = newState()
-				made[worker] = true
-			}
-			r, err := fn(states[worker], i, items[i])
-			mu.Lock()
-			if err != nil {
-				if failIdx == -1 || i < failIdx {
+			defer mu.Unlock()
+			for {
+				for next < len(chunks) && next >= cursor+window && !stopped.Load() {
+					room.Wait()
+				}
+				if next >= len(chunks) || stopped.Load() {
+					return
+				}
+				c := next
+				next++
+				mu.Unlock()
+				if !made {
+					s, made = newState(), true
+				}
+				i, hi := chunks[c][0], chunks[c][1]
+				var err error
+				for ; i < hi && !stopped.Load(); i++ {
+					var r R
+					if r, err = fn(s, i, items[i]); err != nil {
+						stopped.Store(true)
+						break
+					}
+					out[i] = r
+				}
+				mu.Lock()
+				ends[c] = i
+				if err != nil && i < failIdx {
 					failIdx, failErr = i, err
 				}
-			} else {
-				out[i] = r
-				ready[i] = true
+				filled.Signal()
+				if i < hi {
+					return
+				}
 			}
-			cond.Broadcast()
-			mu.Unlock()
-			if err != nil {
-				return errStreamStopped
-			}
-			return nil
-		})
-		mu.Lock()
-		done = true
-		cond.Broadcast()
-		mu.Unlock()
-		close(doneCh)
-	}()
+		}()
+	}
 
-	for i := 0; i < n; i++ {
-		mu.Lock()
-		for !ready[i] && !done {
-			cond.Wait()
+	var emitErr error
+	mu.Lock()
+	for c, ch := range chunks {
+		// Range c is claimed or claimable: the ranges before it were
+		// emitted whole, so no error has stopped the workers short of
+		// it, and it lies inside the window.
+		for ends[c] < 0 {
+			filled.Wait()
 		}
-		ok := ready[i]
-		r := out[i]
+		end := ends[c]
 		mu.Unlock()
-		if !ok {
-			// The producer finished without computing item i: it failed
-			// on an earlier error, surfaced below.
+		for i := ch[0]; i < end && emitErr == nil; i++ {
+			emitErr = emit(i, out[i])
+		}
+		mu.Lock()
+		if emitErr != nil {
+			stopped.Store(true)
+		}
+		if end < ch[1] || emitErr != nil {
 			break
 		}
-		if err := emit(i, r); err != nil {
-			stopped.Store(true)
-			mu.Lock()
-			cond.Broadcast()
-			mu.Unlock()
-			<-doneCh
-			return err
-		}
-		mu.Lock()
-		emitNext = i + 1
-		cond.Broadcast()
-		mu.Unlock()
+		cursor = c + 1
+		room.Signal()
 	}
-	<-doneCh
-	mu.Lock()
-	err := failErr
+	room.Broadcast()
 	mu.Unlock()
-	return err
+	wg.Wait()
+	if emitErr != nil {
+		return emitErr
+	}
+	return failErr
 }
 
 // Chunks splits [0, n) into about four half-open ranges per worker of

@@ -1,17 +1,23 @@
 package service
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"io"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/partition"
@@ -334,4 +340,195 @@ func getBody(t *testing.T, url string) (int, []byte) {
 		t.Fatal(err)
 	}
 	return resp.StatusCode, buf.Bytes()
+}
+
+// countingListener hands out conns that count their Writes. With a
+// gate, each conn's second and later Writes wait until the gate is
+// closed, so a test can read what a handler wrote first while the rest
+// is held back.
+type countingListener struct {
+	net.Listener
+	gate   chan struct{} // nil: never hold a write
+	writes atomic.Int64  // Write calls on every conn
+	held   atomic.Int64  // Writes that waited at the gate
+}
+
+func (l *countingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &countingConn{Conn: c, l: l}, nil
+}
+
+type countingConn struct {
+	net.Conn
+	l      *countingListener
+	writes atomic.Int64
+}
+
+func (c *countingConn) Write(b []byte) (int, error) {
+	c.l.writes.Add(1)
+	if c.writes.Add(1) > 1 && c.l.gate != nil {
+		c.l.held.Add(1)
+		<-c.l.gate
+	}
+	return c.Conn.Write(b)
+}
+
+// newCountingServer serves srv on a countingListener closed with the
+// test. A test that passes a gate registers the gate's release with
+// t.Cleanup after this call, so held writes are let go before the
+// server closes.
+func newCountingServer(t *testing.T, srv *Server, gate chan struct{}) (*httptest.Server, *countingListener) {
+	t.Helper()
+	ts := httptest.NewUnstartedServer(srv.Handler())
+	l := &countingListener{Listener: ts.Listener, gate: gate}
+	ts.Listener = l
+	ts.Start()
+	t.Cleanup(ts.Close)
+	return ts, l
+}
+
+// TestExploreStreamWrites: a 256-point VGG-A sweep (~43 KB) leaves in
+// two blocks, the flushed header line and the rest with the summary,
+// so it costs a handful of socket writes rather than one per 4 KiB.
+func TestExploreStreamWrites(t *testing.T) {
+	srv, err := New(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts, l := newCountingServer(t, srv, nil)
+	code, b := postJSON(t, ts.URL+"/v1/explore", `{"zoo":"VGG-A"}`)
+	if code != http.StatusOK {
+		t.Fatalf("status %d: %s", code, b)
+	}
+	if n := bytes.Count(b, []byte("\n")); n != 258 {
+		t.Fatalf("%d lines, want 258", n)
+	}
+	writes := l.writes.Load()
+	t.Logf("%d bytes in %d conn writes", len(b), writes)
+	if writes > 5 {
+		t.Errorf("a 256-point sweep took %d conn writes, want <= 5", writes)
+	}
+}
+
+// TestExploreStreamLargeSweep streams a 1,024-point sweep, whose point
+// lines (~170 KB) leave in several 64 KiB blocks. The header line is
+// readable while every later write is held, so the 200 and the point
+// count reach the client before any point block or the summary. The
+// streamed body is byte-identical to a follower coalesced onto the
+// same flight, to the cache replay and to a job's result.
+func TestExploreStreamLargeSweep(t *testing.T) {
+	body := `{"zoo":"VGG-A","free":[` + freeVars(10) + `]}`
+	srv, err := New(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := make(chan struct{})
+	var release sync.Once
+	open := func() { release.Do(func() { close(gate) }) }
+	ts, l := newCountingServer(t, srv, gate)
+	t.Cleanup(open)
+	// A header stuck behind the held writes must fail the test, not
+	// hang it.
+	var late atomic.Bool
+	timer := time.AfterFunc(30*time.Second, func() { late.Store(true); open() })
+	defer timer.Stop()
+
+	resp, err := http.Post(ts.URL+"/v1/explore", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	br := bufio.NewReader(resp.Body)
+	line, err := br.ReadBytes('\n')
+	if err != nil {
+		t.Fatalf("header line: %v", err)
+	}
+	if late.Load() {
+		t.Fatal("the header line arrived only after the held writes were released")
+	}
+	var header exploreHeaderJSON
+	if err := json.Unmarshal(line, &header); err != nil || header.Type != "header" || header.Points != 1024 {
+		t.Fatalf("header %q: %v", line, err)
+	}
+	waitUntil(t, "the first held write", func() bool { return l.held.Load() > 0 })
+	callers := flightCallers()
+
+	// A follower coalesces onto the held flight.
+	type reply struct {
+		code int
+		body []byte
+		err  error
+	}
+	followed := make(chan reply, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/explore", "application/json", strings.NewReader(body))
+		if err != nil {
+			followed <- reply{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		followed <- reply{resp.StatusCode, b, err}
+	}()
+	waitUntil(t, "the follower to join the flight", func() bool { return flightCallers() > callers })
+	open()
+
+	rest, err := io.ReadAll(br)
+	if err != nil {
+		t.Fatalf("stream: %v", err)
+	}
+	streamed := append(line, rest...)
+	if n := bytes.Count(streamed, []byte("\n")); n != 1026 {
+		t.Fatalf("streamed %d lines, want 1026", n)
+	}
+	if !bytes.HasPrefix(streamed[bytes.LastIndexByte(streamed[:len(streamed)-1], '\n')+1:], []byte(summaryHead)) {
+		t.Fatal("stream does not end with the summary line")
+	}
+	f := <-followed
+	if f.err != nil || f.code != http.StatusOK || !bytes.Equal(f.body, streamed) {
+		t.Errorf("coalesced follower: status %d, %v, identical %v", f.code, f.err, bytes.Equal(f.body, streamed))
+	}
+	code, replay := postJSON(t, ts.URL+"/v1/explore", body)
+	if code != http.StatusOK || !bytes.Equal(replay, streamed) {
+		t.Errorf("cache replay: status %d, identical %v", code, bytes.Equal(replay, streamed))
+	}
+	st := submitJob(t, ts.URL, body)
+	if fin := waitJob(t, ts.URL, st.ID); fin.Status != jobStateDone || fin.Done != 1024 {
+		t.Fatalf("job ended %+v", fin)
+	}
+	code, result := getBody(t, ts.URL+"/v1/jobs/"+st.ID+"/result")
+	if code != http.StatusOK || !bytes.Equal(result, streamed) {
+		t.Errorf("job result: status %d, identical %v", code, bytes.Equal(result, streamed))
+	}
+	m := srv.metrics["explore"]
+	if m.computes.Load() != 1 || m.coalesced.Load() != 1 {
+		t.Errorf("%d computes and %d coalesced, want 1 and 1", m.computes.Load(), m.coalesced.Load())
+	}
+}
+
+// waitUntil polls cond until it holds, failing the test after 30 s.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// flightCallers counts the goroutines inside a singleflight call: a
+// leader computing and every follower waiting on it. While the leader
+// is held, a follower that has entered the call can only coalesce.
+func flightCallers() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	return bytes.Count(buf, []byte("service.(*flightGroup).DoCtx("))
 }

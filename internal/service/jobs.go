@@ -48,12 +48,11 @@ type job struct {
 	finished time.Time
 }
 
-// bump records one computed sweep point.
-func (j *job) bump() {
+// add records n more computed sweep points, never more than the
+// sweep has.
+func (j *job) add(n int) {
 	j.mu.Lock()
-	if j.done < j.points {
-		j.done++
-	}
+	j.done = min(j.done+n, j.points)
 	j.mu.Unlock()
 }
 
@@ -284,14 +283,17 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) error {
 	return json.NewEncoder(w).Encode(j.status())
 }
 
-// runJob computes one job's sweep. Progress advances as the leader
-// renders point lines; a job coalesced onto another in-flight
-// computation of the same sweep jumps straight from 0 to done when
-// that computation lands. Cancellation cuts the sweep between lines
-// when this job leads, and — because the wait goes through
-// resolveCtx(j.ctx) — promptly abandons a wait on another consumer's
-// computation when this job follows, so Shutdown's job drain is never
-// held hostage by a long-running synchronous explore leader.
+// runJob computes one job's sweep. Progress advances by the point
+// objects in each block the leader tees. The summary line repeats two
+// of them, but it comes in the last block, whose point lines bring
+// done to points anyway, and add clamps. A job coalesced onto another
+// in-flight computation of the same sweep jumps straight from 0 to
+// done when that computation lands. Cancellation cuts the sweep
+// between lines when this job leads, and — because the wait goes
+// through resolveCtx(j.ctx) — promptly abandons a wait on another
+// consumer's computation when this job follows, so Shutdown's job
+// drain is never held hostage by a long-running synchronous explore
+// leader.
 // resolveRetry handles the inverse case: a follower poisoned by a
 // since-canceled job leader retries instead of reporting a cancel it
 // never asked for.
@@ -308,11 +310,7 @@ func (s *Server) runJob(j *job, p *parsed) {
 		}
 	}()
 	resp, err := s.resolveRetry(j.ctx, j.ctx, "explore", j.key, func(cctx context.Context) (response, error) {
-		return s.exploreBody(cctx, p, func(b []byte) {
-			if bytes.HasPrefix(b, pointLinePrefix) {
-				j.bump()
-			}
-		})
+		return s.exploreBody(cctx, p, func(b []byte) { j.add(bytes.Count(b, pointLinePrefix)) })
 	})
 	j.finish(resp, err)
 }

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -324,5 +325,93 @@ func TestJobCancelDoesNotPoisonFollowers(t *testing.T) {
 	fin1 := waitJob(t, ts.URL, j1.ID)
 	if fin1.Status != jobStateCanceled && fin1.Status != jobStateDone {
 		t.Errorf("canceled leader landed in %q", fin1.Status)
+	}
+}
+
+// TestJobProgressPerBlock feeds a 1,024-point sweep's teed blocks to a
+// job the way runJob does. The first block is the header line alone,
+// every block but the last holds at least teeBlock bytes of whole
+// lines, the blocks add up to the body, and after each block the job's
+// done count equals the point lines teed so far, reaching the sweep's
+// points only with the last block.
+func TestJobProgressPerBlock(t *testing.T) {
+	srv, err := New(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var req request
+	if err := json.Unmarshal([]byte(`{"zoo":"VGG-A","free":[`+freeVars(10)+`]}`), &req); err != nil {
+		t.Fatal(err)
+	}
+	p, err := srv.resolveRequest(req, false, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := finishExploreParse(p); err != nil {
+		t.Fatal(err)
+	}
+	j := &job{points: 1 << uint(len(p.free))}
+	var blocks [][]byte
+	var done []int
+	resp, err := srv.exploreBody(context.Background(), p, func(b []byte) {
+		blocks = append(blocks, append([]byte(nil), b...))
+		j.add(bytes.Count(b, pointLinePrefix))
+		done = append(done, j.status().Done)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(blocks) < 3 {
+		t.Fatalf("%d blocks, want the header, at least one 64 KiB point block and the rest", len(blocks))
+	}
+	if !bytes.HasPrefix(blocks[0], []byte(`{"type":"header"`)) || bytes.Count(blocks[0], []byte("\n")) != 1 {
+		t.Errorf("first block is not the header line alone: %q", blocks[0])
+	}
+	teed := 0
+	for i, b := range blocks {
+		if !bytes.HasSuffix(b, []byte("\n")) {
+			t.Errorf("block %d does not end a line", i)
+		}
+		if i > 0 && i < len(blocks)-1 && len(b) < teeBlock {
+			t.Errorf("block %d holds %d bytes, want >= %d", i, len(b), teeBlock)
+		}
+		for _, line := range bytes.SplitAfter(b, []byte("\n")) {
+			if bytes.HasPrefix(line, pointLinePrefix) {
+				teed++
+			}
+		}
+		if done[i] != teed {
+			t.Errorf("block %d: done %d, want the %d point lines teed so far", i, done[i], teed)
+		}
+	}
+	if got := bytes.Join(blocks, nil); !bytes.Equal(got, resp.body) {
+		t.Error("the teed blocks differ from the body")
+	}
+	if last := len(done) - 1; done[last] != j.points || done[last-1] >= j.points {
+		t.Errorf("done per block %v, want %d reached only at the last block", done, j.points)
+	}
+}
+
+// TestJobProgressMonotone polls a running 1,024-point job: its done
+// count never falls and ends at its points.
+func TestJobProgressMonotone(t *testing.T) {
+	_, ts, _ := newTestServer(t)
+	st := submitJob(t, ts.URL, `{"zoo":"VGG-A","free":[`+freeVars(10)+`]}`)
+	prev := 0
+	for {
+		var cur jobStatusJSON
+		if code := getJSON(t, ts.URL+"/v1/jobs/"+st.ID, &cur); code != http.StatusOK {
+			t.Fatalf("job status: %d", code)
+		}
+		if cur.Done < prev || cur.Done > cur.Points {
+			t.Fatalf("done %d after %d, of %d points", cur.Done, prev, cur.Points)
+		}
+		prev = cur.Done
+		if cur.Status != jobStateRunning {
+			if cur.Status != jobStateDone || cur.Done != cur.Points || cur.Points != 1024 {
+				t.Fatalf("final status %+v", cur)
+			}
+			return
+		}
 	}
 }

@@ -1218,20 +1218,28 @@ func finishExploreParse(p *parsed) error {
 	return nil
 }
 
+// teeBlock is how many bytes of point lines exploreBody lets wait
+// before it tees them: a 256-point sweep (~43 KB) leaves in two blocks,
+// its header line and the rest.
+const teeBlock = 64 << 10
+
 // exploreBody computes the full NDJSON sweep body for a resolved
 // explore request: a header line, one line per sweep point in code
-// order, and a summary line. tap (if non-nil) receives each rendered
-// line as it is produced — the /v1/explore handler streams them to its
-// client, async jobs count them as progress; the slice is only valid
-// during the call. ctx (if non-nil) cancels the sweep between lines; a
-// nil ctx never cancels, which is what the HTTP leader wants (its
-// coalesced followers still need the result even if the leader's own
-// client disconnects).
+// order, and a summary line. tap (if non-nil) receives the body in
+// blocks of whole lines as they are produced: the header line at once,
+// then point lines whenever at least teeBlock bytes of them are
+// waiting, then the rest together with the summary line. The
+// /v1/explore handler streams each block to its client, async jobs
+// count its point lines as progress; the slice is only valid during
+// the call. ctx (if non-nil) cancels the sweep between lines; a nil ctx
+// never cancels, which is what the HTTP leader wants (its coalesced
+// followers still need the result even if the leader's own client
+// disconnects).
 //
 // Point lines are appended by a pointEncoder straight into the body,
 // which is allocated once at its bounded size and becomes the cached
 // response as it is.
-func (s *Server) exploreBody(ctx context.Context, p *parsed, tap func(line []byte)) (response, error) {
+func (s *Server) exploreBody(ctx context.Context, p *parsed, tap func(block []byte)) (response, error) {
 	live := func() error {
 		if ctx != nil {
 			return ctx.Err()
@@ -1239,12 +1247,13 @@ func (s *Server) exploreBody(ctx context.Context, p *parsed, tap func(line []byt
 		return nil
 	}
 	var body []byte
-	// end terminates the line begun at start and tees it.
-	end := func(start int) {
-		body = append(body, '\n')
+	teed := 0 // body[:teed] has gone to tap
+	// tee hands tap the lines completed since the last tee.
+	tee := func() {
 		if tap != nil {
-			tap(body[start:])
+			tap(body[teed:])
 		}
+		teed = len(body)
 	}
 
 	if err := live(); err != nil {
@@ -1259,7 +1268,8 @@ func (s *Server) exploreBody(ctx context.Context, p *parsed, tap func(line []byt
 	}
 	enc := newPointEncoder(p.free)
 	body = append(make([]byte, 0, enc.bodyCap(len(header), points)), header...)
-	end(0)
+	body = append(body, '\n')
+	tee()
 
 	// The summary repeats the peak and HyPar point objects: keep their
 	// body offsets ([lo, hi); hi == 0 while no point filled the slot).
@@ -1280,7 +1290,10 @@ func (s *Server) exploreBody(ctx context.Context, p *parsed, tap func(line []byt
 		if ep.IsHyPar {
 			hp = [2]int{start, len(body)}
 		}
-		end(start)
+		body = append(body, '\n')
+		if len(body)-teed >= teeBlock {
+			tee()
+		}
 		return nil
 	})
 	if err != nil {
@@ -1296,13 +1309,12 @@ func (s *Server) exploreBody(ctx context.Context, p *parsed, tap func(line []byt
 			body = append(body, body[at[0]:at[1]]...)
 		}
 	}
-	start := len(body)
 	body = append(body, summaryHead...)
 	slot(peak)
 	body = append(body, summaryHyPar...)
 	slot(hp)
-	body = append(body, '}')
-	end(start)
+	body = append(body, '}', '\n')
+	tee()
 	return response{contentType: "application/x-ndjson", body: body}, nil
 }
 
@@ -1315,10 +1327,12 @@ func noLabels(int) map[string]string { return nil }
 // header line, one line per sweep point in code order, and a summary
 // line. The stream begins before the sweep finishes (runner.StreamWith
 // backpressure), is teed into the cache, and coalesced followers replay
-// the leader's bytes. Only the header line is flushed at once, so the
-// client sees the 200 and the point count immediately; later lines
-// leave through net/http's write buffer in ~4 KiB writes instead of one
-// write per line (per-point progress is GET /v1/jobs/{id}'s job).
+// the leader's bytes. Each block exploreBody tees leaves in one Write.
+// Only the header line is flushed at once, so the client sees the 200
+// and the point count immediately; point lines follow in blocks of at
+// least 64 KiB and the last block carries the summary, so a 256-point
+// sweep (~43 KB) costs about four socket writes (GET /v1/jobs/{id}
+// reports progress instead).
 func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) error {
 	p, err := s.parseRequest(r, false, true)
 	if err != nil {
