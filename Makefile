@@ -32,6 +32,7 @@ fuzz:
 	$(GO) test -fuzz='^FuzzDecodeModel$$' -fuzztime=10s -run '^$$' ./internal/nn
 	$(GO) test -fuzz='^FuzzLayerValidate$$' -fuzztime=10s -run '^$$' ./internal/nn
 	$(GO) test -fuzz='^FuzzParseTopology$$' -fuzztime=10s -run '^$$' ./internal/cluster
+	$(GO) test -fuzz='^FuzzConfigResolve$$' -fuzztime=10s -run '^$$' .
 
 cover:
 	$(GO) test -cover -coverprofile=coverage.out ./...

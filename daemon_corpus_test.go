@@ -84,7 +84,7 @@ func corpusDigests(t *testing.T) map[string]string {
 // daemonCorpus builds the corpus. Every body is a fixed function of
 // the zoo and seeded generators, so the corpus never changes between
 // runs.
-func daemonCorpus(t *testing.T) []corpusEntry {
+func daemonCorpus(t testing.TB) []corpusEntry {
 	t.Helper()
 	var out []corpusEntry
 	add := func(group, path string, body any) {
@@ -269,7 +269,7 @@ func daemonCorpus(t *testing.T) []corpusEntry {
 	return out
 }
 
-func mustEncode(t *testing.T, m *hypar.Model) string {
+func mustEncode(t testing.TB, m *hypar.Model) string {
 	t.Helper()
 	raw, err := nn.EncodeModel(m)
 	if err != nil {
@@ -278,7 +278,7 @@ func mustEncode(t *testing.T, m *hypar.Model) string {
 	return string(raw)
 }
 
-func mustJSON(t *testing.T, v any) string {
+func mustJSON(t testing.TB, v any) string {
 	t.Helper()
 	raw, err := json.Marshal(v)
 	if err != nil {

@@ -33,6 +33,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/nn"
 	"repro/internal/partition"
@@ -406,7 +407,10 @@ type Config struct {
 	// Platforms optionally assigns a platform per hierarchy level for a
 	// heterogeneous array, e.g. {"0": "gpu-hbm", "1": "hmc"} — level 0
 	// is the root cut, and the deepest level's platform is the node
-	// platform doing the compute. Missing levels inherit Platform. An
+	// platform doing the compute. Missing levels — holes inside the
+	// spec and every level past its end — inherit Platform (empty means
+	// hmc), so an unknown Platform is an error wherever a level
+	// inherits it, and unused where every level is named. An
 	// assignment naming one platform everywhere canonicalizes to the
 	// plain Platform form, so single-platform configs (and their request
 	// hashes) are unchanged. Where adjacent levels differ, transfers
@@ -448,19 +452,33 @@ type Config struct {
 // the empty precision becomes the explicit "fp32" it means, the empty
 // platform becomes "hmc", and an empty topology or zero link bandwidth
 // resolves to the named platform's native default. A per-level platform
-// assignment canonicalizes too: holes inherit Platform, and an
-// assignment naming one platform at every level collapses to the plain
-// single-platform form it means. Two configs with identical semantics
-// therefore marshal to identical JSON — the property the hypard request
-// hash relies on. An unknown platform name (or a structurally invalid
-// per-level assignment) is left untouched for Validate to reject.
+// assignment fills its holes (levelPlatforms); naming one platform at
+// every level, it collapses to the plain single-platform form, so its
+// request hash is that form's; a mixed one keeps the full spec with
+// Platform cleared and Topology/LinkMbps as given. Two configs with
+// identical semantics therefore marshal to identical JSON — the
+// property the hypard request hash relies on. An unknown platform name
+// or an invalid spec is left untouched for Validate to reject.
 func (c Config) Canonical() Config {
+	canonicalCalls.Add(1)
 	if c.Precision == "" {
 		c.Precision = "fp32"
 	}
 	c = c.canonicalSearch()
 	if !c.Platforms.IsZero() {
-		return c.canonicalPlatforms()
+		per, err := c.levelPlatforms()
+		if err != nil {
+			return c
+		}
+		names := make([]string, len(per))
+		for h, p := range per {
+			names[h] = p.Name()
+		}
+		if slices.ContainsFunc(names, func(n string) bool { return n != names[0] }) {
+			c.Platform, c.Platforms = "", joinSpec(names)
+			return c
+		}
+		c.Platform, c.Platforms = names[0], ""
 	}
 	if c.Platform == "" {
 		c.Platform = DefaultPlatform
@@ -506,46 +524,33 @@ func (c Config) canonicalSearch() Config {
 	return c
 }
 
-// canonicalPlatforms normalizes a per-level platform assignment: holes
-// inherit Platform (default hmc), an all-equal assignment collapses to
-// the historical single-platform form (byte-identical canonical JSON,
-// so every existing request hash is preserved), and a genuinely mixed
-// one keeps the full explicit spec with Platform cleared and
-// Topology/LinkMbps left as given (zero means each level's native
-// default). A structurally invalid spec — wrong length or unknown
-// platform — leaves the config untouched so Validate rejects the
-// original spelling.
-func (c Config) canonicalPlatforms() Config {
+// levelPlatforms returns the platform of each level of a config with a
+// Platforms spec, root cut first: the one rule for holes that
+// Canonical, Validate and the assignment share. A level the spec leaves
+// empty, inside it or past its end, inherits Platform (empty means
+// hmc); an unregistered name, named or inherited, is an error.
+func (c Config) levelPlatforms() ([]platform.Platform, error) {
+	if c.Levels > maxSpecLevels {
+		return nil, fmt.Errorf("%w: levels %d", ErrConfig, c.Levels)
+	}
 	names := c.Platforms.Names()
 	if len(names) > c.Levels {
-		return c
+		return nil, fmt.Errorf("%w: per-level platform assignment covers %d levels, hierarchy has %d",
+			ErrConfig, len(names), c.Levels)
 	}
-	// A sparse spec names only its shallowest levels; the deeper ones
-	// are holes inheriting Platform, like any other hole.
-	for len(names) < c.Levels {
-		names = append(names, "")
-	}
-	fallback := platform.CanonicalName(c.Platform)
-	uniform := true
-	for i := range names {
-		if names[i] == "" {
-			names[i] = fallback
+	per := make([]platform.Platform, c.Levels)
+	for h := range per {
+		name := c.Platform
+		if h < len(names) && names[h] != "" {
+			name = names[h]
 		}
-		if _, err := platform.ByName(names[i]); err != nil {
-			return c
+		p, err := platform.Resolve(name)
+		if err != nil {
+			return nil, fmt.Errorf("%w: level %d: %v", ErrConfig, h, err)
 		}
-		if names[i] != names[0] {
-			uniform = false
-		}
+		per[h] = p
 	}
-	if uniform {
-		c.Platform = names[0]
-		c.Platforms = ""
-		return c.Canonical()
-	}
-	c.Platform = ""
-	c.Platforms = joinSpec(names)
-	return c
+	return per, nil
 }
 
 // DefaultConfig returns the paper's evaluation workload — batch 256,
@@ -561,8 +566,11 @@ func DefaultConfig() Config {
 
 // Validate checks the configuration. Empty platform/topology and zero
 // link bandwidth are valid: they mean the Canonical defaults.
-func (c Config) Validate() error {
-	c = c.Canonical()
+func (c Config) Validate() error { return c.Canonical().validate() }
+
+// validate is Validate on an already canonical configuration.
+func (c Config) validate() error {
+	validateCalls.Add(1)
 	if c.Batch <= 0 {
 		return fmt.Errorf("%w: batch %d", ErrConfig, c.Batch)
 	}
@@ -577,8 +585,20 @@ func (c Config) Validate() error {
 		return fmt.Errorf("%w: beam width %d (want 0..%d)", ErrConfig, c.BeamWidth, maxBeamWidth)
 	}
 	if !c.Platforms.IsZero() {
-		if err := c.validatePlatforms(); err != nil {
+		// A mixed array: each level's platform must support an explicit
+		// topology, and a zero link rate means each level's native one.
+		per, err := c.levelPlatforms()
+		if err != nil {
 			return err
+		}
+		for h, p := range per {
+			if c.Topology != "" && !slices.Contains(p.Topologies(), c.Topology) {
+				return fmt.Errorf("%w: level %d platform %q does not support topology %q (supported: %v)",
+					ErrConfig, h, p.Name(), c.Topology, p.Topologies())
+			}
+		}
+		if c.LinkMbps < 0 {
+			return fmt.Errorf("%w: link bandwidth %g Mb/s", ErrConfig, c.LinkMbps)
 		}
 	} else {
 		p, err := platform.ByName(c.Platform)
@@ -588,7 +608,7 @@ func (c Config) Validate() error {
 		if c.LinkMbps <= 0 {
 			return fmt.Errorf("%w: link bandwidth %g Mb/s", ErrConfig, c.LinkMbps)
 		}
-		if !topologySupported(p, c.Topology) {
+		if !slices.Contains(p.Topologies(), c.Topology) {
 			return fmt.Errorf("%w: platform %q does not support topology %q (supported: %v)",
 				ErrConfig, c.Platform, c.Topology, p.Topologies())
 		}
@@ -608,44 +628,6 @@ func (c Config) Validate() error {
 			return fmt.Errorf("%w: %d failed groups at level %d, but only %d groups exist (the whole array would be gone)",
 				ErrConfig, c.Faults.Groups, c.Faults.Level, groups)
 		}
-	}
-	return nil
-}
-
-// topologySupported reports whether the platform supports the named
-// interconnect.
-func topologySupported(p Platform, name string) bool {
-	for _, t := range p.Topologies() {
-		if t == name {
-			return true
-		}
-	}
-	return false
-}
-
-// validatePlatforms checks a (canonicalized) per-level platform
-// assignment: it must name exactly one registered platform per
-// hierarchy level, an explicit topology must be supported by every
-// level's platform, and an explicit link bandwidth must be positive
-// (zero means each level's native default).
-func (c Config) validatePlatforms() error {
-	names := c.Platforms.Names()
-	if len(names) != c.Levels {
-		return fmt.Errorf("%w: per-level platform assignment covers %d levels, hierarchy has %d",
-			ErrConfig, len(names), c.Levels)
-	}
-	for h, n := range names {
-		p, err := platform.ByName(platform.CanonicalName(n))
-		if err != nil {
-			return fmt.Errorf("%w: level %d: %v", ErrConfig, h, err)
-		}
-		if c.Topology != "" && !topologySupported(p, c.Topology) {
-			return fmt.Errorf("%w: level %d platform %q does not support topology %q (supported: %v)",
-				ErrConfig, h, p.Name(), c.Topology, p.Topologies())
-		}
-	}
-	if c.LinkMbps < 0 {
-		return fmt.Errorf("%w: link bandwidth %g Mb/s", ErrConfig, c.LinkMbps)
 	}
 	return nil
 }
@@ -710,9 +692,6 @@ func (c Config) dtype() (tensor.DType, error) {
 	}
 }
 
-// DType resolves the configured precision to the tensor element type.
-func (c Config) DType() (DType, error) { return c.dtype() }
-
 // PlatformFor resolves the configuration's node platform — the deepest
 // level's, the one whose accelerators do the compute: AssignmentFor's
 // Node. Use AssignmentFor for the full per-level view.
@@ -731,21 +710,27 @@ func PlatformFor(c Config) (Platform, error) {
 // every level, and at least once: a zero-depth array is the Tail(0) of
 // a one-level array of its node platform.
 func AssignmentFor(c Config) (platform.Assignment, error) {
-	c = c.Canonical()
-	names := c.Platforms.Names()
-	if names == nil {
-		names = slices.Repeat([]string{c.Platform}, max(c.Levels, 1))
-	} else if len(names) != c.Levels {
-		return platform.Assignment{}, fmt.Errorf("%w: per-level platform assignment covers %d levels, hierarchy has %d",
-			ErrConfig, len(names), c.Levels)
+	return c.Canonical().assignment()
+}
+
+// assignment is AssignmentFor on an already canonical configuration.
+func (c Config) assignment() (platform.Assignment, error) {
+	assignCalls.Add(1)
+	if c.Levels > maxSpecLevels {
+		return platform.Assignment{}, fmt.Errorf("%w: levels %d", ErrConfig, c.Levels)
 	}
-	per := make([]platform.Platform, len(names))
-	for h, n := range names {
-		p, err := platform.Resolve(n)
+	var per []platform.Platform
+	if c.Platforms.IsZero() {
+		p, err := platform.Resolve(c.Platform)
 		if err != nil {
-			return platform.Assignment{}, fmt.Errorf("%w: level %d: %v", ErrConfig, h, err)
+			return platform.Assignment{}, fmt.Errorf("%w: level 0: %v", ErrConfig, err)
 		}
-		per[h] = p
+		per = slices.Repeat([]platform.Platform{p}, max(c.Levels, 1))
+	} else {
+		var err error
+		if per, err = c.levelPlatforms(); err != nil {
+			return platform.Assignment{}, err
+		}
 	}
 	a, err := platform.NewAssignment(per)
 	if err != nil {
@@ -761,33 +746,107 @@ func AssignmentFor(c Config) (platform.Assignment, error) {
 // BuildArch materializes the simulated platform for the configuration:
 // the node platform's compute and memory, the assignment's fabric (a
 // mixed assignment adds boundary-adapter charges) and each level's link
-// energy model.
+// energy model. It is Resolve's Arch.
 func BuildArch(c Config) (Arch, error) {
-	if err := c.Validate(); err != nil {
-		return Arch{}, err
-	}
-	c = c.Canonical()
-	dt, err := c.dtype()
+	r, err := Resolve(c)
 	if err != nil {
 		return Arch{}, err
 	}
-	a, err := AssignmentFor(c)
-	if err != nil {
-		return Arch{}, err
-	}
-	topo, err := a.NewTopology(c.Topology, c.LinkMbps)
-	if err != nil {
-		return Arch{}, err
-	}
-	return Arch{
-		Mem:             a.Node().Memory(),
-		Comp:            a.Node().Compute(),
-		NoC:             topo,
-		DType:           dt,
-		OverlapGradComm: c.OverlapGradComm,
-		LevelMems:       a.LevelMemories(),
-	}, nil
+	return r.Arch()
 }
+
+// Resolution counters, which tests read to pin one resolution per
+// request.
+var canonicalCalls, validateCalls, assignCalls, archBuilds atomic.Int64
+
+// Resolved is a Config resolved once: its canonical form, checked, and
+// what planning and simulation derive from it — element type, search
+// method, the assignment at EffectiveLevels with its partition weights,
+// and the Arch; for a degraded config also its healthy twin and the
+// group sub-array of the grouped candidate (Evaluator.Eval). It is
+// immutable and safe to share across goroutines.
+type Resolved struct {
+	cfg     Config
+	dtype   DType
+	method  partition.Method
+	assign  platform.Assignment
+	weights []partition.Weights // assign's, one per level
+	arch    Arch
+	archErr error // planning needs no Arch, so a failed build fails only simulation
+
+	healthy  *Resolved // cfg without its faults; the value itself when healthy
+	groups   int       // surviving groups of the grouped candidate, 0 if none
+	group    *Resolved // one group's sub-array; nil if it did not resolve
+	groupErr error
+}
+
+// Resolve canonicalizes and validates the configuration once and
+// resolves everything planning and simulation need from it. It fails
+// exactly when Validate does, with Validate's error.
+func Resolve(c Config) (*Resolved, error) {
+	c = c.Canonical()
+	if err := c.validate(); err != nil {
+		return nil, err
+	}
+	a, err := c.assignment()
+	if err != nil {
+		return nil, err
+	}
+	r := &Resolved{cfg: c, assign: a, weights: a.PartitionWeights()}
+	r.dtype, _ = c.dtype()                              // validate checked the precision
+	r.method, _ = partition.ParseMethod(c.SearchMethod) // and the search method
+	archBuilds.Add(1)
+	if topo, err := a.NewTopology(c.Topology, c.LinkMbps); err != nil {
+		r.archErr = err
+	} else {
+		r.arch = Arch{
+			Mem:             a.Node().Memory(),
+			Comp:            a.Node().Compute(),
+			NoC:             topo,
+			DType:           r.dtype,
+			OverlapGradComm: c.OverlapGradComm,
+			LevelMems:       a.LevelMemories(),
+		}
+	}
+	if c.Faults.IsZero() {
+		r.healthy = r
+		return r, nil
+	}
+	healthy := c
+	healthy.Faults = Faults{}
+	if r.healthy, err = Resolve(healthy); err != nil {
+		return nil, err
+	}
+	if g, depth := c.DegradedGroups(); g > 1 && g&(g-1) != 0 {
+		// Each surviving group is an intact bottom-of-hierarchy sub-array
+		// on a batch shard. One that does not resolve only rules the
+		// grouped candidate out.
+		sub := healthy
+		sub.Levels = depth
+		sub.Batch = (c.Batch + g - 1) / g
+		if names := c.Platforms.Names(); len(names) >= depth {
+			sub.Platforms = joinSpec(names[len(names)-depth:])
+		}
+		r.groups = g
+		r.group, r.groupErr = Resolve(sub)
+	}
+	return r, nil
+}
+
+// Config returns the canonical configuration.
+func (r *Resolved) Config() Config { return r.cfg }
+
+// DType returns the element type tensors are accounted in.
+func (r *Resolved) DType() DType { return r.dtype }
+
+// Assignment returns the per-level platform assignment (AssignmentFor).
+func (r *Resolved) Assignment() platform.Assignment { return r.assign }
+
+// Arch returns the simulated platform, or why it could not be built.
+func (r *Resolved) Arch() (Arch, error) { return r.arch, r.archErr }
+
+// Healthy returns the config without its faults: r itself if healthy.
+func (r *Resolved) Healthy() *Resolved { return r.healthy }
 
 // NewPlan produces the parallelism assignment for the model under the
 // given strategy and configuration. The partition search and the plan's
@@ -818,44 +877,42 @@ type PlanOptions struct {
 	Warm *Plan
 }
 
-// NewPlanOpts is NewPlanCtx with per-call options. Every strategy runs
-// under the per-level platform weights of AssignmentFor — one entry per
-// level, all equal on a single-platform array — so the level-h cut is
-// scored by the platform serving it. The HyPar strategy dispatches on
-// Config.SearchMethod — exact hierarchical DP (default), exhaustive
-// brute force, or bounded-width beam search — through the partition
-// package's Solve core.
+// NewPlanOpts is NewPlanCtx with per-call options: Resolved.Plan at
+// the resolved configuration.
 func NewPlanOpts(ctx context.Context, m *Model, s Strategy, c Config, opt PlanOptions) (*Plan, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	cc := c.Canonical()
-	method, err := partition.ParseMethod(cc.SearchMethod)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrConfig, err)
-	}
-	a, err := AssignmentFor(cc)
+	r, err := Resolve(c)
 	if err != nil {
 		return nil, err
 	}
-	ws := a.PartitionWeights()
+	return r.Plan(ctx, m, s, opt)
+}
+
+// Plan produces the parallelism assignment for the model under the
+// strategy. Every strategy runs under the assignment's per-level
+// weights (all equal on a single-platform array), so the level-h cut is
+// scored by the platform serving it. HyPar dispatches on
+// Config.SearchMethod — exact hierarchical DP (default), exhaustive
+// brute force or beam search — through partition.Solve. A nil ctx never
+// cancels.
+func (r *Resolved) Plan(ctx context.Context, m *Model, s Strategy, opt PlanOptions) (*Plan, error) {
+	batch, ws := r.cfg.Batch, r.weights
 	switch s {
 	case HyPar:
 		return partition.Solve(partition.Request{
 			Model:     m,
-			Batch:     c.Batch,
+			Batch:     batch,
 			Levels:    ws,
 			Ctx:       ctx,
-			Method:    method,
-			BeamWidth: cc.BeamWidth,
+			Method:    r.method,
+			BeamWidth: r.cfg.BeamWidth,
 			Warm:      opt.Warm,
 		})
 	case DataParallel:
-		return partition.DataParallel(m, c.Batch, ws)
+		return partition.DataParallel(m, batch, ws)
 	case ModelParallel:
-		return partition.ModelParallel(m, c.Batch, ws)
+		return partition.ModelParallel(m, batch, ws)
 	case OneWeirdTrick:
-		return partition.OneWeirdTrick(m, c.Batch, ws)
+		return partition.OneWeirdTrick(m, batch, ws)
 	default:
 		return nil, fmt.Errorf("%w: unknown strategy %v", ErrConfig, s)
 	}
@@ -867,17 +924,14 @@ func NewPlanOpts(ctx context.Context, m *Model, s Strategy, c Config, opt PlanOp
 // weights — exposed so users can verify that property and plan
 // inference-only deployments.
 func NewInferencePlan(m *Model, c Config) (*Plan, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	a, err := AssignmentFor(c)
+	r, err := Resolve(c)
 	if err != nil {
 		return nil, err
 	}
 	return partition.Solve(partition.Request{
 		Model:     m,
-		Batch:     c.Batch,
-		Levels:    a.PartitionWeights(),
+		Batch:     r.cfg.Batch,
+		Levels:    r.weights,
 		Objective: partition.ObjectiveInference,
 	})
 }
@@ -900,55 +954,28 @@ func Run(m *Model, s Strategy, c Config) (*Result, error) {
 	return NewEvaluator().Run(m, s, c)
 }
 
-// Evaluator amortizes evaluation state across Run calls: it reuses one
-// simulation engine (task slab and all) and remembers the materialized
-// Arch of the most recently used Configs, so sweeps and fan-outs that
-// evaluate many plans at one Config stop rebuilding both. It also
-// keeps the latest HyPar plan of the most recently used model names as
+// Evaluator amortizes evaluation state across calls: it reuses one
+// simulation engine (task slab and all), and it keeps the latest HyPar
+// plan of the evaluatorWarm most recently used model names as
 // warm-start hints, so a sweep that mutates one dimension (bandwidth,
 // platform, batch) re-solves only the hierarchy levels the mutation
-// actually touches — level reuse is fingerprint-guarded
-// (partition.Request.Warm) and byte-identical, so caching across
-// different Configs is safe. Both memos are small, fixed-size and
-// least-recently-used: a long-lived Evaluator that sees a new Config or
-// model on every call (a daemon's cold traffic) holds at most
-// evaluatorArchs archs and evaluatorWarm plans. An Evaluator is not
-// safe for concurrent use — fan-outs give each worker its own (see
-// runner.MapWith).
+// touches — level reuse is fingerprint-guarded (partition.Request.Warm)
+// and byte-identical, so caching across different Configs is safe. The
+// Arch comes with the Resolved config a step is evaluated at (Eval). An
+// Evaluator is not safe for concurrent use — fan-outs give each worker
+// its own (see runner.MapWith).
 type Evaluator struct {
-	sim   *sim.Simulator
-	archs mru[Config, Arch]
-	warm  mru[string, *Plan]
+	sim  *sim.Simulator
+	warm mru[string, *Plan]
 }
 
-// Memo bounds of an Evaluator. A Compare or a degraded evaluation
-// touches at most two Configs, and the pinned zoo plus branched
-// workloads are twelve model names, so both bounds leave headroom.
-const (
-	evaluatorArchs = 8
-	evaluatorWarm  = 32
-)
+// evaluatorWarm bounds an Evaluator's warm-start memo, with headroom
+// over the twelve pinned zoo and branched model names.
+const evaluatorWarm = 32
 
 // NewEvaluator returns an empty Evaluator.
 func NewEvaluator() *Evaluator {
-	return &Evaluator{
-		sim:   sim.NewSimulator(),
-		archs: newMRU[Config, Arch](evaluatorArchs),
-		warm:  newMRU[string, *Plan](evaluatorWarm),
-	}
-}
-
-// Arch returns the simulated platform for the configuration, cached.
-func (e *Evaluator) Arch(c Config) (Arch, error) {
-	if arch, ok := e.archs.get(c); ok {
-		return arch, nil
-	}
-	arch, err := BuildArch(c)
-	if err != nil {
-		return Arch{}, err
-	}
-	e.archs.put(c, arch)
-	return arch, nil
+	return &Evaluator{sim: sim.NewSimulator(), warm: newMRU[string, *Plan](evaluatorWarm)}
 }
 
 // Run plans and simulates one training step on the reusable engine.
@@ -957,34 +984,44 @@ func (e *Evaluator) Run(m *Model, s Strategy, c Config) (*Result, error) {
 }
 
 // RunCtx is Run with cancellation threaded into the partition search
-// (see NewPlanCtx). A nil ctx never cancels.
+// (see NewPlanCtx): Eval at the resolved configuration.
+func (e *Evaluator) RunCtx(ctx context.Context, m *Model, s Strategy, c Config) (*Result, error) {
+	r, err := Resolve(c)
+	if err != nil {
+		return nil, err
+	}
+	return e.Eval(ctx, m, s, r)
+}
+
+// Eval plans and simulates one training step at the resolved
+// configuration on the reusable engine. A nil ctx never cancels.
 //
 // With a fault spec whose surviving group count is not a power of two,
 // the aligned sub-array EffectiveLevels snaps to strands part of the
 // surviving hardware (Faults{1,1} on 16 accelerators leaves 12
-// survivors, but an aligned plan uses only 8). RunCtx additionally evaluates
-// the grouped candidate — every surviving group running the sub-array
-// plan on a batch shard, gradients allreduced across groups — and
-// returns whichever step is faster, so degraded slowdowns can only
+// survivors, but an aligned plan uses only 8). Eval additionally
+// evaluates the grouped candidate — every surviving group running the
+// sub-array plan on a batch shard, gradients allreduced across groups —
+// and returns whichever step is faster, so degraded slowdowns can only
 // improve over the aligned snap.
-func (e *Evaluator) RunCtx(ctx context.Context, m *Model, s Strategy, c Config) (*Result, error) {
+func (e *Evaluator) Eval(ctx context.Context, m *Model, s Strategy, r *Resolved) (*Result, error) {
 	var opt PlanOptions
 	if s == HyPar {
 		opt.Warm, _ = e.warm.get(m.Name)
 	}
-	plan, err := NewPlanOpts(ctx, m, s, c, opt)
+	plan, err := r.Plan(ctx, m, s, opt)
 	if err != nil {
 		return nil, err
 	}
 	if s == HyPar {
 		e.warm.put(m.Name, plan)
 	}
-	res, err := e.Simulate(m, s, plan, c)
+	res, err := e.simulate(m, s, plan, r)
 	if err != nil {
 		return nil, err
 	}
-	if g, _ := c.DegradedGroups(); g > 1 && g&(g-1) != 0 {
-		alt, aerr := e.runGrouped(ctx, m, s, c, g)
+	if r.groups > 0 {
+		alt, aerr := e.runGrouped(ctx, m, s, r)
 		if aerr != nil {
 			// The grouped candidate is an optimization: its failure
 			// never fails the aligned evaluation — except a canceled
@@ -1010,25 +1047,15 @@ func (e *Evaluator) RunCtx(ctx context.Context, m *Model, s Strategy, c Config) 
 // full-gradient exchanges, each through the tree cut nearest the fault
 // level and then progressively higher cuts — the recursive-halving
 // schedule an irregular group count cannot beat.
-func (e *Evaluator) runGrouped(ctx context.Context, m *Model, s Strategy, c Config, groups int) (*Result, error) {
-	_, depth := c.DegradedGroups()
-	sub := c
-	sub.Faults = Faults{}
-	sub.Levels = depth
-	sub.Batch = (c.Batch + groups - 1) / groups
-	if names := c.Canonical().Platforms.Names(); len(names) >= depth {
-		// Each surviving group is an intact bottom-of-hierarchy
-		// sub-array: it keeps the deepest depth levels' platforms.
-		sub.Platforms = joinSpec(names[len(names)-depth:])
+func (e *Evaluator) runGrouped(ctx context.Context, m *Model, s Strategy, r *Resolved) (*Result, error) {
+	if r.groupErr != nil {
+		return nil, r.groupErr
 	}
-	if err := sub.Validate(); err != nil {
-		return nil, err
-	}
-	plan, err := NewPlanCtx(ctx, m, s, sub)
+	plan, err := r.group.Plan(ctx, m, s, PlanOptions{})
 	if err != nil {
 		return nil, err
 	}
-	res, err := e.Simulate(m, s, plan, sub)
+	res, err := e.simulate(m, s, plan, r.group)
 	if err != nil {
 		return nil, err
 	}
@@ -1036,12 +1063,11 @@ func (e *Evaluator) runGrouped(ctx context.Context, m *Model, s Strategy, c Conf
 	// Cross-group gradient traffic rides the healthy array's fabric:
 	// the surviving groups sit under the physical topology's upper
 	// cuts, failed subtrees notwithstanding.
-	healthy := c
-	healthy.Faults = Faults{}
-	arch, err := e.Arch(healthy)
+	arch, err := r.healthy.Arch()
 	if err != nil {
 		return nil, err
 	}
+	c, groups := r.cfg, r.groups
 	weightElems, err := m.Params(c.Batch)
 	if err != nil {
 		return nil, err
@@ -1091,7 +1117,16 @@ func (e *Evaluator) runGrouped(ctx context.Context, m *Model, s Strategy, c Conf
 
 // Simulate evaluates an already-computed plan under the configuration.
 func (e *Evaluator) Simulate(m *Model, s Strategy, plan *Plan, c Config) (*Result, error) {
-	arch, err := e.Arch(c)
+	r, err := Resolve(c)
+	if err != nil {
+		return nil, err
+	}
+	return e.simulate(m, s, plan, r)
+}
+
+// simulate is Simulate at a resolved configuration.
+func (e *Evaluator) simulate(m *Model, s Strategy, plan *Plan, r *Resolved) (*Result, error) {
+	arch, err := r.Arch()
 	if err != nil {
 		return nil, err
 	}
@@ -1105,13 +1140,24 @@ func (e *Evaluator) Simulate(m *Model, s Strategy, plan *Plan, c Config) (*Resul
 // Compare runs every strategy on the model with the reusable engine,
 // serially. For the parallel fan-out use the package-level Compare.
 func (e *Evaluator) Compare(m *Model, c Config) (*Comparison, error) {
+	r, err := Resolve(c)
+	if err != nil {
+		// An unresolvable config fails every strategy; report it as the
+		// first strategy's failure, as the fan-out reports its first.
+		return nil, fmt.Errorf("strategy %v: %w", Strategies[0], err)
+	}
+	return e.compare(m, r)
+}
+
+// compare is Compare at a resolved configuration.
+func (e *Evaluator) compare(m *Model, r *Resolved) (*Comparison, error) {
 	cmp := &Comparison{Model: m.Name, Results: make(map[Strategy]*Result, len(Strategies))}
 	for _, s := range Strategies {
-		r, err := e.Run(m, s, c)
+		res, err := e.Eval(nil, m, s, r)
 		if err != nil {
 			return nil, fmt.Errorf("strategy %v: %w", s, err)
 		}
-		cmp.Results[s] = r
+		cmp.Results[s] = res
 	}
 	return cmp, nil
 }
@@ -1126,13 +1172,17 @@ type Comparison struct {
 // default runner pool. Each strategy's evaluation is independent and
 // deterministic, so the result is identical at any pool width.
 func Compare(m *Model, c Config) (*Comparison, error) {
+	r, err := Resolve(c)
+	if err != nil {
+		return nil, fmt.Errorf("strategy %v: %w", Strategies[0], err)
+	}
 	results, err := runner.MapWith(runner.Default(), Strategies, NewEvaluator,
 		func(ev *Evaluator, _ int, s Strategy) (*Result, error) {
-			r, err := ev.Run(m, s, c)
+			res, err := ev.Eval(nil, m, s, r)
 			if err != nil {
 				return nil, fmt.Errorf("strategy %v: %w", s, err)
 			}
-			return r, nil
+			return res, nil
 		})
 	if err != nil {
 		return nil, err
@@ -1188,21 +1238,21 @@ func ComparePlatforms(m *Model, c Config, names ...string) (*PlatformComparison,
 	if len(names) == 0 {
 		names = Platforms()
 	}
-	cfgs := make([]Config, len(names))
+	rs := make([]*Resolved, len(names))
 	for i, name := range names {
 		pc := c
 		pc.Platform = name
 		pc.Platforms = ""
 		pc.Topology = ""
 		pc.LinkMbps = 0
-		pc = pc.Canonical()
-		if err := pc.Validate(); err != nil {
+		r, err := Resolve(pc)
+		if err != nil {
 			return nil, fmt.Errorf("platform %q: %w", name, err)
 		}
-		cfgs[i] = pc
+		rs[i] = r
 	}
-	cmps, err := runner.Map(runner.Default(), cfgs, func(i int, pc Config) (*Comparison, error) {
-		cmp, err := NewEvaluator().Compare(m, pc)
+	cmps, err := runner.Map(runner.Default(), rs, func(i int, r *Resolved) (*Comparison, error) {
+		cmp, err := NewEvaluator().compare(m, r)
 		if err != nil {
 			return nil, fmt.Errorf("platform %q: %w", names[i], err)
 		}
@@ -1260,18 +1310,16 @@ func (d *DegradedComparison) Slowdown(s Strategy) float64 {
 // healthy side runs the identical config with the fault spec cleared,
 // so the pair isolates exactly the cost of the lost groups.
 func CompareDegraded(m *Model, c Config) (*DegradedComparison, error) {
-	c = c.Canonical()
-	if err := c.Validate(); err != nil {
+	r, err := Resolve(c)
+	if err != nil {
 		return nil, err
 	}
+	c = r.cfg
 	if c.Faults.IsZero() {
 		return nil, fmt.Errorf("%w: CompareDegraded needs a non-zero fault spec", ErrConfig)
 	}
-	healthy := c
-	healthy.Faults = Faults{}
-	cfgs := []Config{healthy, c}
-	cmps, err := runner.Map(runner.Default(), cfgs, func(_ int, cc Config) (*Comparison, error) {
-		return NewEvaluator().Compare(m, cc)
+	cmps, err := runner.Map(runner.Default(), []*Resolved{r.healthy, r}, func(_ int, r *Resolved) (*Comparison, error) {
+		return NewEvaluator().compare(m, r)
 	})
 	if err != nil {
 		return nil, err

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -75,6 +76,66 @@ func TestPlatformSpecRefusesRepeatedLevel(t *testing.T) {
 	var c hypar.Config
 	if err := json.Unmarshal([]byte(`{"batch":64,"levels":2,"platforms":{"00":"gpu-hbm","+1":"hmc"}}`), &c); err != nil || c.Platforms != "gpu-hbm,hmc" {
 		t.Errorf("one spelling per level decoded to %q, %v", c.Platforms, err)
+	}
+}
+
+// TestUnknownPlatformUnderSpecHoles: a hole in a per-level spec inherits
+// Platform under one rule in Canonical, Validate and the assignment, so
+// an unknown Platform that a hole inherits is refused naming it — not
+// run as hmc, and not blamed on the spec's length. With no hole left,
+// Platform is never read and the spec alone decides.
+func TestUnknownPlatformUnderSpecHoles(t *testing.T) {
+	for _, tc := range []struct{ body, name string }{
+		{`{"batch":64,"levels":3,"platform":"bogus","platforms":{"0":"gpu-hbm","2":"hmc"}}`, "bogus"},
+		{`{"batch":64,"levels":3,"platform":"HMC","platforms":{"0":"gpu-hbm","2":"hmc"}}`, "HMC"},
+		{`{"batch":64,"levels":2,"platform":"bogus","platforms":{"0":"hmc"}}`, "bogus"},
+	} {
+		var c hypar.Config
+		if err := json.Unmarshal([]byte(tc.body), &c); err != nil {
+			t.Fatal(err)
+		}
+		err := c.Validate()
+		if !errors.Is(err, hypar.ErrConfig) || !strings.Contains(err.Error(), `"`+tc.name+`"`) || strings.Contains(err.Error(), "covers") {
+			t.Errorf("%s: Validate = %v, want an error naming %q", tc.body, err, tc.name)
+		}
+		if _, aerr := hypar.AssignmentFor(c); aerr == nil || err == nil || aerr.Error() != err.Error() {
+			t.Errorf("%s: AssignmentFor error %v, want Validate's %v", tc.body, aerr, err)
+		}
+	}
+	full := hypar.Config{Batch: 64, Levels: 2, Platform: "bogus", Platforms: "gpu-hbm,hmc"}
+	if err := full.Validate(); err != nil {
+		t.Errorf("a spec naming every level was refused for its unused platform: %v", err)
+	}
+	if canon := full.Canonical(); canon.Platform != "" || canon.Platforms != "gpu-hbm,hmc" {
+		t.Errorf("canonical form %+v, want the spec alone", canon)
+	}
+}
+
+// TestCanonicalDepthBound: canonicalizing a spec, or resolving the
+// assignment of an unvalidated config, at a depth far past the
+// supported bound fails at once instead of building that many levels,
+// so a hostile "levels" costs no memory.
+func TestCanonicalDepthBound(t *testing.T) {
+	c := hypar.Config{Batch: 64, Levels: 1 << 20, Platforms: "hmc"}
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	var canon hypar.Config
+	if grew := allocated(func() { canon = c.Canonical() }); grew > 1<<20 {
+		t.Errorf("canonicalizing %d levels allocated %d bytes", c.Levels, grew)
+	}
+	if canon.Platforms != c.Platforms || c.Validate() == nil {
+		t.Errorf("out-of-range depth canonicalized to %+v and validated", canon)
+	}
+	for _, cc := range []hypar.Config{c, {Levels: c.Levels}} {
+		var err error
+		if grew := allocated(func() { _, err = hypar.AssignmentFor(cc) }); grew > 1<<20 || err == nil {
+			t.Errorf("%+v: AssignmentFor allocated %d bytes, error %v", cc, grew, err)
+		}
 	}
 }
 

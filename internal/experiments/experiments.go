@@ -54,6 +54,9 @@ func geomean(vals []float64) float64 {
 type Session struct {
 	cfg  hypar.Config
 	pool *runner.Pool
+	// resolved is cfg resolved once, on first use: explorations plan,
+	// simulate and sweep on it.
+	resolved func() (*hypar.Resolved, error)
 
 	zoo, branched func() []*hypar.Model // pinned on first use
 
@@ -80,15 +83,25 @@ const sessionWarm = 32
 func NewSession(cfg hypar.Config) *Session { return NewSessionWithPool(cfg, runner.Default()) }
 
 // NewSessionWithPool creates a session on an explicit pool (width 1 is
-// the serial reference path).
+// the serial reference path). The config resolves on first use, and an
+// invalid one fails the calls that use it.
 func NewSessionWithPool(cfg hypar.Config, pool *runner.Pool) *Session {
 	return &Session{
 		cfg:      cfg,
 		pool:     pool,
+		resolved: sync.OnceValues(func() (*hypar.Resolved, error) { return hypar.Resolve(cfg) }),
 		zoo:      sync.OnceValue(hypar.Zoo),
 		branched: sync.OnceValue(hypar.BranchedZoo),
 		warm:     lru.New[string, *hypar.Plan](sessionWarm),
 	}
+}
+
+// NewResolvedSession creates a session at an already resolved config on
+// an explicit pool.
+func NewResolvedSession(r *hypar.Resolved, pool *runner.Pool) *Session {
+	s := NewSessionWithPool(r.Config(), pool)
+	s.resolved = func() (*hypar.Resolved, error) { return r, nil }
+	return s
 }
 
 // warmPlan returns the session's warm-start hint for the named model,

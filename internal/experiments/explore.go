@@ -74,17 +74,20 @@ func (s *Session) ExploreStream(m *hypar.Model, free []partition.FreeVar,
 	if label == nil {
 		label = DefaultExploreLabel(free)
 	}
-	base, err := hypar.NewPlanOpts(nil, m, hypar.HyPar, s.cfg,
-		hypar.PlanOptions{Warm: s.warmPlan(m.Name)})
+	r, err := s.resolved()
+	if err != nil {
+		return err
+	}
+	base, err := r.Plan(nil, m, hypar.HyPar, hypar.PlanOptions{Warm: s.warmPlan(m.Name)})
 	if err != nil {
 		return err
 	}
 	s.storeWarm(m.Name, base)
-	dp, err := hypar.Run(m, hypar.DataParallel, s.cfg)
+	dp, err := hypar.NewEvaluator().Eval(nil, m, hypar.DataParallel, r)
 	if err != nil {
 		return err
 	}
-	arch, err := hypar.BuildArch(s.cfg)
+	arch, err := r.Arch()
 	if err != nil {
 		return err
 	}
@@ -103,11 +106,7 @@ func (s *Session) ExploreStream(m *hypar.Model, free []partition.FreeVar,
 	// Sweep points are scored with each level's platform weights, the
 	// same objective the HyPar base plan optimized, so the HyPar point
 	// reproduces Run's HyPar step exactly.
-	a, err := hypar.AssignmentFor(s.cfg)
-	if err != nil {
-		return err
-	}
-	sw, err := partition.NewSweep(m, s.cfg.Batch, base.Levels, free, a.PartitionWeights())
+	sw, err := partition.NewSweep(m, r.Config().Batch, base.Levels, free, r.Assignment().PartitionWeights())
 	if err != nil {
 		return err
 	}

@@ -83,20 +83,18 @@ func TestSessionWarmBounded(t *testing.T) {
 	}
 }
 
-// TestExploreConcurrentSweepsOneSession runs 16 sweeps at once on one
-// Session at pool width 4: each sweep's volume table is shared
-// read-only by its workers, and every worker prices points on its own
-// Simulator and duration table. Each sweep must equal the same sweep
-// run alone on a serial session.
-func TestExploreConcurrentSweepsOneSession(t *testing.T) {
-	shared := NewSessionWithPool(cfg(), runner.New(4))
-	serial := NewSessionWithPool(cfg(), runner.Serial())
+// concurrentSweep is one sweep of the concurrency tests.
+type concurrentSweep struct {
+	m    *hypar.Model
+	free []partition.FreeVar
+}
+
+// concurrentSweeps draws 16 six-variable sweeps over four zoo networks
+// at cfg's depth.
+func concurrentSweeps(t *testing.T) []concurrentSweep {
+	t.Helper()
 	r := rand.New(rand.NewSource(18))
-	type sweep struct {
-		m    *hypar.Model
-		free []partition.FreeVar
-	}
-	var sweeps []sweep
+	var sweeps []concurrentSweep
 	for i := 0; i < 16; i++ {
 		m, err := hypar.ModelByName([]string{"Lenet-c", "Cifar-c", "AlexNet", "VGG-A"}[i%4])
 		if err != nil {
@@ -106,8 +104,20 @@ func TestExploreConcurrentSweepsOneSession(t *testing.T) {
 		for _, v := range r.Perm(cfg().Levels * len(m.Layers))[:6] {
 			free = append(free, partition.FreeVar{Level: v / len(m.Layers), Layer: v % len(m.Layers)})
 		}
-		sweeps = append(sweeps, sweep{m, free})
+		sweeps = append(sweeps, concurrentSweep{m, free})
 	}
+	return sweeps
+}
+
+// TestExploreConcurrentSweepsOneSession runs 16 sweeps at once on one
+// Session at pool width 4: each sweep's volume table is shared
+// read-only by its workers, and every worker prices points on its own
+// Simulator and duration table. Each sweep must equal the same sweep
+// run alone on a serial session.
+func TestExploreConcurrentSweepsOneSession(t *testing.T) {
+	shared := NewSessionWithPool(cfg(), runner.New(4))
+	serial := NewSessionWithPool(cfg(), runner.Serial())
+	sweeps := concurrentSweeps(t)
 	want := make([]*Exploration, len(sweeps))
 	for i, sw := range sweeps {
 		ex, err := serial.Explore(sw.m, sw.free, nil)
@@ -134,5 +144,73 @@ func TestExploreConcurrentSweepsOneSession(t *testing.T) {
 		if !reflect.DeepEqual(got[i], want[i]) {
 			t.Errorf("sweep %d (%s %v): the concurrent sweep differs from the serial one", i, sw.m.Name, sw.free)
 		}
+	}
+}
+
+// TestResolvedSharedBySweepsAndCompare shares one resolved config
+// between a compare's four strategies, each on its own Evaluator, and
+// 16 concurrent sweeps on a session built from it at pool width 4.
+// Every result must equal the one computed from the plain config alone.
+func TestResolvedSharedBySweepsAndCompare(t *testing.T) {
+	res, err := hypar.Resolve(cfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := NewResolvedSession(res, runner.New(4))
+	serial := NewSessionWithPool(cfg(), runner.Serial())
+	sweeps := concurrentSweeps(t)
+	m, err := hypar.ModelByName("AlexNet")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]*Exploration, len(sweeps))
+	for i, sw := range sweeps {
+		if want[i], err = serial.Explore(sw.m, sw.free, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wantRes := make([]*hypar.Result, len(hypar.Strategies))
+	for i, st := range hypar.Strategies {
+		if wantRes[i], err = hypar.Run(m, st, cfg()); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	got := make([]*Exploration, len(sweeps))
+	gotRes := make([]*hypar.Result, len(hypar.Strategies))
+	errs := make([]error, len(sweeps)+len(hypar.Strategies))
+	var wg sync.WaitGroup
+	for i, sw := range sweeps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = shared.Explore(sw.m, sw.free, nil)
+		}()
+	}
+	for i, st := range hypar.Strategies {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			gotRes[i], errs[len(sweeps)+i] = hypar.NewEvaluator().Eval(nil, m, st, res)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("goroutine %d: %v", i, err)
+		}
+	}
+	for i, sw := range sweeps {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("sweep %d (%s %v) on the shared value differs from the serial one", i, sw.m.Name, sw.free)
+		}
+	}
+	for i, st := range hypar.Strategies {
+		if !reflect.DeepEqual(gotRes[i], wantRes[i]) {
+			t.Errorf("%v on the shared value differs from hypar.Run", st)
+		}
+	}
+	if r, err := shared.resolved(); r != res || err != nil {
+		t.Errorf("the session resolved its config again: %p, %v", r, err)
 	}
 }

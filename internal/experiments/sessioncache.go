@@ -39,20 +39,20 @@ func NewSessionCache(max int, pool *runner.Pool) *SessionCache {
 // shared across goroutines.
 func (c *SessionCache) SetOnBuild(fn func(hypar.Config)) { c.onBuild = fn }
 
-// Get returns the cached Session for cfg, building (and caching) it on
-// a miss and evicting the least recently used session beyond the
-// bound. The config should already be canonical — Get keys on the
-// struct value it is given. Building a Session is cheap (the zoo
+// Get returns the cached Session at r's canonical config, building
+// (and caching) it from r on a miss and evicting the least recently
+// used session beyond the bound. Building a Session is cheap (the zoo
 // comparison inside it is lazy), so the build runs under the cache
 // lock, which makes "one session per config" exact under concurrent
 // misses.
-func (c *SessionCache) Get(cfg hypar.Config) *Session {
+func (c *SessionCache) Get(r *hypar.Resolved) *Session {
+	cfg := r.Config()
 	s, _ := c.c.GetOrAdd(cfg, func() *Session {
 		c.builds.Add(1)
 		if c.onBuild != nil {
 			c.onBuild(cfg)
 		}
-		return NewSessionWithPool(cfg, c.pool)
+		return NewResolvedSession(r, c.pool)
 	})
 	return s
 }

@@ -8,11 +8,16 @@ import (
 	"repro/internal/runner"
 )
 
-// cacheCfg returns a distinct canonical config per batch size.
-func cacheCfg(batch int) hypar.Config {
+// cacheCfg resolves a distinct config per batch size, afresh on every
+// call: sessions key on the config, not on the resolved value.
+func cacheCfg(batch int) *hypar.Resolved {
 	c := hypar.DefaultConfig()
 	c.Batch = batch
-	return c.Canonical()
+	r, err := hypar.Resolve(c)
+	if err != nil {
+		panic(err) // the default config at a positive batch is valid
+	}
+	return r
 }
 
 // TestSessionCacheReuse proves repeated Gets for one config return one
@@ -22,7 +27,11 @@ func TestSessionCacheReuse(t *testing.T) {
 	var builds int
 	c.SetOnBuild(func(hypar.Config) { builds++ })
 
-	first := c.Get(cacheCfg(64))
+	res := cacheCfg(64)
+	first := c.Get(res)
+	if r, err := first.resolved(); r != res || err != nil {
+		t.Errorf("session resolved to %p, %v; want the caller's value %p", r, err, res)
+	}
 	var wg sync.WaitGroup
 	got := make([]*Session, 16)
 	for i := range got {

@@ -169,7 +169,7 @@ func (s *Server) resolve(waitCtx, computeCtx context.Context, endpoint, key stri
 	}
 	// Local callers for the same key coalesce onto one peer fetch, so a
 	// burst of identical requests costs one wire round trip, not N.
-	resp, err, leader := s.flight.DoCtx(waitCtx, key, func() (response, error) {
+	resp, err, _ := s.flight.DoCtx(waitCtx, key, &m.coalesced, func() (response, error) {
 		if resp, ok := s.cache.Get(key); ok {
 			m.cacheHits.Add(1)
 			return resp, nil
@@ -202,9 +202,6 @@ func (s *Server) resolve(waitCtx, computeCtx context.Context, endpoint, key stri
 		c.peerErrors.Add(1)
 		return s.peerFallback(computeCtx, m, endpoint, key, compute)
 	})
-	if !leader {
-		m.coalesced.Add(1)
-	}
 	return resp, err
 }
 
@@ -330,7 +327,7 @@ func (s *Server) handlePeerFetch(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	if endpoint == "degrade" && p.cfg.Faults.IsZero() {
+	if endpoint == "degrade" && p.res.Config().Faults.IsZero() {
 		return badRequest(fmt.Errorf("%w: forwarded degrade body has no fault spec", ErrService))
 	}
 	key := p.key(endpoint)

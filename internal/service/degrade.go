@@ -53,7 +53,7 @@ type degradeResponse struct {
 // collapsing into /v1/compare.
 func (s *Server) handleDegrade(w http.ResponseWriter, r *http.Request) error {
 	return s.serveBody(w, r, "degrade", false, func(p *parsed) error {
-		if p.cfg.Faults.IsZero() {
+		if p.res.Config().Faults.IsZero() {
 			return badRequest(fmt.Errorf(`%w: /v1/degrade needs a fault spec (config "faults", e.g. {"level":1,"groups":2}); use /v1/compare for healthy arrays`, ErrService))
 		}
 		return nil
@@ -63,27 +63,25 @@ func (s *Server) handleDegrade(w http.ResponseWriter, r *http.Request) error {
 // degradeUnit is one (config, strategy) evaluation of the healthy ×
 // degraded fan-out.
 type degradeUnit struct {
-	cfg      hypar.Config
+	res      *hypar.Resolved
 	strategy hypar.Strategy
 }
 
 // computeDegrade renders the /v1/degrade response for a resolved
 // request.
 func (s *Server) computeDegrade(ctx context.Context, p *parsed) (response, error) {
-	healthy := p.cfg
-	healthy.Faults = hypar.Faults{}
-
+	healthy := p.res.Healthy()
 	units := make([]degradeUnit, 0, 2*len(hypar.Strategies))
 	for _, st := range hypar.Strategies {
-		units = append(units, degradeUnit{cfg: healthy, strategy: st})
-		units = append(units, degradeUnit{cfg: p.cfg, strategy: st})
+		units = append(units, degradeUnit{res: healthy, strategy: st})
+		units = append(units, degradeUnit{res: p.res, strategy: st})
 	}
 	results, err := runner.MapCtx(ctx, s.pool, units,
 		func(_ int, u degradeUnit) (*hypar.Result, error) {
-			res, err := s.runShared(ctx, p.model, u.strategy, u.cfg)
+			res, err := s.runShared(ctx, p.model, u.strategy, u.res)
 			if err != nil {
 				side := "degraded"
-				if u.cfg.Faults.IsZero() {
+				if u.res == healthy {
 					side = "healthy"
 				}
 				return nil, computeErr(fmt.Errorf("%s strategy %v: %w", side, u.strategy, err))
@@ -94,13 +92,14 @@ func (s *Server) computeDegrade(ctx context.Context, p *parsed) (response, error
 		return response{}, err
 	}
 
+	cfg := p.res.Config()
 	resp := degradeResponse{
 		Model:          p.model.Name,
-		Config:         p.cfg,
-		Faults:         p.cfg.Faults,
-		Accelerators:   1 << uint(p.cfg.Levels),
-		Survivors:      p.cfg.SurvivingAccelerators(),
-		DegradedLevels: p.cfg.EffectiveLevels(),
+		Config:         cfg,
+		Faults:         cfg.Faults,
+		Accelerators:   1 << uint(cfg.Levels),
+		Survivors:      cfg.SurvivingAccelerators(),
+		DegradedLevels: cfg.EffectiveLevels(),
 		Strategies:     make(map[string]degradeStrategyJSON, len(hypar.Strategies)),
 	}
 	for i, st := range hypar.Strategies {
@@ -119,7 +118,7 @@ func (s *Server) computeDegrade(ctx context.Context, p *parsed) (response, error
 			if d.DegradedGroups > 0 {
 				resp.UsedAccelerators *= d.DegradedGroups
 			}
-			resp.DegradedPlan = planToJSON(d.Plan, p.model, p.cfg)
+			resp.DegradedPlan = planToJSON(d.Plan, p.model, p.res.DType())
 		}
 	}
 	return jsonResponse(resp)

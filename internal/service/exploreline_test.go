@@ -457,7 +457,6 @@ func TestExploreStreamLargeSweep(t *testing.T) {
 		t.Fatalf("header %q: %v", line, err)
 	}
 	waitUntil(t, "the first held write", func() bool { return l.held.Load() > 0 })
-	callers := flightCallers()
 
 	// A follower coalesces onto the held flight.
 	type reply struct {
@@ -476,7 +475,8 @@ func TestExploreStreamLargeSweep(t *testing.T) {
 		b, err := io.ReadAll(resp.Body)
 		followed <- reply{resp.StatusCode, b, err}
 	}()
-	waitUntil(t, "the follower to join the flight", func() bool { return flightCallers() > callers })
+	m := srv.metrics["explore"]
+	waitUntil(t, "the follower to join the flight", func() bool { return m.coalesced.Load() >= 1 })
 	open()
 
 	rest, err := io.ReadAll(br)
@@ -506,7 +506,6 @@ func TestExploreStreamLargeSweep(t *testing.T) {
 	if code != http.StatusOK || !bytes.Equal(result, streamed) {
 		t.Errorf("job result: status %d, identical %v", code, bytes.Equal(result, streamed))
 	}
-	m := srv.metrics["explore"]
 	if m.computes.Load() != 1 || m.coalesced.Load() != 1 {
 		t.Errorf("%d computes and %d coalesced, want 1 and 1", m.computes.Load(), m.coalesced.Load())
 	}
@@ -522,13 +521,4 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-}
-
-// flightCallers counts the goroutines inside a singleflight call: a
-// leader computing and every follower waiting on it. While the leader
-// is held, a follower that has entered the call can only coalesce.
-func flightCallers() int {
-	buf := make([]byte, 1<<20)
-	buf = buf[:runtime.Stack(buf, true)]
-	return bytes.Count(buf, []byte("service.(*flightGroup).DoCtx("))
 }

@@ -6,6 +6,8 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"testing"
 
 	hypar "repro"
@@ -97,6 +99,29 @@ func TestHeteroInvalidSpecRejected(t *testing.T) {
 		if code != http.StatusBadRequest {
 			t.Errorf("%s: status %d (want 400): %s", body, code, resp)
 		}
+	}
+}
+
+// TestHeteroUnknownFallbackRejected: a hole in a per-level spec inherits
+// the config's platform, so an unknown platform that a hole would
+// inherit is a 400 naming it — not a level run as hmc under an echoed
+// "bogus", and not an error about the spec's length.
+func TestHeteroUnknownFallbackRejected(t *testing.T) {
+	_, ts, computes := newTestServer(t)
+	for _, tc := range []struct{ body, name string }{
+		{`{"zoo":"Lenet-c","config":{"levels":3,"platform":"bogus","platforms":{"0":"gpu-hbm","2":"hmc"}}}`, "bogus"},
+		{`{"zoo":"Lenet-c","config":{"levels":3,"platform":"HMC","platforms":{"0":"gpu-hbm","2":"hmc"}}}`, "HMC"},
+		{`{"zoo":"Lenet-c","config":{"levels":2,"platform":"bogus","platforms":{"0":"hmc"}}}`, "bogus"},
+	} {
+		code, resp := postJSON(t, ts.URL+"/v1/evaluate", tc.body)
+		var er errorResponse
+		if err := json.Unmarshal(resp, &er); err != nil || code != http.StatusBadRequest ||
+			!strings.Contains(er.Error, strconv.Quote(tc.name)) || strings.Contains(er.Error, "covers") {
+			t.Errorf("%s: status %d, %s; want a 400 naming %q", tc.body, code, resp, tc.name)
+		}
+	}
+	if n := computes.Load(); n != 0 {
+		t.Errorf("%d evaluations ran for refused configs", n)
 	}
 }
 

@@ -196,10 +196,11 @@ func (e *endpointStats) snapshot() statsSnapshot {
 type Server struct {
 	// baseRaw is the operator's base config exactly as given; request
 	// overrides decode onto it so fields the operator left to platform
-	// defaults stay overridable per request. base is its canonical form
-	// — the config the shared session runs at.
+	// defaults stay overridable per request. base is it resolved once,
+	// at New — the config the shared session runs at, and the value
+	// every request without a "config" override evaluates on.
 	baseRaw hypar.Config
-	base    hypar.Config
+	base    *hypar.Resolved
 	// baseCfgJSON is base's canonical JSON, rendered once at New: every
 	// request whose resolved config equals the base (the overwhelmingly
 	// common case — any request without a "config" override) hashes
@@ -213,7 +214,7 @@ type Server struct {
 	pinned map[string]pinnedModel
 
 	// evaluators recycles single-threaded hypar.Evaluators (engine slab
-	// + bounded Arch and warm-plan memos) across requests: concurrent
+	// + bounded warm-plan memo) across requests: concurrent
 	// distinct requests each borrow their own, so they parallelize,
 	// while the amortized state still gets reused instead of rebuilt.
 	evaluators sync.Pool
@@ -258,15 +259,15 @@ type Server struct {
 	metrics map[string]*endpointStats
 }
 
-// New builds a Server. The base config is validated eagerly so a
+// New builds a Server. The base config is resolved eagerly so a
 // misconfigured daemon fails at startup, not per request.
 func New(opts Options) (*Server, error) {
 	raw := opts.Config
 	if raw == (hypar.Config{}) {
 		raw = hypar.DefaultConfig()
 	}
-	cfg := raw.Canonical()
-	if err := cfg.Validate(); err != nil {
+	base, err := hypar.Resolve(raw)
+	if err != nil {
 		return nil, err
 	}
 	pool := opts.Pool
@@ -289,16 +290,16 @@ func New(opts Options) (*Server, error) {
 	if rawBytes == 0 {
 		rawBytes = DefaultRawCacheBytes
 	}
-	baseCfgJSON, err := json.Marshal(cfg)
+	baseCfgJSON, err := json.Marshal(base.Config())
 	if err != nil {
 		return nil, err
 	}
 	s := &Server{
 		baseRaw:     raw,
-		base:        cfg,
+		base:        base,
 		pool:        pool,
 		baseCfgJSON: baseCfgJSON,
-		session:     experiments.NewSessionWithPool(cfg, pool),
+		session:     experiments.NewResolvedSession(base, pool),
 		sessions:    experiments.NewSessionCache(sessEntries, pool),
 		cache:       newShardedLRU(entries, lruShardsFor(entries)),
 		jobs:        newJobTable(jobEntries),
@@ -438,11 +439,11 @@ func pinModels(session *experiments.Session) (map[string]pinnedModel, error) {
 // repeated requests at the same non-base config reuse one session's
 // pinned zoo and cached comparisons instead of rebuilding them per
 // request.
-func (s *Server) sessionFor(cfg hypar.Config) *experiments.Session {
-	if cfg == s.base {
+func (s *Server) sessionFor(res *hypar.Resolved) *experiments.Session {
+	if res == s.base {
 		return s.session
 	}
-	return s.sessions.Get(cfg)
+	return s.sessions.Get(res)
 }
 
 // ---------------------------------------------------------------------------
@@ -532,10 +533,10 @@ func (s *Server) errShed() error {
 // parsed is a fully resolved request.
 type parsed struct {
 	model     *nn.Model
-	modelJSON []byte // canonical bytes, hash input
-	cfgJSON   []byte // canonical config bytes, hash input
+	modelJSON []byte          // canonical bytes, hash input
+	cfgJSON   []byte          // res's canonical config bytes, hash input
+	res       *hypar.Resolved // the server's base when the config resolves to it
 	strategy  hypar.Strategy
-	cfg       hypar.Config
 	free      []partition.FreeVar
 }
 
@@ -628,29 +629,28 @@ func (s *Server) resolveRequest(req request, wantStrategy, wantFree bool) (*pars
 		p.strategy = *req.Strategy
 	}
 
-	p.cfg = s.baseRaw
+	// The common case — no config override, or one that resolves back
+	// to the base — reuses the base resolved and rendered once at New.
+	p.res, p.cfgJSON = s.base, s.baseCfgJSON
 	if req.Config != nil {
+		cfg := s.baseRaw
 		cdec := json.NewDecoder(strings.NewReader(string(req.Config)))
 		cdec.DisallowUnknownFields()
-		if err := cdec.Decode(&p.cfg); err != nil {
+		if err := cdec.Decode(&cfg); err != nil {
 			return nil, badRequest(fmt.Errorf("%w: config: %v", ErrService, err))
 		}
-	}
-	p.cfg = p.cfg.Canonical()
-	if err := p.cfg.Validate(); err != nil {
-		return nil, badRequest(err)
-	}
-	if p.cfg == s.base {
-		// The common case — no config override, or one that resolves
-		// back to the base — reuses the JSON rendered once at New.
-		p.cfgJSON = s.baseCfgJSON
-	} else {
-		b, err := json.Marshal(p.cfg)
+		res, err := hypar.Resolve(cfg)
 		if err != nil {
 			return nil, badRequest(err)
 		}
-		configMarshals.Add(1)
-		p.cfgJSON = b
+		if res.Config() != s.base.Config() {
+			b, err := json.Marshal(res.Config())
+			if err != nil {
+				return nil, badRequest(err)
+			}
+			configMarshals.Add(1)
+			p.res, p.cfgJSON = res, b
+		}
 	}
 
 	if len(req.Free) > 0 && !wantFree {
@@ -662,7 +662,7 @@ func (s *Server) resolveRequest(req request, wantStrategy, wantFree bool) (*pars
 	}
 	// With faults the sweep's base plan covers only the surviving
 	// sub-array, so free levels are bounded by its depth.
-	depth := p.cfg.EffectiveLevels()
+	depth := p.res.Config().EffectiveLevels()
 	for i, fv := range req.Free {
 		if fv.Level < 0 || fv.Level >= depth {
 			return nil, badRequest(fmt.Errorf("%w: free variable level %d out of range [0,%d)", ErrService, fv.Level, depth))
@@ -775,16 +775,14 @@ type statsJSON struct {
 	Tasks           int       `json:"tasks"`
 }
 
-// planToJSON renders a plan.
-func planToJSON(p *hypar.Plan, m *nn.Model, cfg hypar.Config) planJSON {
+// planToJSON renders a plan whose tensors are accounted in dt.
+func planToJSON(p *hypar.Plan, m *nn.Model, dt hypar.DType) planJSON {
 	pj := planJSON{
 		Levels:       p.NumLevels(),
 		Accelerators: p.NumAccelerators(),
 		Layers:       make([]layerAssignJSON, 0, len(m.Layers)),
 		TotalElems:   p.TotalElems,
-	}
-	if dt, err := cfg.DType(); err == nil {
-		pj.TotalBytes = p.TotalBytes(dt)
+		TotalBytes:   p.TotalBytes(dt),
 	}
 	for l, layer := range m.Layers {
 		pj.Layers = append(pj.Layers, layerAssignJSON{Name: layer.Name, Assign: p.LayerString(l)})
@@ -955,7 +953,7 @@ func (s *Server) resolveCtx(waitCtx, computeCtx context.Context, endpoint, key s
 		m.cacheHits.Add(1)
 		return resp, nil
 	}
-	resp, err, leader := s.flight.DoCtx(waitCtx, key, func() (response, error) {
+	resp, err, _ := s.flight.DoCtx(waitCtx, key, &m.coalesced, func() (response, error) {
 		// Double-check: a racing leader may have populated the cache
 		// between this request's miss and its turn in the flight. The
 		// re-check makes "identical requests evaluate once" exact, not
@@ -966,9 +964,6 @@ func (s *Server) resolveCtx(waitCtx, computeCtx context.Context, endpoint, key s
 		}
 		return s.computeLocked(computeCtx, m, endpoint, key, compute)
 	})
-	if !leader {
-		m.coalesced.Add(1)
-	}
 	return resp, err
 }
 
@@ -1087,16 +1082,16 @@ func jsonResponse(v any) (response, error) {
 	return response{contentType: "application/json", body: append(b, '\n')}, nil
 }
 
-// runShared evaluates one (model, strategy, config) on a pooled
-// evaluator. Each evaluator is single-threaded by design (it reuses one
-// simulation engine), so a request borrows one for the duration of the
-// call; distinct concurrent requests run on distinct evaluators and
-// the cache/singleflight layer above keeps redundant evaluations from
-// ever reaching this point.
-func (s *Server) runShared(ctx context.Context, m *nn.Model, st hypar.Strategy, cfg hypar.Config) (*hypar.Result, error) {
+// runShared evaluates one (model, strategy, resolved config) on a
+// pooled evaluator. Each evaluator is single-threaded by design (it
+// reuses one simulation engine), so a request borrows one for the
+// duration of the call; distinct concurrent requests run on distinct
+// evaluators and the cache/singleflight layer above keeps redundant
+// evaluations from ever reaching this point.
+func (s *Server) runShared(ctx context.Context, m *nn.Model, st hypar.Strategy, res *hypar.Resolved) (*hypar.Result, error) {
 	ev := s.evaluators.Get().(*hypar.Evaluator)
 	defer s.evaluators.Put(ev)
-	return ev.RunCtx(ctx, m, st, cfg)
+	return ev.Eval(ctx, m, st, res)
 }
 
 // ---------------------------------------------------------------------------
@@ -1109,15 +1104,15 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) error {
 
 // computePlan renders the /v1/plan response for a resolved request.
 func (s *Server) computePlan(ctx context.Context, p *parsed) (response, error) {
-	plan, err := hypar.NewPlanCtx(ctx, p.model, p.strategy, p.cfg)
+	plan, err := p.res.Plan(ctx, p.model, p.strategy, hypar.PlanOptions{})
 	if err != nil {
 		return response{}, computeErr(err)
 	}
 	return jsonResponse(planResponse{
 		Model:    p.model.Name,
 		Strategy: p.strategy,
-		Config:   p.cfg,
-		Plan:     planToJSON(plan, p.model, p.cfg),
+		Config:   p.res.Config(),
+		Plan:     planToJSON(plan, p.model, p.res.DType()),
 	})
 }
 
@@ -1129,7 +1124,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) error {
 // computeEvaluate renders the /v1/evaluate response for a resolved
 // request.
 func (s *Server) computeEvaluate(ctx context.Context, p *parsed) (response, error) {
-	res, err := s.runShared(ctx, p.model, p.strategy, p.cfg)
+	res, err := s.runShared(ctx, p.model, p.strategy, p.res)
 	if err != nil {
 		return response{}, computeErr(err)
 	}
@@ -1137,8 +1132,8 @@ func (s *Server) computeEvaluate(ctx context.Context, p *parsed) (response, erro
 		planResponse: planResponse{
 			Model:    p.model.Name,
 			Strategy: p.strategy,
-			Config:   p.cfg,
-			Plan:     planToJSON(res.Plan, p.model, p.cfg),
+			Config:   p.res.Config(),
+			Plan:     planToJSON(res.Plan, p.model, p.res.DType()),
 		},
 		Stats: statsToJSON(res.Stats),
 	})
@@ -1154,15 +1149,16 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) error {
 func (s *Server) computeCompare(ctx context.Context, p *parsed) (response, error) {
 	resp := compareResponse{
 		Model:   p.model.Name,
-		Config:  p.cfg,
+		Config:  p.res.Config(),
 		Results: make(map[string]strategyResult, len(hypar.Strategies)),
 		Gains:   make(map[string]gainsJSON, len(hypar.Strategies)),
 	}
 	// The four strategies are independent; fan them out on the
-	// server pool (each worker borrowing a pooled evaluator).
+	// server pool (each worker borrowing a pooled evaluator), all on the
+	// request's one resolved config.
 	results, err := runner.MapCtx(ctx, s.pool, hypar.Strategies,
 		func(_ int, st hypar.Strategy) (*hypar.Result, error) {
-			res, err := s.runShared(ctx, p.model, st, p.cfg)
+			res, err := s.runShared(ctx, p.model, st, p.res)
 			if err != nil {
 				return nil, computeErr(fmt.Errorf("strategy %v: %w", st, err))
 			}
@@ -1175,7 +1171,7 @@ func (s *Server) computeCompare(ctx context.Context, p *parsed) (response, error
 	for i, st := range hypar.Strategies {
 		cmp.Results[st] = results[i]
 		resp.Results[st.String()] = strategyResult{
-			Plan:  planToJSON(results[i].Plan, p.model, p.cfg),
+			Plan:  planToJSON(results[i].Plan, p.model, p.res.DType()),
 			Stats: statsToJSON(results[i].Stats),
 		}
 	}
@@ -1208,12 +1204,13 @@ func finishExploreParse(p *parsed) error {
 	if p.free == nil {
 		p.free = defaultFree(p.model)
 	}
-	if p.cfg.Levels == 0 {
+	cfg := p.res.Config()
+	if cfg.Levels == 0 {
 		return badRequest(fmt.Errorf("%w: explore needs levels >= 1", ErrService))
 	}
-	if p.cfg.EffectiveLevels() == 0 {
+	if cfg.EffectiveLevels() == 0 {
 		return badRequest(fmt.Errorf("%w: explore needs a surviving sub-array of depth >= 1, but the faults leave %d accelerator(s)",
-			ErrService, p.cfg.SurvivingAccelerators()))
+			ErrService, cfg.SurvivingAccelerators()))
 	}
 	return nil
 }
@@ -1261,7 +1258,7 @@ func (s *Server) exploreBody(ctx context.Context, p *parsed, tap func(block []by
 	}
 	points := 1 << uint(len(p.free))
 	header, err := json.Marshal(exploreHeaderJSON{
-		Type: "header", Model: p.model.Name, Config: p.cfg, Points: points,
+		Type: "header", Model: p.model.Name, Config: p.res.Config(), Points: points,
 	})
 	if err != nil {
 		return response{}, err
@@ -1275,7 +1272,7 @@ func (s *Server) exploreBody(ctx context.Context, p *parsed, tap func(block []by
 	// body offsets ([lo, hi); hi == 0 while no point filled the slot).
 	var peakGain float64
 	var peak, hp [2]int
-	err = s.sessionFor(p.cfg).ExploreStream(p.model, p.free, noLabels, func(ep experiments.ExplorePoint) error {
+	err = s.sessionFor(p.res).ExploreStream(p.model, p.free, noLabels, func(ep experiments.ExplorePoint) error {
 		if err := live(); err != nil {
 			return err
 		}

@@ -3,6 +3,7 @@ package service
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -297,6 +298,67 @@ func TestCoalescing(t *testing.T) {
 	if fast+hits < 1 {
 		t.Errorf("fastHits=%d cacheHits=%d, want >=1 combined", fast, hits)
 	}
+}
+
+// TestStatszCountsWaitingFollower: /statsz counts a follower as
+// coalesced when it joins a flight, while the leader is still held, not
+// only once the leader's result arrives.
+func TestStatszCountsWaitingFollower(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	var enter, leave sync.Once
+	srv, err := New(Options{FaultHook: func(context.Context, string, string) error {
+		enter.Do(func() { close(entered) })
+		<-release
+		return nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer leave.Do(func() { close(release) })
+
+	const body = `{"zoo":"Lenet-c","strategy":"hypar"}`
+	codes := make(chan int, 2)
+	post := func() {
+		resp, err := http.Post(ts.URL+"/v1/evaluate", "application/json", strings.NewReader(body))
+		if err != nil {
+			codes <- 0
+			return
+		}
+		resp.Body.Close()
+		codes <- resp.StatusCode
+	}
+	go post()
+	<-entered
+	go post()
+	waitUntil(t, "/statsz to count the waiting follower", func() bool {
+		return statszEndpoint(t, ts.URL, "evaluate").Coalesced == 1
+	})
+	leave.Do(func() { close(release) })
+	for i := 0; i < 2; i++ {
+		if code := <-codes; code != http.StatusOK {
+			t.Errorf("request answered %d", code)
+		}
+	}
+	if st := statszEndpoint(t, ts.URL, "evaluate"); st.Computes != 1 || st.Coalesced != 1 {
+		t.Errorf("%d computes and %d coalesced, want 1 and 1", st.Computes, st.Coalesced)
+	}
+}
+
+// statszEndpoint fetches one endpoint's /statsz counters.
+func statszEndpoint(t *testing.T, url, endpoint string) statsSnapshot {
+	t.Helper()
+	resp, err := http.Get(url + "/statsz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st statszResponse
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	return st.Endpoints[endpoint]
 }
 
 // TestRequestCanonicalization proves semantically identical requests

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // response is the cached/coalesced unit of work: a fully rendered
@@ -39,7 +40,7 @@ type flightCall struct {
 // the leader's result). fn must not call Do reentrantly with the same
 // key.
 func (g *flightGroup) Do(key string, fn func() (response, error)) (response, error, bool) {
-	return g.DoCtx(nil, key, fn)
+	return g.DoCtx(nil, key, nil, fn)
 }
 
 // DoCtx is Do with a cancelable follower wait: a follower whose ctx is
@@ -47,14 +48,18 @@ func (g *flightGroup) Do(key string, fn func() (response, error)) (response, err
 // computing for the remaining consumers — abandoning a wait never
 // cancels the shared work). The leader itself ignores ctx; cancel
 // inside fn if the computation should stop. A nil ctx waits
-// indefinitely.
-func (g *flightGroup) DoCtx(ctx context.Context, key string, fn func() (response, error)) (resp response, err error, leader bool) {
+// indefinitely. joined (if non-nil) counts this caller as it becomes a
+// follower, before its wait, so it shows while the leader computes.
+func (g *flightGroup) DoCtx(ctx context.Context, key string, joined *atomic.Int64, fn func() (response, error)) (resp response, err error, leader bool) {
 	g.mu.Lock()
 	if g.m == nil {
 		g.m = make(map[string]*flightCall)
 	}
 	if c, ok := g.m[key]; ok {
 		g.mu.Unlock()
+		if joined != nil {
+			joined.Add(1)
+		}
 		if ctx == nil {
 			<-c.done
 			return c.resp, c.err, false
@@ -108,6 +113,6 @@ func (g *shardedFlight) Do(key string, fn func() (response, error)) (response, e
 
 // DoCtx routes the key to its shard's group with a cancelable follower
 // wait (see flightGroup.DoCtx).
-func (g *shardedFlight) DoCtx(ctx context.Context, key string, fn func() (response, error)) (response, error, bool) {
-	return g.shards[shardIndex(key, flightShards)].DoCtx(ctx, key, fn)
+func (g *shardedFlight) DoCtx(ctx context.Context, key string, joined *atomic.Int64, fn func() (response, error)) (response, error, bool) {
+	return g.shards[shardIndex(key, flightShards)].DoCtx(ctx, key, joined, fn)
 }

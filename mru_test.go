@@ -36,10 +36,9 @@ func TestMRUOrder(t *testing.T) {
 }
 
 // TestEvaluatorMemosBounded drives one Evaluator through 1,000 distinct
-// linkMbps configs over more model names than the warm memo holds: both
-// memos stay within their bounds, and every Result equals the one a
-// fresh Evaluator computes — whether its warm-start hint hit or was
-// evicted.
+// linkMbps configs over more model names than the warm memo holds: the
+// memo stays within its bound, and every Result equals the one a fresh
+// Evaluator computes — whether its warm-start hint hit or was evicted.
 func TestEvaluatorMemosBounded(t *testing.T) {
 	models := make([]*Model, evaluatorWarm+8)
 	for i := range models {
@@ -63,29 +62,31 @@ func TestEvaluatorMemosBounded(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("config %d (%v on %s): reused evaluator's result differs from a fresh one", i, s, m.Name)
 		}
-		if n := ev.archs.len(); n > evaluatorArchs {
-			t.Fatalf("arch memo holds %d entries, bound %d", n, evaluatorArchs)
-		}
 		if n := ev.warm.len(); n > evaluatorWarm {
 			t.Fatalf("warm memo holds %d entries, bound %d", n, evaluatorWarm)
 		}
 	}
-	if ev.archs.len() != evaluatorArchs || ev.warm.len() != evaluatorWarm {
-		t.Errorf("memos hold %d archs and %d plans, want both full (%d, %d)",
-			ev.archs.len(), ev.warm.len(), evaluatorArchs, evaluatorWarm)
+	if ev.warm.len() != evaluatorWarm {
+		t.Errorf("warm memo holds %d plans, want it full (%d)", ev.warm.len(), evaluatorWarm)
 	}
 }
 
 // TestAllocsMRUFull pins the memo bound's cost: inserting new keys into
 // a full table allocates nothing and keeps its size.
 func TestAllocsMRUFull(t *testing.T) {
-	m := newMRU[Config, int](evaluatorArchs)
-	c := Config{Batch: 1}
+	m := newMRU[string, int](evaluatorWarm)
+	// One key more than the table holds: each insert, cycling through
+	// them, misses and evicts.
+	keys := make([]string, evaluatorWarm+1)
+	for i := range keys {
+		keys[i] = fmt.Sprint("model-", i)
+	}
+	i := 0
 	allocs := testing.AllocsPerRun(200, func() {
-		c.Batch++
-		m.put(c, c.Batch)
+		i++
+		m.put(keys[i%len(keys)], i)
 	})
-	if allocs != 0 || m.len() != evaluatorArchs {
-		t.Errorf("full-table insert allocates %.1f objects and holds %d entries, want 0 and %d", allocs, m.len(), evaluatorArchs)
+	if allocs != 0 || m.len() != evaluatorWarm {
+		t.Errorf("full-table insert allocates %.1f objects and holds %d entries, want 0 and %d", allocs, m.len(), evaluatorWarm)
 	}
 }
