@@ -33,6 +33,7 @@ fuzz:
 	$(GO) test -fuzz='^FuzzLayerValidate$$' -fuzztime=10s -run '^$$' ./internal/nn
 	$(GO) test -fuzz='^FuzzParseTopology$$' -fuzztime=10s -run '^$$' ./internal/cluster
 	$(GO) test -fuzz='^FuzzConfigResolve$$' -fuzztime=10s -run '^$$' .
+	$(GO) test -fuzz='^FuzzSweepProgram$$' -fuzztime=10s -run '^$$' ./internal/sim
 
 cover:
 	$(GO) test -cover -coverprofile=coverage.out ./...

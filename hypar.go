@@ -33,6 +33,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/nn"
@@ -771,8 +772,13 @@ type Resolved struct {
 	method  partition.Method
 	assign  platform.Assignment
 	weights []partition.Weights // assign's, one per level
-	arch    Arch
-	archErr error // planning needs no Arch, so a failed build fails only simulation
+
+	// The Arch is built on the first Arch call: planning and a
+	// canonical-cache hit need none, so a failed build fails only
+	// simulation.
+	archOnce sync.Once
+	arch     Arch
+	archErr  error
 
 	healthy  *Resolved // cfg without its faults; the value itself when healthy
 	groups   int       // surviving groups of the grouped candidate, 0 if none
@@ -795,19 +801,6 @@ func Resolve(c Config) (*Resolved, error) {
 	r := &Resolved{cfg: c, assign: a, weights: a.PartitionWeights()}
 	r.dtype, _ = c.dtype()                              // validate checked the precision
 	r.method, _ = partition.ParseMethod(c.SearchMethod) // and the search method
-	archBuilds.Add(1)
-	if topo, err := a.NewTopology(c.Topology, c.LinkMbps); err != nil {
-		r.archErr = err
-	} else {
-		r.arch = Arch{
-			Mem:             a.Node().Memory(),
-			Comp:            a.Node().Compute(),
-			NoC:             topo,
-			DType:           r.dtype,
-			OverlapGradComm: c.OverlapGradComm,
-			LevelMems:       a.LevelMemories(),
-		}
-	}
 	if c.Faults.IsZero() {
 		r.healthy = r
 		return r, nil
@@ -843,7 +836,28 @@ func (r *Resolved) DType() DType { return r.dtype }
 func (r *Resolved) Assignment() platform.Assignment { return r.assign }
 
 // Arch returns the simulated platform, or why it could not be built.
-func (r *Resolved) Arch() (Arch, error) { return r.arch, r.archErr }
+// The first call builds it; later calls, from any goroutine, return the
+// same value.
+func (r *Resolved) Arch() (Arch, error) {
+	r.archOnce.Do(func() {
+		archBuilds.Add(1)
+		a := r.assign
+		topo, err := a.NewTopology(r.cfg.Topology, r.cfg.LinkMbps)
+		if err != nil {
+			r.archErr = err
+			return
+		}
+		r.arch = Arch{
+			Mem:             a.Node().Memory(),
+			Comp:            a.Node().Compute(),
+			NoC:             topo,
+			DType:           r.dtype,
+			OverlapGradComm: r.cfg.OverlapGradComm,
+			LevelMems:       a.LevelMemories(),
+		}
+	})
+	return r.arch, r.archErr
+}
 
 // Healthy returns the config without its faults: r itself if healthy.
 func (r *Resolved) Healthy() *Resolved { return r.healthy }

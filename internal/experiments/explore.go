@@ -64,11 +64,10 @@ func ExploreLabelKey(fv partition.FreeVar) string {
 // the session pool, and hands the points to emit in code order a range
 // at a time (runner.StreamWith) — point p's emission waits for its
 // range, not for the sweep's tail, so NDJSON consumers see results
-// before the sweep ends. Workers share the sweep's volume table, each
-// pricing points on its own Simulator (sim.Simulator.SweepStep), which
-// holds the sweep's durations. label may be nil (DefaultExploreLabel
-// is used). An emit error stops the sweep between points and is
-// returned.
+// before the sweep ends. The sweep is compiled once, before the
+// fan-out, into a sim.SweepProgram that every worker shares, stepping
+// up to 16 points a call. label may be nil (DefaultExploreLabel is
+// used). An emit error stops the sweep between calls and is returned.
 func (s *Session) ExploreStream(m *hypar.Model, free []partition.FreeVar,
 	label func(code int) map[string]string, emit func(ExplorePoint) error) error {
 	if label == nil {
@@ -110,19 +109,25 @@ func (s *Session) ExploreStream(m *hypar.Model, free []partition.FreeVar,
 	if err != nil {
 		return err
 	}
+	prog, err := sim.CompileSweep(m, sw, arch)
+	if err != nil {
+		return err
+	}
 	dpStep := dp.Stats.StepSeconds
-	return runner.StreamWith(s.pool, make([]struct{}, sw.Points()), sim.NewSimulator,
-		func(sm *sim.Simulator, code int, _ struct{}) (ExplorePoint, error) {
-			step, err := sm.SweepStep(m, sw, arch, code)
-			if err != nil {
-				return ExplorePoint{}, err
+	return runner.StreamWith(s.pool, sw.Points(), func() *sim.SweepScratch { return new(sim.SweepScratch) },
+		func(sc *sim.SweepScratch, lo int, out []ExplorePoint) (int, error) {
+			var steps [16]float64
+			n, err := prog.Steps(sc, lo, steps[:min(len(out), len(steps))])
+			for i, step := range steps[:n] {
+				code := lo + i
+				out[i] = ExplorePoint{
+					Code:    code,
+					Labels:  label(code),
+					Gain:    dpStep / step,
+					IsHyPar: code == hyparCode,
+				}
 			}
-			return ExplorePoint{
-				Code:    code,
-				Labels:  label(code),
-				Gain:    dpStep / step,
-				IsHyPar: code == hyparCode,
-			}, nil
+			return n, err
 		},
 		func(_ int, ep ExplorePoint) error { return emit(ep) })
 }

@@ -110,10 +110,9 @@ func concurrentSweeps(t *testing.T) []concurrentSweep {
 }
 
 // TestExploreConcurrentSweepsOneSession runs 16 sweeps at once on one
-// Session at pool width 4: each sweep's volume table is shared
-// read-only by its workers, and every worker prices points on its own
-// Simulator and duration table. Each sweep must equal the same sweep
-// run alone on a serial session.
+// Session at pool width 4: each sweep's volume table and compiled step
+// program are shared read-only by its workers. Each sweep must equal
+// the same sweep run alone on a serial session.
 func TestExploreConcurrentSweepsOneSession(t *testing.T) {
 	shared := NewSessionWithPool(cfg(), runner.New(4))
 	serial := NewSessionWithPool(cfg(), runner.Serial())

@@ -199,42 +199,49 @@ func MapWith[S, T, R any](p *Pool, items []T, newState func() S, fn func(s S, i 
 	return out, nil
 }
 
-// StreamWith applies fn to every item on the pool, with per-worker
-// state (see MapWith), and hands each result to emit in input order
-// while later items are still being computed. Items are handed over in
-// the ranges of Chunks(len(items), width): a worker computes a whole
-// range without the stream's lock and publishes it at once, and item
-// i's emit waits for its range, not for the whole batch. emit runs on
-// the calling goroutine, so it may write to non-thread-safe sinks (an
+// StreamWith computes items [0, n) on the pool, with per-worker state
+// (see MapWith), and hands each result to emit in index order while
+// later items are still being computed. Items are handed over in the
+// ranges of Chunks(n, width): a worker computes a whole range without
+// the stream's lock and publishes it at once, and item i's emit waits
+// for its range, not for the whole batch. emit runs on the calling
+// goroutine, so it may write to non-thread-safe sinks (an
 // http.ResponseWriter, a terminal). Workers claim no range more than
 // 2·width ranges ahead of the one being emitted, so a slow consumer
 // bounds buffering and an emit error cancels outstanding work promptly
 // instead of after the whole batch.
 //
-// Workers check for cancellation before every item. A compute error
-// stops the stream: nothing at or past the failed index is emitted, and
-// the error returned is the lowest-indexed failure among the items that
-// ran. An emit error stops the stream too and is returned. With width 1
-// every item is computed and then emitted on the calling goroutine, the
-// serial reference path, which reports the first error.
-func StreamWith[S, T, R any](p *Pool, items []T, newState func() S,
-	fn func(s S, i int, item T) (R, error), emit func(i int, r R) error) error {
-	n := len(items)
-	if n == 0 {
+// fn computes items lo, lo+1, … into out[0], out[1], …, where out runs
+// to the end of the worker's range: it may stop short of the end, and
+// returns how many items it computed — at least one, unless it fails,
+// when the count is of the items before the failed one. So fn may take
+// a range a few items at a time, or one. Workers check for cancellation
+// before every fn call. A compute error stops the stream: nothing at or
+// past the failed index is emitted, and the error returned is the
+// lowest-indexed failure among the items that ran. An emit error stops
+// the stream too and is returned. With width 1 every call's items are
+// computed and then emitted on the calling goroutine, the serial
+// reference path, which reports the first error.
+func StreamWith[S, R any](p *Pool, n int, newState func() S,
+	fn func(s S, lo int, out []R) (int, error), emit func(i int, r R) error) error {
+	if n <= 0 {
 		return nil
 	}
 	width := p.Width()
 	if width > n {
 		width = n
 	}
+	out := make([]R, n)
 	if width == 1 {
 		s := newState()
-		for i, item := range items {
-			r, err := fn(s, i, item)
-			if err != nil {
-				return err
+		for i := 0; i < n; {
+			k, err := fn(s, i, out[i:])
+			for end := i + k; i < end; i++ {
+				if err := emit(i, out[i]); err != nil {
+					return err
+				}
 			}
-			if err := emit(i, r); err != nil {
+			if err != nil {
 				return err
 			}
 		}
@@ -256,7 +263,6 @@ func StreamWith[S, T, R any](p *Pool, items []T, newState func() S,
 		failIdx = n // lowest index whose fn call failed
 		failErr error
 		stopped atomic.Bool // a compute or emit error ends the stream
-		out     = make([]R, n)
 		wg      sync.WaitGroup
 	)
 	for c := range ends {
@@ -285,13 +291,14 @@ func StreamWith[S, T, R any](p *Pool, items []T, newState func() S,
 				}
 				i, hi := chunks[c][0], chunks[c][1]
 				var err error
-				for ; i < hi && !stopped.Load(); i++ {
-					var r R
-					if r, err = fn(s, i, items[i]); err != nil {
+				for i < hi && !stopped.Load() {
+					var k int
+					k, err = fn(s, i, out[i:hi])
+					i += k
+					if err != nil {
 						stopped.Store(true)
 						break
 					}
-					out[i] = r
 				}
 				mu.Lock()
 				ends[c] = i

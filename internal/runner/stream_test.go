@@ -9,10 +9,18 @@ import (
 	"time"
 )
 
-// stream is StreamWith without per-worker state.
+// stream is StreamWith over items without per-worker state, computing
+// one item per call.
 func stream[T, R any](p *Pool, items []T, fn func(i int, item T) (R, error), emit func(i int, r R) error) error {
-	return StreamWith(p, items, func() struct{} { return struct{}{} },
-		func(_ struct{}, i int, item T) (R, error) { return fn(i, item) }, emit)
+	return StreamWith(p, len(items), func() struct{} { return struct{}{} },
+		func(_ struct{}, lo int, out []R) (int, error) {
+			r, err := fn(lo, items[lo])
+			if err != nil {
+				return 0, err
+			}
+			out[0] = r
+			return 1, nil
+		}, emit)
 }
 
 // streamWidths are the pool widths the stream tests cover: the inline
@@ -284,15 +292,16 @@ func TestStreamWithPerWorkerState(t *testing.T) {
 	type state struct{ busy atomic.Bool }
 	for _, width := range streamWidths {
 		var built atomic.Int64
-		err := StreamWith(New(width), make([]int, 64),
+		err := StreamWith(New(width), 64,
 			func() *state { built.Add(1); return &state{} },
-			func(s *state, i int, _ int) (int, error) {
+			func(s *state, i int, out []int) (int, error) {
 				if !s.busy.CompareAndSwap(false, true) {
 					return 0, fmt.Errorf("item %d: state in use by another item", i)
 				}
 				runtime.Gosched()
 				s.busy.Store(false)
-				return i, nil
+				out[0] = i
+				return 1, nil
 			},
 			func(i, r int) error {
 				if i != r {
@@ -305,6 +314,67 @@ func TestStreamWithPerWorkerState(t *testing.T) {
 		}
 		if b := built.Load(); b < 1 || b > int64(width) {
 			t.Errorf("width %d: built %d states, want 1..%d", width, b, width)
+		}
+	}
+}
+
+// TestStreamRanged: fn takes its range several items a call — here up
+// to three, fewer where its range ends — and every out it is handed
+// ends where a range of Chunks does, so a call never computes another
+// worker's items. A failure mid-call emits exactly the items before it,
+// counted by the call, and returns its error.
+func TestStreamRanged(t *testing.T) {
+	boom := errors.New("boom")
+	const n = 70
+	for _, width := range streamWidths {
+		ends := map[int]bool{n: true}
+		for _, ch := range Chunks(n, width) {
+			ends[ch[1]] = true
+		}
+		for _, fail := range []int{-1, 0, 17, n - 1} {
+			var below atomic.Int64
+			next := 0
+			err := StreamWith(New(width), n, func() struct{} { return struct{}{} },
+				func(_ struct{}, lo int, out []int) (int, error) {
+					if width > 1 && !ends[lo+len(out)] {
+						return 0, fmt.Errorf("items %d..%d end inside a range", lo, lo+len(out))
+					}
+					k := min(3, len(out))
+					for i := range k {
+						if lo+i == fail {
+							// Let every item below the failure run first, so no
+							// earlier range is cut short by the stop flag.
+							if err := waitFor("the items below the failure", func() bool { return below.Load() == int64(lo) }); err != nil {
+								return i, err
+							}
+							return i, boom
+						}
+						out[i] = 2 * (lo + i)
+					}
+					if lo+k <= fail {
+						below.Add(int64(k))
+					}
+					return k, nil
+				},
+				func(i, r int) error {
+					if i != next || r != 2*i {
+						return fmt.Errorf("emit %d (result %d), want item %d", i, r, next)
+					}
+					next++
+					return nil
+				})
+			want := n
+			if fail >= 0 {
+				want = fail
+				if !errors.Is(err, boom) {
+					t.Fatalf("width %d, fail %d: got %v, want boom", width, fail, err)
+				}
+			} else if err != nil {
+				t.Fatalf("width %d: %v", width, err)
+			}
+			if next != want {
+				t.Errorf("width %d, fail %d: emitted %d items, want %d", width, fail, next, want)
+			}
 		}
 	}
 }

@@ -198,11 +198,11 @@ func TestAllocsColdMiss(t *testing.T) {
 // TestAllocsExploreSweep bounds a whole /v1/explore sweep body —
 // VGG-A's default 256-point sweep, BenchmarkExploreSweep's input — at
 // 1.5 allocations per point, fixed costs included, on a two-worker pool:
-// the sweep's volume table is built once, and each worker prices points
-// on its own Simulator, whose duration table is set up once per sweep,
-// so a point itself allocates nothing (sim's TestAllocsSweepStep). The
-// per-sweep costs — base and DP plans, the tables, the body — measured
-// 0.89 per point.
+// the sweep's volume table and step program are built once and shared
+// by the workers, so stepping a point allocates nothing (sim's
+// TestAllocsSweepStep). The per-sweep costs — base and DP plans, the
+// tables, the program, the body — measured 0.89 per point before the
+// program replaced each worker's Simulator.
 func TestAllocsExploreSweep(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime's own allocations inflate the per-point count; CI gates it in the un-instrumented pass")

@@ -239,9 +239,11 @@ func TestExploreFaultConfig(t *testing.T) {
 }
 
 // TestExploreConcurrentSweeps runs distinct sweeps at once — each
-// leader fanning its points out over Simulators on the shared pool —
-// and checks every body against the same sweep computed alone. Under
-// -race it shows no Simulator or wiring memo is shared across workers.
+// leader fanning its points out on the shared pool, its workers sharing
+// one compiled step program, or for a DAG each filling and simulating
+// on its own Simulator — and checks every body against the same sweep
+// computed alone. Under -race it shows no Simulator or wiring memo is
+// shared across workers and no worker writes a program.
 func TestExploreConcurrentSweeps(t *testing.T) {
 	bodies := []string{
 		`{"zoo":"Lenet-c","free":[{"level":0,"layer":0},{"level":1,"layer":1},{"level":3,"layer":2}]}`,

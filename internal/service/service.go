@@ -260,7 +260,9 @@ type Server struct {
 }
 
 // New builds a Server. The base config is resolved eagerly so a
-// misconfigured daemon fails at startup, not per request.
+// misconfigured daemon fails at startup, not per request, and its Arch
+// is built here too, so no request pays for it; a failed build is
+// reported, as for any config, by the requests that simulate.
 func New(opts Options) (*Server, error) {
 	raw := opts.Config
 	if raw == (hypar.Config{}) {
@@ -270,6 +272,7 @@ func New(opts Options) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
+	base.Arch()
 	pool := opts.Pool
 	if pool == nil {
 		pool = runner.Default()

@@ -172,16 +172,13 @@ func Simulate(m *nn.Model, plan *partition.Plan, arch Arch) (*Stats, error) {
 //     sweep's points, a comparison's strategies — price each (level,
 //     volume) once;
 //   - the step builder's scratch, so a reused Simulator allocates only
-//     the returned Stats;
-//   - the last sweep SweepStep priced, checked once, with its points'
-//     phase and transfer durations, so a chain sweep's point is a walk
-//     of table lookups and additions that allocates nothing.
+//     the returned Stats.
 //
-// The wiring, phase-cost and sweep memos hold the *nn.Model, so the
-// pointer cannot be recycled for another model; like CachedShapes, they
-// rely on models not being mutated after first use. A Simulator is not
-// safe for concurrent use: give each worker its own (see
-// runner.StreamWith); workers may share one read-only partition.Sweep.
+// The wiring and phase-cost memos hold the *nn.Model, so the pointer
+// cannot be recycled for another model; like CachedShapes, they rely on
+// models not being mutated after first use. A Simulator is not safe for
+// concurrent use: give each worker its own. A sweep's points are priced
+// by a SweepProgram, which workers share.
 type Simulator struct {
 	eng *Engine
 
@@ -191,7 +188,6 @@ type Simulator struct {
 	costs  costTable
 	prices priceTable
 	b      stepBuilder
-	sweep  sweepTable
 }
 
 // wiring is a model's layer graph compiled for the step builder: the
@@ -244,13 +240,28 @@ func isChain(edges []partition.Edge, nl int) bool {
 // indices into edges, which must be edges of an nl-layer model
 // (LayerPreds guarantees 0 <= Src < Dst < nl).
 func indexEdges(edges []partition.Edge, nl int) (out, in [][]int) {
-	out = make([][]int, nl)
-	in = make([][]int, nl)
-	for e, ed := range edges {
-		out[ed.Src] = append(out[ed.Src], e)
-		in[ed.Dst] = append(in[ed.Dst], e)
+	return cutIndex(edges, nl, func(ed partition.Edge) int { return ed.Src }),
+		cutIndex(edges, nl, func(ed partition.Edge) int { return ed.Dst })
+}
+
+// cutIndex lists, for each of nl layers l, the indices of the edges
+// whose end is l, in edge order, each list a window of one array.
+func cutIndex(edges []partition.Edge, nl int, end func(partition.Edge) int) [][]int {
+	at := make([]int, nl+1)
+	for _, ed := range edges {
+		at[end(ed)+1]++
 	}
-	return out, in
+	for l := range nl {
+		at[l+1] += at[l]
+	}
+	ids, lists := make([]int, len(edges)), make([][]int, nl)
+	for l := range lists {
+		lists[l] = ids[at[l]:at[l]:at[l+1]]
+	}
+	for e, ed := range edges {
+		lists[end(ed)] = append(lists[end(ed)], e)
+	}
+	return lists
 }
 
 // costKey is everything a layer phase's cost depends on besides the
@@ -359,6 +370,10 @@ func (s *Simulator) Simulate(m *nn.Model, plan *partition.Plan, arch Arch) (*Sta
 	if err != nil {
 		return nil, err
 	}
+	b.costs = s.costs.cellsFor(costKey{
+		model: m, batch: plan.Batch, depth: b.levels,
+		comp: arch.Comp, mem: arch.Mem, dtype: arch.DType,
+	}, len(b.shapes))
 	b.stats = &Stats{CommSeconds: make([]float64, b.levels)}
 	b.prices, b.priceGen = s.prices.slotsFor(&arch, b.levels)
 	b.shard()
@@ -398,8 +413,8 @@ func (s *Simulator) Simulate(m *nn.Model, plan *partition.Plan, arch Arch) (*Sta
 
 // begin runs Simulate's checks of m, plan and arch, in Simulate's order
 // and with its error text, and points b at them: shapes, depth, element
-// size, the phase-cost cells of their key and the edge order to
-// schedule. b's stats and transfer-price slots are the caller's to set.
+// size and the edge order to schedule. b's phase-cost cells, stats and
+// transfer-price slots are the caller's to set.
 func (s *Simulator) begin(b *stepBuilder, m *nn.Model, plan *partition.Plan, arch Arch) (*wiring, error) {
 	if err := arch.Validate(); err != nil {
 		return nil, err
@@ -438,10 +453,6 @@ func (s *Simulator) begin(b *stepBuilder, m *nn.Model, plan *partition.Plan, arc
 	b.accs = float64(int64(1) << uint(levels))
 	b.es = float64(arch.DType.Size())
 	b.named = arch.CollectTrace
-	b.costs = s.costs.cellsFor(costKey{
-		model: m, batch: plan.Batch, depth: levels,
-		comp: arch.Comp, mem: arch.Mem, dtype: arch.DType,
-	}, len(shapes))
 	if err := b.route(wire); err != nil {
 		return nil, err
 	}
@@ -623,15 +634,7 @@ func (b *stepBuilder) phaseCost(l int, p nn.Phase) *phaseCost {
 	}
 	s := &b.shapes[l]
 	n := b.accs
-	perAccMACs := float64(s.MACs(p)) / n
-	computeT := b.arch.Comp.ComputeTime(perAccMACs, *s)
-	opBytes, resBytes := b.phaseBytes(l, p)
-	traffic := b.arch.Comp.DRAMTraffic(*s, opBytes, resBytes)
-	dramT := b.arch.Mem.DRAMTime(traffic)
-	dur := computeT
-	if dramT > dur {
-		dur = dramT
-	}
+	dur, perAccMACs, traffic := b.phaseTime(l, p)
 	*c = phaseCost{
 		dur:       dur,
 		mac:       b.arch.Mem.MACEnergy(perAccMACs * n),
@@ -651,6 +654,23 @@ func (b *stepBuilder) phaseCost(l int, p nn.Phase) *phaseCost {
 		c.local = b.arch.Mem.AddEnergy(upd * n)
 	}
 	return c
+}
+
+// phaseTime returns layer l's phase-p duration under its leaf shard,
+// the longer of compute and DRAM time, with the per-accelerator MACs and
+// the DRAM traffic it is priced from.
+func (b *stepBuilder) phaseTime(l int, p nn.Phase) (dur, perAccMACs, traffic float64) {
+	s := &b.shapes[l]
+	perAccMACs = float64(s.MACs(p)) / b.accs
+	computeT := b.arch.Comp.ComputeTime(perAccMACs, *s)
+	opBytes, resBytes := b.phaseBytes(l, p)
+	traffic = b.arch.Comp.DRAMTraffic(*s, opBytes, resBytes)
+	dramT := b.arch.Mem.DRAMTime(traffic)
+	dur = computeT
+	if dramT > dur {
+		dur = dramT
+	}
+	return dur, perAccMACs, traffic
 }
 
 // chargePhase adds one compute+DRAM phase of a layer to the step's

@@ -84,7 +84,7 @@ func solve(m *nn.Model, batch int, ws []partition.Weights) (*partition.Plan, err
 	return partition.Solve(partition.Request{Model: m, Batch: batch, Levels: ws})
 }
 
-func hyparPlan(t *testing.T, m *nn.Model, batch, levels int) *partition.Plan {
+func hyparPlan(t testing.TB, m *nn.Model, batch, levels int) *partition.Plan {
 	t.Helper()
 	p, err := solve(m, batch, unit(levels))
 	if err != nil {

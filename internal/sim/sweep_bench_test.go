@@ -13,10 +13,10 @@ import (
 // HyPar plan, 256 points, batch 256, H = 4, 1600 Mb/s links: planning
 // every point (partition.NewSweep's table, then every point filled into
 // one reused plan), simulating every point's plan on one reused
-// Simulator, and pricing every point's step time with SweepStep, what
-// an exploration runs (a new table and a new Simulator per sweep, so
-// the per-sweep pricing counts). Each reports ns and allocations per
-// point; run it with -benchmem.
+// Simulator, and pricing every point's step time through a SweepProgram,
+// what an exploration runs (a new table and a new program per sweep, so
+// the compile counts). Each reports ns and allocations per point; run
+// it with -benchmem.
 func BenchmarkSimulateSweep(b *testing.B) {
 	arch, err := defaultArch(4)
 	if err != nil {
@@ -65,12 +65,14 @@ func BenchmarkSimulateSweep(b *testing.B) {
 			})
 		})
 		b.Run("step/"+m.Name, func(b *testing.B) {
+			steps := make([]float64, len(plans))
 			perPoint(b, len(plans), func() {
-				sw, sm := sweep(), NewSimulator()
-				for code := range plans {
-					if _, err := sm.SweepStep(m, sw, arch, code); err != nil {
-						b.Fatal(err)
-					}
+				prog, err := CompileSweep(m, sweep(), arch)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := prog.Steps(nil, 0, steps); err != nil {
+					b.Fatal(err)
 				}
 			})
 		})

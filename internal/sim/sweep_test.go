@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/comm"
@@ -41,7 +42,7 @@ func randomChain(r *rand.Rand, i int) *nn.Model {
 
 // randomSweep returns a sweep of m over a random base of the given depth
 // with 1-8 random free cells.
-func randomSweep(t *testing.T, r *rand.Rand, m *nn.Model, batch, levels int) *partition.Sweep {
+func randomSweep(t testing.TB, r *rand.Rand, m *nn.Model, batch, levels int) *partition.Sweep {
 	t.Helper()
 	nl := len(m.Layers)
 	base := make([]partition.Assignment, levels)
@@ -63,17 +64,58 @@ func randomSweep(t *testing.T, r *rand.Rand, m *nn.Model, batch, levels int) *pa
 	return sw
 }
 
-// TestSweepStepMatchesSimulate: every sweep point's SweepStep equals the
-// StepSeconds of Simulate on the point's filled plan, in float bits —
-// over zoo, random and one-layer chains, depths 1–5, three platforms on
-// three fabrics, fp16 and int8, a per-level platform array and degraded
-// bases shallower than the fabric, each with a random base and 1–8
-// random free cells; branched models, overlap and a sweep past the
-// table's cap ride along on the fill path.
-//
-// One Simulator steps every sweep, in shuffled code order, and now and
-// then simulates an unrelated plan, so a table that survives a new
-// sweep or arch, or a phase cost read under another key, shows.
+// stepShuffled steps every point of prog through Steps over ranges of
+// 1-13 points taken in shuffled order, on one scratch, and hands each
+// point's step or error to visit. After a point fails, the rest of its
+// range is stepped from the next point. It reports with t.Errorf, so
+// goroutines may call it.
+func stepShuffled(t testing.TB, r *rand.Rand, prog *SweepProgram, sc *SweepScratch, points int, visit func(code int, step float64, err error)) {
+	t.Helper()
+	var ranges [][2]int
+	for lo := 0; lo < points; {
+		hi := min(points, lo+1+r.Intn(13))
+		ranges = append(ranges, [2]int{lo, hi})
+		lo = hi
+	}
+	r.Shuffle(len(ranges), func(i, j int) { ranges[i], ranges[j] = ranges[j], ranges[i] })
+	steps := make([]float64, 13)
+	for _, rg := range ranges {
+		for lo := rg[0]; lo < rg[1]; {
+			n, err := prog.Steps(sc, lo, steps[:rg[1]-lo])
+			for i, step := range steps[:n] {
+				visit(lo+i, step, nil)
+			}
+			lo += n
+			switch {
+			case err != nil:
+				visit(lo, 0, err)
+				lo++
+			case lo != rg[1]:
+				t.Errorf("Steps(%d, %d points) set %d with no error", lo-n, rg[1]-lo+n, n)
+				return
+			}
+		}
+	}
+}
+
+// sameStep reports whether a program's step or error for a point is
+// Simulate's for its plan: the same step bits, or the same error text.
+func sameStep(step float64, err error, want *Stats, werr error) bool {
+	if err != nil || werr != nil {
+		return err != nil && werr != nil && err.Error() == werr.Error()
+	}
+	return math.Float64bits(step) == math.Float64bits(want.StepSeconds)
+}
+
+// TestSweepStepMatchesSimulate: every sweep point's step from a compiled
+// program equals the StepSeconds of Simulate on the point's filled plan,
+// in float bits — over zoo, random and one-layer chains, depths 1–5,
+// three platforms on three fabrics, fp16 and int8, a per-level platform
+// array and degraded bases shallower than the fabric, each with a random
+// base and 1–8 random free cells; branched models, overlap and a sweep
+// past the layout's cap ride along on the fill path. Points are stepped
+// over ranges in shuffled order, so a lane of the four-point walk that
+// reads another point's row shows, and one scratch serves every sweep.
 func TestSweepStepMatchesSimulate(t *testing.T) {
 	r := rand.New(rand.NewSource(19))
 	models := append(nn.Zoo(), &nn.Model{Name: "one-layer", Input: nn.Input{H: 1, W: 1, C: 64},
@@ -81,39 +123,25 @@ func TestSweepStepMatchesSimulate(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		models = append(models, randomChain(r, i))
 	}
-	other, otherPlan := nn.AlexNet(), hyparPlan(t, nn.AlexNet(), 32, 2)
-	otherArch, err := defaultArch(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sm, ref := NewSimulator(), NewSimulator()
+	ref, sc := NewSimulator(), &SweepScratch{}
 	points, walked := 0, 0
-	check := func(name string, m *nn.Model, sw *partition.Sweep, arch Arch) {
+	check := func(name string, m *nn.Model, sw *partition.Sweep, arch Arch) *SweepProgram {
 		t.Helper()
-		var plan *partition.Plan
-		for _, code := range r.Perm(sw.Points()) {
-			plan = sw.Fill(plan, code)
-			want, err := ref.Simulate(m, plan, arch)
-			if err != nil {
-				t.Fatalf("%s %s code %d: Simulate: %v", name, m.Name, code, err)
-			}
-			got, err := sm.SweepStep(m, sw, arch, code)
-			if err != nil {
-				t.Fatalf("%s %s code %d: SweepStep: %v", name, m.Name, code, err)
-			}
-			if math.Float64bits(got) != math.Float64bits(want.StepSeconds) {
-				t.Fatalf("%s %s code %d: SweepStep %v, Simulate %v", name, m.Name, code, got, want.StepSeconds)
-			}
-			if r.Intn(16) == 0 {
-				if _, err := sm.Simulate(other, otherPlan, otherArch); err != nil {
-					t.Fatal(err)
-				}
+		prog, err := CompileSweep(m, sw, arch)
+		if err != nil {
+			t.Fatalf("%s %s: CompileSweep: %v", name, m.Name, err)
+		}
+		stepShuffled(t, r, prog, sc, sw.Points(), func(code int, got float64, err error) {
+			want, werr := ref.Simulate(m, sw.Fill(nil, code), arch)
+			if werr != nil || !sameStep(got, err, want, werr) {
+				t.Fatalf("%s %s code %d: step %v (%v), Simulate %v (%v)", name, m.Name, code, got, err, want, werr)
 			}
 			points++
-		}
-		if sm.sweep.walk {
+		})
+		if prog.walk {
 			walked++
 		}
+		return prog
 	}
 	branched := nn.BranchedZoo()
 	for i, ac := range referenceArchs(t) {
@@ -129,9 +157,9 @@ func TestSweepStepMatchesSimulate(t *testing.T) {
 		check(ac.name+"/overlap", models[i%len(models)], randomSweep(t, r, models[i%len(models)], 32, ac.levels), overlap)
 		check(ac.name, branched[i%2], randomSweep(t, r, branched[i%2], 32, ac.levels), ac.arch)
 	}
-	// Freeing every level of one layer takes 2^H blocks for it: at H = 8
-	// the table fits, at H = 11 it passes the cap and the points are
-	// filled and simulated.
+	// Freeing every level of one layer gives its segments and its
+	// neighbours' 2^H rows each: at H = 8 the layout fits, at H = 11 it
+	// passes the cap and the points are filled and simulated.
 	lenet := nn.LenetC()
 	for _, levels := range []int{8, 11} {
 		deep, err := defaultArch(levels)
@@ -146,9 +174,8 @@ func TestSweepStepMatchesSimulate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		check(fmt.Sprintf("H=%d", levels), lenet, sw, deep)
-		if sm.sweep.walk != (levels == 8) {
-			t.Errorf("H=%d with a whole layer free: walked = %v", levels, sm.sweep.walk)
+		if prog := check(fmt.Sprintf("H=%d", levels), lenet, sw, deep); prog.walk != (levels == 8) {
+			t.Errorf("H=%d with a whole layer free: walked = %v", levels, prog.walk)
 		}
 	}
 	if walked == 0 {
@@ -157,14 +184,14 @@ func TestSweepStepMatchesSimulate(t *testing.T) {
 	t.Logf("%d points bit-identical, %d sweeps walked", points, walked)
 }
 
-// TestSweepStepKey: one Simulator steps one sweep alternating between
-// two archs that differ in a single input — the element type, the
-// node's memory or compute model, the fabric, overlap, or, under a
-// compute model that fails every phase, tracing, which names the
-// failing task —
-// and between two pointers to the same network. Every step must equal
-// Simulate on the point's plan, value or error, so a table kept across
-// a change of any input that moves a step shows.
+// TestSweepStepKey: one sweep compiled on archs that differ from a base
+// in a single input — the element type, the node's memory or compute
+// model, the fabric, overlap, or, under a compute model that fails every
+// phase, tracing, which names the failing task — and for two pointers to
+// the same network. Every point must equal Simulate on its plan, value
+// or error. A Simulator once held one sweep's durations across such
+// inputs; programs hold none, so what stays of the test is that each
+// input a step depends on reaches the program.
 func TestSweepStepKey(t *testing.T) {
 	m, twin := nn.VGGA(), nn.VGGA()
 	free := []partition.FreeVar{{Level: 0, Layer: 2}, {Level: 3, Layer: 9}, {Level: 1, Layer: 10}, {Level: 2, Layer: 0}}
@@ -185,39 +212,44 @@ func TestSweepStepKey(t *testing.T) {
 	broken.Comp = fixedCompute{math.Inf(1)}
 	traced := broken
 	traced.CollectTrace = true
-	pairs := [][2]Arch{{broken, traced}}
-	for _, v := range []func(a *Arch){
-		func(a *Arch) { a.DType = tensor.Float16 },
-		func(a *Arch) { a.Mem = slow },
-		func(a *Arch) { a.Comp = gpu.Default() },
-		func(a *Arch) { a.NoC = fast },
-		func(a *Arch) { a.OverlapGradComm = true },
+	archs := map[string]Arch{"base": base, "broken": broken, "traced": traced}
+	for name, v := range map[string]func(a *Arch){
+		"fp16":    func(a *Arch) { a.DType = tensor.Float16 },
+		"memory":  func(a *Arch) { a.Mem = slow },
+		"compute": func(a *Arch) { a.Comp = gpu.Default() },
+		"fabric":  func(a *Arch) { a.NoC = fast },
+		"overlap": func(a *Arch) { a.OverlapGradComm = true },
 	} {
 		a := base
 		v(&a)
-		pairs = append(pairs, [2]Arch{base, a})
+		archs[name] = a
 	}
-	sm, ref := NewSimulator(), NewSimulator()
-	for code := 0; code < sw.Points(); code++ {
-		plan := sw.Fill(nil, code)
-		step := func(mm *nn.Model, a Arch, name string) {
-			want, werr := ref.Simulate(mm, plan, a)
-			got, err := sm.SweepStep(mm, sw, a, code)
-			switch {
-			case werr != nil || err != nil:
-				if werr == nil || err == nil || err.Error() != werr.Error() {
-					t.Fatalf("%s code %d: SweepStep err %v, Simulate err %v", name, code, err, werr)
-				}
-			case math.Float64bits(got) != math.Float64bits(want.StepSeconds):
-				t.Fatalf("%s code %d: SweepStep %v, Simulate %v", name, code, got, want.StepSeconds)
+	r := rand.New(rand.NewSource(3))
+	ref, sc := NewSimulator(), &SweepScratch{}
+	steps := map[string][]float64{}
+	for _, name := range slices.Sorted(maps.Keys(archs)) {
+		a := archs[name]
+		for _, mm := range []*nn.Model{m, twin} {
+			prog, err := CompileSweep(mm, sw, a)
+			if err != nil {
+				t.Fatalf("%s: CompileSweep: %v", name, err)
 			}
+			got := make([]float64, sw.Points())
+			stepShuffled(t, r, prog, sc, sw.Points(), func(code int, step float64, err error) {
+				want, werr := ref.Simulate(mm, sw.Fill(nil, code), a)
+				if !sameStep(step, err, want, werr) {
+					t.Fatalf("%s code %d: step %v (%v), Simulate %v (%v)", name, code, step, err, want, werr)
+				}
+				got[code] = step
+			})
+			steps[name] = got
 		}
-		for i, p := range pairs {
-			step(m, p[0], fmt.Sprintf("pair %d first", i))
-			step(m, p[1], fmt.Sprintf("pair %d second", i))
+	}
+	// Each input moves some point's step (or fails it).
+	for name, got := range steps {
+		if name != "base" && slices.Equal(got, steps["base"]) {
+			t.Errorf("%s: every step equals the base arch's", name)
 		}
-		step(m, base, "model")
-		step(twin, base, "twin")
 	}
 }
 
@@ -295,26 +327,29 @@ func (g *pricingLog) DRAMTraffic(s nn.LayerShapes, op, res float64) float64 {
 
 func (g *pricingLog) Validate() error { return g.Compute.Validate() }
 
-// TestSweepStepFaultsMatchSimulate: under a fabric that fails one
-// (level, bytes) transfer, or a compute model that fails one layer's
-// phases at one shard, every point of a sweep fails or succeeds as
-// Simulate on its plan does, with the same error text, so the first
-// failing code and its error are the same. The faults are chosen among
-// the pricings only some points make, plus zero-byte transfers, which
-// no point makes. Each sweep runs in code order on one Simulator, as a
-// sweep worker does, so a failed pricing must be retried, never stored.
-func TestSweepStepFaultsMatchSimulate(t *testing.T) {
+// faultSweep is a VGG-A sweep of six free cells on its depth-4 HyPar
+// plan, at batch 64.
+func faultSweep(t testing.TB) *partition.Sweep {
+	t.Helper()
 	m := nn.VGGA()
-	base := hyparPlan(t, m, 64, 4)
 	var free []partition.FreeVar
 	for _, c := range [][2]int{{0, 1}, {1, 4}, {2, 9}, {3, 10}, {3, 0}, {1, 7}} {
 		free = append(free, partition.FreeVar{Level: c[0], Layer: c[1]})
 	}
-	sw, err := partition.NewSweep(m, 64, base.Levels, free, unit(4))
+	sw, err := partition.NewSweep(m, 64, hyparPlan(t, m, 64, 4).Levels, free, unit(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	good := arch4(t)
+	return sw
+}
+
+// partialFaults returns variants of good that each fail one pricing
+// only some of sw's points make, at most twelve: fabrics failing one
+// (level, bytes) transfer with an error from TransferTime or LinkBytes
+// or with a NaN duration, then compute models failing one layer's
+// phases at one shard.
+func partialFaults(t testing.TB, m *nn.Model, sw *partition.Sweep, good Arch) []Arch {
+	t.Helper()
 	log := &pricingLog{Topology: good.NoC, Compute: good.Comp,
 		xfers: map[[2]float64]map[int]bool{}, phases: map[string]map[int]bool{}}
 	logged := good
@@ -350,8 +385,35 @@ func TestSweepStepFaultsMatchSimulate(t *testing.T) {
 		a.Comp = slowPhase{Compute: good.Comp, layer: layer, op: op}
 		archs = append(archs, a)
 	}
+	return archs
+}
+
+// TestSweepStepFaultsMatchSimulate: under a fabric that fails one
+// (level, bytes) transfer, or a compute model that fails one layer's
+// phases at one shard, every point of a sweep fails or succeeds as
+// Simulate on its plan does, with the same error text, so the first
+// failing code and its error are the same. The faults are chosen among
+// the pricings only some points make, alone and a transfer's and a
+// phase's together, plus zero-byte transfers, which no point makes. A Simulator once priced each point's durations as it
+// met them, and this test checked a failed pricing was retried, never
+// kept; a program prices every duration up front and keeps a failure as
+// its error, so what stays is that each point meets exactly the
+// failures Simulate meets, first one first, stepped over shuffled
+// ranges.
+func TestSweepStepFaultsMatchSimulate(t *testing.T) {
+	m, sw := nn.VGGA(), faultSweep(t)
+	good := arch4(t)
+	archs := partialFaults(t, m, sw, good)
 	if len(archs) < 12 {
 		t.Fatalf("only %d faults that some but not all points meet", len(archs))
+	}
+	// Two faults at once, a transfer's and a phase's, so points meet
+	// different failures first.
+	single := len(archs)
+	for i := range 3 {
+		a := archs[3*i]
+		a.Comp = archs[single-1-i].Comp
+		archs = append(archs, a)
 	}
 	// Simulate never prices a zero volume, so a fabric that fails every
 	// zero-byte transfer fails no point.
@@ -360,40 +422,48 @@ func TestSweepStepFaultsMatchSimulate(t *testing.T) {
 		a.NoC = faultyTopology{Topology: good.NoC, level: h, bytes: 0, mode: "time"}
 		archs = append(archs, a)
 	}
+	r := rand.New(rand.NewSource(5))
+	texts := map[string]bool{}
 	for i, a := range archs {
-		sm, ref := NewSimulator(), NewSimulator()
-		first, fails := -1, 0
-		for code := 0; code < sw.Points(); code++ {
-			want, werr := ref.Simulate(m, sw.Fill(nil, code), a)
-			got, err := sm.SweepStep(m, sw, a, code)
-			switch {
-			case (err == nil) != (werr == nil):
-				t.Fatalf("fault %d code %d: SweepStep err %v, Simulate err %v", i, code, err, werr)
-			case err != nil:
-				if err.Error() != werr.Error() {
-					t.Fatalf("fault %d code %d: SweepStep err %q, Simulate err %q", i, code, err, werr)
-				}
-				if first < 0 {
-					first = code
-				}
-				fails++
-			case math.Float64bits(got) != math.Float64bits(want.StepSeconds):
-				t.Fatalf("fault %d code %d: SweepStep %v, Simulate %v", i, code, got, want.StepSeconds)
-			}
+		prog, err := CompileSweep(m, sw, a)
+		if err != nil {
+			t.Fatalf("fault %d: CompileSweep: %v", i, err)
 		}
+		if !prog.walk {
+			t.Fatalf("fault %d: the sweep is not walked", i)
+		}
+		ref := NewSimulator()
+		first, fails := sw.Points(), 0
+		stepShuffled(t, r, prog, &SweepScratch{}, sw.Points(), func(code int, got float64, err error) {
+			want, werr := ref.Simulate(m, sw.Fill(nil, code), a)
+			if !sameStep(got, err, want, werr) {
+				t.Fatalf("fault %d code %d: step %v (%v), Simulate %v (%v)", i, code, got, err, want, werr)
+			}
+			if err != nil {
+				first, fails = min(first, code), fails+1
+				if i >= single && i < single+3 {
+					texts[err.Error()] = true
+				}
+			}
+		})
 		if zero := i >= len(archs)-4; zero && fails > 0 || !zero && (fails == 0 || fails == sw.Points()) {
 			t.Errorf("fault %d: %d of %d points fail", i, fails, sw.Points())
 		}
 		t.Logf("fault %d: %d of %d points fail, first at code %d", i, fails, sw.Points(), first)
 	}
+	if len(texts) < 2 {
+		t.Errorf("the double faults fail points with %d distinct errors, want a transfer's and a phase's", len(texts))
+	}
 }
 
-// TestSweepStepChecks: SweepStep runs Simulate's checks once per sweep
-// with Simulate's error text — arch validation, per-level memory
-// models, topology depth, layer count and model name. Each failing call
-// follows a good one on the same sweep, so a check skipped because the
-// table was held shows, and a failed check is not remembered: the next
-// call checks again, and a good call after it succeeds.
+// TestSweepStepChecks: CompileSweep runs Simulate's checks with
+// Simulate's error text — arch validation, per-level memory models,
+// topology depth, layer count and model name — and fails exactly when
+// Simulate fails every point of the sweep. A Simulator once held a
+// checked sweep, and this test checked a failing call after a good one
+// was not let through, nor a failure remembered; a program holds no
+// state across calls, so what stays is each bad input's error and a
+// good compile after it.
 func TestSweepStepChecks(t *testing.T) {
 	m := nn.LenetC()
 	free := []partition.FreeVar{{Level: 0, Layer: 0}, {Level: 3, Layer: 2}}
@@ -416,55 +486,52 @@ func TestSweepStepChecks(t *testing.T) {
 	renamed.Name = "Lenet-d"
 	for _, c := range []struct {
 		name string
-		good Arch
 		m    *nn.Model
 		arch func(Arch) Arch
 	}{
-		{"memory", good, m, func(a Arch) Arch { a.Mem = badMem; return a }},
-		{"nil memory", good, m, func(a Arch) Arch { a.Mem = nil; return a }},
-		{"compute", good, m, func(a Arch) Arch { a.Comp = badComp; return a }},
-		{"level memory", good, m, func(a Arch) Arch {
+		{"memory", m, func(a Arch) Arch { a.Mem = badMem; return a }},
+		{"nil memory", m, func(a Arch) Arch { a.Mem = nil; return a }},
+		{"compute", m, func(a Arch) Arch { a.Comp = badComp; return a }},
+		{"level memory", m, func(a Arch) Arch {
 			a.LevelMems = []platform.Memory{a.Mem, a.Mem, badMem, a.Mem}
 			return a
 		}},
-		{"level memories", good, m, func(a Arch) Arch { a.LevelMems = []platform.Memory{a.Mem, a.Mem, a.Mem}; return a }},
-		{"no level memories", good, m, func(a Arch) Arch { a.LevelMems = []platform.Memory{}; return a }},
-		{"nil level memories", good, m, func(a Arch) Arch { a.LevelMems = nil; return a }},
-		{"depth", good, m, func(Arch) Arch { return shallow }},
-		{"layers", good, longer, func(a Arch) Arch { return a }},
-		{"model", good, renamed, func(a Arch) Arch { return a }},
+		{"level memories", m, func(a Arch) Arch { a.LevelMems = []platform.Memory{a.Mem, a.Mem, a.Mem}; return a }},
+		{"no level memories", m, func(a Arch) Arch { a.LevelMems = []platform.Memory{}; return a }},
+		{"nil level memories", m, func(a Arch) Arch { a.LevelMems = nil; return a }},
+		{"depth", m, func(Arch) Arch { return shallow }},
+		{"layers", longer, func(a Arch) Arch { return a }},
+		{"model", renamed, func(a Arch) Arch { return a }},
 	} {
-		sm := NewSimulator()
-		a := c.arch(c.good)
-		for _, code := range []int{1, 2} {
-			if _, err := sm.SweepStep(m, sw, c.good, code); err != nil {
-				t.Fatalf("%s: the good call: %v", c.name, err)
-			}
-			for range 2 {
-				_, werr := Simulate(c.m, sw.Fill(nil, code), a)
-				_, err := sm.SweepStep(c.m, sw, a, code)
-				if err == nil || werr == nil || err.Error() != werr.Error() {
-					t.Errorf("%s code %d: SweepStep err %v, Simulate err %v", c.name, code, err, werr)
-				}
+		a := c.arch(good)
+		_, err := CompileSweep(c.m, sw, a)
+		for code := range sw.Points() {
+			_, werr := Simulate(c.m, sw.Fill(nil, code), a)
+			if err == nil || werr == nil || err.Error() != werr.Error() {
+				t.Errorf("%s code %d: CompileSweep err %v, Simulate err %v", c.name, code, err, werr)
 			}
 		}
-		want, err := Simulate(m, sw.Fill(nil, 3), c.good)
+		prog, err := CompileSweep(m, sw, good)
+		if err != nil {
+			t.Fatalf("%s: the good compile after it: %v", c.name, err)
+		}
+		want, err := Simulate(m, sw.Fill(nil, 3), good)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := sm.SweepStep(m, sw, c.good, 3)
-		if err != nil || got != want.StepSeconds {
-			t.Errorf("%s: the good call after it = %v, %v; want %v", c.name, got, err, want.StepSeconds)
+		var got [1]float64
+		if n, err := prog.Steps(nil, 3, got[:]); n != 1 || err != nil || got[0] != want.StepSeconds {
+			t.Errorf("%s: the good compile after it steps %v, %d, %v; want %v", c.name, got[0], n, err, want.StepSeconds)
 		}
 	}
-	if _, err := NewSimulator().SweepStep(m, nil, good, 0); !errors.Is(err, ErrSim) {
+	if _, err := CompileSweep(m, nil, good); !errors.Is(err, ErrSim) {
 		t.Errorf("nil sweep: err %v, want ErrSim", err)
 	}
 }
 
-// TestAllocsSweepStep gates SweepStep's per-point cost: once a sweep's
-// walks have met every duration, stepping a point allocates nothing, at
-// any depth.
+// TestAllocsSweepStep gates a compiled program's per-point cost:
+// stepping a range of points allocates nothing, at any depth and any
+// range length, a tail shorter than the four-point walk included.
 func TestAllocsSweepStep(t *testing.T) {
 	m := nn.VGGA()
 	for _, levels := range []int{1, 2, 4, 5} {
@@ -480,21 +547,154 @@ func TestAllocsSweepStep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sm := NewSimulator()
-		for code := 0; code < sw.Points(); code++ {
-			if _, err := sm.SweepStep(m, sw, arch, code); err != nil {
-				t.Fatal(err)
-			}
+		prog, err := CompileSweep(m, sw, arch)
+		if err != nil {
+			t.Fatal(err)
 		}
-		code := 0
+		if !prog.walk {
+			t.Fatalf("H=%d: the sweep is not walked", levels)
+		}
+		var steps [11]float64
+		lo := 0
 		allocs := testing.AllocsPerRun(100, func() {
-			code = (code + 1) % sw.Points()
-			if _, err := sm.SweepStep(m, sw, arch, code); err != nil {
+			n := 1 + lo%len(steps)
+			lo = (lo + n) % sw.Points()
+			if _, err := prog.Steps(nil, lo, steps[:n]); err != nil {
 				t.Fatal(err)
 			}
 		})
 		if allocs != 0 {
-			t.Errorf("H=%d: a priced sweep's step allocates %.1f objects, want 0", levels, allocs)
+			t.Errorf("H=%d: stepping a compiled range allocates %.1f objects, want 0", levels, allocs)
 		}
 	}
+}
+
+// TestSweepProgramShared: eight goroutines step one program each over
+// its own shuffled ranges — a walked chain sweep, one whose faults fail
+// some points, and a DAG sweep on the fill path — and every point's step
+// and error equal a serial walk's, bit for bit. Under -race it shows the
+// program is read-only once compiled.
+func TestSweepProgramShared(t *testing.T) {
+	vgg, dag := nn.VGGA(), nn.BranchedZoo()[0]
+	good := arch4(t)
+	r := rand.New(rand.NewSource(23))
+	faults := faultSweep(t)
+	for _, c := range []struct {
+		name string
+		m    *nn.Model
+		sw   *partition.Sweep
+		arch Arch
+	}{
+		{"chain", vgg, randomSweep(t, r, vgg, 64, 4), good},
+		{"faults", vgg, faults, partialFaults(t, vgg, faults, good)[0]},
+		{"dag", dag, randomSweep(t, r, dag, 64, 4), good},
+	} {
+		sw := c.sw
+		prog, err := CompileSweep(c.m, sw, c.arch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		type result struct {
+			step float64
+			err  string
+		}
+		serial := make([]result, sw.Points())
+		var sc SweepScratch
+		for code := range serial {
+			var s [1]float64
+			if _, err := prog.Steps(&sc, code, s[:]); err != nil {
+				serial[code].err = err.Error()
+			}
+			serial[code].step = s[0]
+		}
+		got := make([][]result, 8)
+		var wg sync.WaitGroup
+		for g := range got {
+			got[g] = make([]result, sw.Points())
+			seed := r.Int63()
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var sc SweepScratch
+				stepShuffled(t, rand.New(rand.NewSource(seed)), prog, &sc, sw.Points(), func(code int, step float64, err error) {
+					got[g][code].step = step
+					if err != nil {
+						got[g][code].err = err.Error()
+					}
+				})
+			}()
+		}
+		wg.Wait()
+		fails := 0
+		for code, want := range serial {
+			if want.err != "" {
+				fails++
+			}
+			for g := range got {
+				if r := got[g][code]; math.Float64bits(r.step) != math.Float64bits(want.step) || r.err != want.err {
+					t.Fatalf("%s goroutine %d code %d: %v %q, serial %v %q", c.name, g, code, r.step, r.err, want.step, want.err)
+				}
+			}
+		}
+		if c.name == "faults" && (fails == 0 || fails == sw.Points()) {
+			t.Errorf("faults: %d of %d points fail", fails, sw.Points())
+		}
+		if prog.walk != (c.name != "dag") {
+			t.Errorf("%s: walked = %v", c.name, prog.walk)
+		}
+	}
+}
+
+// FuzzSweepProgram compiles the sweep its inputs pick — a random chain,
+// a depth of 1–5, a random base, 1–8 free cells, one of three platforms
+// on one of three fabrics, and an element type — and checks every
+// point's step and error, stepped over shuffled ranges, against Fill +
+// Simulate's.
+func FuzzSweepProgram(f *testing.F) {
+	f.Add(int64(1), int64(1), uint8(3), uint8(7), uint8(0))
+	f.Add(int64(2), int64(5), uint8(0), uint8(0), uint8(13))
+	f.Add(int64(3), int64(9), uint8(4), uint8(3), uint8(26))
+	f.Fuzz(func(t *testing.T, chain, pick int64, depth, free, plat uint8) {
+		levels := 1 + int(depth%5)
+		m := randomChain(rand.New(rand.NewSource(chain)), int(chain%1000))
+		r := rand.New(rand.NewSource(pick))
+		nl := len(m.Layers)
+		base := make([]partition.Assignment, levels)
+		for h := range base {
+			base[h] = make(partition.Assignment, nl)
+			for l := range base[h] {
+				base[h][l] = comm.Parallelism(r.Intn(2))
+			}
+		}
+		var cells []partition.FreeVar
+		for _, c := range r.Perm(levels * nl)[:min(1+int(free%8), levels*nl)] {
+			cells = append(cells, partition.FreeVar{Level: c / nl, Layer: c % nl})
+		}
+		sw, err := partition.NewSweep(m, 8<<r.Intn(5), base, cells, unit(levels))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := int(plat % 27)
+		arch, err := newArch(uniform([]string{"hmc", "gpu-hbm", "tpu-systolic"}[p%3], levels),
+			[]string{"htree", "torus", "ideal"}[p/3%3], 0, []tensor.DType{tensor.Float32, tensor.Float16, tensor.Int8}[p/9])
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := CompileSweep(m, sw, arch)
+		if err != nil {
+			for code := range sw.Points() {
+				if _, werr := Simulate(m, sw.Fill(nil, code), arch); werr == nil || werr.Error() != err.Error() {
+					t.Fatalf("code %d: CompileSweep err %v, Simulate err %v", code, err, werr)
+				}
+			}
+			return
+		}
+		ref := NewSimulator()
+		stepShuffled(t, r, prog, &SweepScratch{}, sw.Points(), func(code int, got float64, err error) {
+			want, werr := ref.Simulate(m, sw.Fill(nil, code), arch)
+			if !sameStep(got, err, want, werr) {
+				t.Fatalf("code %d: step %v (%v), Simulate %v (%v)", code, got, err, want, werr)
+			}
+		})
+	})
 }

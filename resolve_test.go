@@ -15,18 +15,21 @@ import (
 
 // TestResolveOncePerRequest pins config resolution to the request
 // boundary. Served in-process with both cache tiers off, a cold request
-// at a non-base config canonicalizes, validates, resolves its
-// assignment and builds its Arch exactly once on evaluate, plan,
-// compare and explore; a request without a config resolves nothing;
-// and a cold degrade resolves at most three configs: the degraded one,
-// its healthy twin and the group sub-array.
+// at a non-base config canonicalizes, validates and resolves its
+// assignment exactly once on evaluate, plan, compare and explore, and
+// builds its Arch once on all but plan, which simulates nothing and
+// builds none; a request without a config resolves nothing; and a cold
+// degrade resolves at most three configs: the degraded one, its healthy
+// twin and the group sub-array. With the canonical tier on and the raw
+// tier off, a repeated body is a canonical hit: it resolves its config
+// once and builds no Arch.
 func TestResolveOncePerRequest(t *testing.T) {
 	srv, err := service.New(service.Options{CacheEntries: -1, RawCacheBytes: -1, Pool: runner.New(2)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	h := srv.Handler()
-	serve := func(path, body string, want int) [4]int64 {
+	serve := func(h http.Handler, path, body string, want int) [4]int64 {
 		t.Helper()
 		before := hypar.ResolveCounts()
 		rec := httptest.NewRecorder()
@@ -41,25 +44,41 @@ func TestResolveOncePerRequest(t *testing.T) {
 		return after
 	}
 	for _, path := range []string{"/v1/evaluate", "/v1/plan", "/v1/compare", "/v1/explore"} {
+		want := [4]int64{1, 1, 1, 1}
+		if path == "/v1/plan" {
+			want[3] = 0
+		}
 		for _, cfg := range []string{`{"batch":64}`, `{"levels":3,"platforms":{"0":"gpu-hbm"}}`} {
-			if got := serve(path, `{"zoo":"Lenet-c","config":`+cfg+`}`, http.StatusOK); got != [4]int64{1, 1, 1, 1} {
-				t.Errorf("%s at %s: canonical/validate/assignment/arch counts %v, want one of each", path, cfg, got)
+			if got := serve(h, path, `{"zoo":"Lenet-c","config":`+cfg+`}`, http.StatusOK); got != want {
+				t.Errorf("%s at %s: canonical/validate/assignment/arch counts %v, want %v", path, cfg, got, want)
 			}
 		}
-		if got := serve(path, `{"zoo":"Lenet-c"}`, http.StatusOK); got != [4]int64{} {
+		if got := serve(h, path, `{"zoo":"Lenet-c"}`, http.StatusOK); got != [4]int64{} {
 			t.Errorf("%s without a config: counts %v, want none", path, got)
 		}
 	}
-	if got := serve("/v1/degrade", `{"zoo":"Lenet-c"}`, http.StatusBadRequest); got != [4]int64{} {
+	if got := serve(h, "/v1/degrade", `{"zoo":"Lenet-c"}`, http.StatusBadRequest); got != [4]int64{} {
 		t.Errorf("/v1/degrade without a config: counts %v, want none", got)
 	}
-	got := serve("/v1/degrade", `{"zoo":"AlexNet","config":{"faults":{"level":1,"groups":1}}}`, http.StatusOK)
+	got := serve(h, "/v1/degrade", `{"zoo":"AlexNet","config":{"faults":{"level":1,"groups":1}}}`, http.StatusOK)
 	t.Logf("/v1/degrade at faults 1:1: canonical/validate/assignment/arch counts %v", got)
 	for i, n := range got {
 		if n > 3 || n < 1 {
 			t.Errorf("/v1/degrade at faults 1:1: counts %v, want 1 to 3 of each (entry %d)", got, i)
 			break
 		}
+	}
+
+	canon, err := service.New(service.Options{RawCacheBytes: -1, Pool: runner.New(2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := `{"zoo":"Lenet-c","config":{"batch":64}}`
+	if got := serve(canon.Handler(), "/v1/evaluate", body, http.StatusOK); got != [4]int64{1, 1, 1, 1} {
+		t.Errorf("a cold body with the canonical tier on: counts %v, want one of each", got)
+	}
+	if got := serve(canon.Handler(), "/v1/evaluate", body, http.StatusOK); got != [4]int64{1, 1, 1, 0} {
+		t.Errorf("the same body again, a canonical hit: counts %v, want 1/1/1/0", got)
 	}
 }
 
