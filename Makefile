@@ -49,4 +49,4 @@ check: vet test race
 		echo "gofmt needed on: $$unformatted"; exit 1; fi
 	$(GO) run ./scripts/apicheck
 	cd bench && $(GO) vet ./... && $(GO) test ./...
-	$(GO) test -run TestAllocs -count=1 ./internal/service ./internal/sim ./internal/partition ./internal/nn .
+	$(GO) test -run TestAllocs -count=1 ./internal/service ./internal/sim ./internal/partition ./internal/nn

@@ -3,9 +3,9 @@
 // (/v1/evaluate), strategy comparison (/v1/compare), degraded-array
 // replanning (/v1/degrade), streamed parallelism-space sweeps
 // (/v1/explore NDJSON), batched evaluation (/v1/batch) and
-// asynchronous sweep jobs (/v1/jobs), with request coalescing, a
-// sharded bounded result cache and a config-keyed session cache in
-// front of one shared evaluator. Per-request deadlines (-timeout) and
+// asynchronous sweep jobs (/v1/jobs), with request coalescing and a
+// sharded bounded result cache in front of a pool of evaluators that
+// solve every plan cold. Per-request deadlines (-timeout) and
 // admission control (-inflight) keep an overloaded daemon responsive:
 // shed work answers 429/503 with Retry-After, exceeded deadlines
 // answer 504. See docs/API.md for the request schema, the error
@@ -15,7 +15,7 @@
 //
 //	hypard -addr :8080
 //	hypard -addr :8080 -workers 4 -cache 512 -batch 256 -levels 4
-//	hypard -addr :8080 -jobs 128 -sessions 64
+//	hypard -addr :8080 -jobs 128 -rawcache 8388608
 //	hypard -addr :8080 -timeout 30s -inflight 64
 //	hypard -addr :8081 -self http://h1:8081 -peers http://h1:8081,http://h2:8082
 //
@@ -66,7 +66,6 @@ func run(args []string, w io.Writer, ready func(addr string, stop func())) error
 		workers  = fs.Int("workers", 0, "worker pool width (0 = GOMAXPROCS)")
 		cache    = fs.Int("cache", service.DefaultCacheEntries, "result cache entries (negative disables)")
 		rawBytes = fs.Int("rawcache", service.DefaultRawCacheBytes, "raw-bytes fast-path budget in bytes (negative disables)")
-		sessions = fs.Int("sessions", service.DefaultSessionEntries, "cached non-base-config sessions (negative disables reuse)")
 		jobs     = fs.Int("jobs", service.DefaultJobEntries, "async job table entries (negative disables /v1/jobs)")
 		batch    = fs.Int("batch", 256, "default mini-batch size")
 		levels   = fs.Int("levels", 4, "default hierarchy depth H (2^H accelerators)")
@@ -122,7 +121,6 @@ func run(args []string, w io.Writer, ready func(addr string, stop func())) error
 		Pool:           pool,
 		CacheEntries:   *cache,
 		RawCacheBytes:  *rawBytes,
-		SessionEntries: *sessions,
 		JobEntries:     *jobs,
 		RequestTimeout: *timeout,
 		MaxInflight:    *inflight,

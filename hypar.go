@@ -885,9 +885,13 @@ func NewPlanCtx(ctx context.Context, m *Model, s Strategy, c Config) (*Plan, err
 type PlanOptions struct {
 	// Warm seeds the HyPar partition search with a previous plan
 	// (partition.Request.Warm): hierarchy levels whose search inputs
-	// are unchanged are reused instead of re-solved, which is what
-	// makes one-dimension sweeps incremental. Byte-identical output
-	// either way; baselines ignore it. Nil means a cold solve.
+	// are unchanged are reused instead of re-solved. Byte-identical
+	// output either way; baselines ignore it. Nil means a cold solve.
+	// It is a hint only the caller supplies: nothing in this module
+	// keeps plans to warm from, so Evaluator.Eval, experiments
+	// sessions and the service all solve cold — Algorithm 2 runs
+	// Algorithm 1's linear-time DP once per level, so a cold plan
+	// costs microseconds.
 	Warm *Plan
 }
 
@@ -969,28 +973,16 @@ func Run(m *Model, s Strategy, c Config) (*Result, error) {
 }
 
 // Evaluator amortizes evaluation state across calls: it reuses one
-// simulation engine (task slab and all), and it keeps the latest HyPar
-// plan of the evaluatorWarm most recently used model names as
-// warm-start hints, so a sweep that mutates one dimension (bandwidth,
-// platform, batch) re-solves only the hierarchy levels the mutation
-// touches — level reuse is fingerprint-guarded (partition.Request.Warm)
-// and byte-identical, so caching across different Configs is safe. The
-// Arch comes with the Resolved config a step is evaluated at (Eval). An
-// Evaluator is not safe for concurrent use — fan-outs give each worker
-// its own (see runner.MapWith).
+// simulation engine (task slab and all). Every plan is solved cold, and
+// the Arch comes with the Resolved config a step is evaluated at
+// (Eval). An Evaluator is not safe for concurrent use — fan-outs give
+// each worker its own (see runner.MapWith).
 type Evaluator struct {
-	sim  *sim.Simulator
-	warm mru[string, *Plan]
+	sim *sim.Simulator
 }
-
-// evaluatorWarm bounds an Evaluator's warm-start memo, with headroom
-// over the twelve pinned zoo and branched model names.
-const evaluatorWarm = 32
 
 // NewEvaluator returns an empty Evaluator.
-func NewEvaluator() *Evaluator {
-	return &Evaluator{sim: sim.NewSimulator(), warm: newMRU[string, *Plan](evaluatorWarm)}
-}
+func NewEvaluator() *Evaluator { return &Evaluator{sim: sim.NewSimulator()} }
 
 // Run plans and simulates one training step on the reusable engine.
 func (e *Evaluator) Run(m *Model, s Strategy, c Config) (*Result, error) {
@@ -1019,16 +1011,9 @@ func (e *Evaluator) RunCtx(ctx context.Context, m *Model, s Strategy, c Config) 
 // and returns whichever step is faster, so degraded slowdowns can only
 // improve over the aligned snap.
 func (e *Evaluator) Eval(ctx context.Context, m *Model, s Strategy, r *Resolved) (*Result, error) {
-	var opt PlanOptions
-	if s == HyPar {
-		opt.Warm, _ = e.warm.get(m.Name)
-	}
-	plan, err := r.Plan(ctx, m, s, opt)
+	plan, err := r.Plan(ctx, m, s, PlanOptions{})
 	if err != nil {
 		return nil, err
-	}
-	if s == HyPar {
-		e.warm.put(m.Name, plan)
 	}
 	res, err := e.simulate(m, s, plan, r)
 	if err != nil {

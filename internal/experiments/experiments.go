@@ -25,7 +25,6 @@ import (
 	"sync"
 
 	hypar "repro"
-	"repro/internal/lru"
 	"repro/internal/report"
 	"repro/internal/runner"
 )
@@ -54,30 +53,19 @@ func geomean(vals []float64) float64 {
 type Session struct {
 	cfg  hypar.Config
 	pool *runner.Pool
-	// resolved is cfg resolved once, on first use: explorations plan,
-	// simulate and sweep on it.
-	resolved func() (*hypar.Resolved, error)
 
-	zoo, branched func() []*hypar.Model // pinned on first use
+	// res is cfg resolved once, on first use (or given to
+	// NewResolvedSession): explorations plan, simulate and sweep on it.
+	resolve sync.Once
+	res     *hypar.Resolved
+	resErr  error
+
+	pinZoo, pinBranched sync.Once
+	zoo, branched       []*hypar.Model // pinned on first use
 
 	mu   sync.Mutex
 	cmps []*hypar.Comparison
-
-	// warm holds the per-model warm-start hints: the last HyPar plan the
-	// session computed for each of the sessionWarm most recently planned
-	// model names. Explorations and repeated sweeps hand the previous
-	// plan back to the planner, which re-relaxes only the hierarchy
-	// levels whose inputs changed (zero levels when only simulation-side
-	// knobs like bandwidth moved). It is bounded because a daemon's base
-	// session lives as long as the process while inline models bring
-	// fresh names.
-	warm *lru.Cache[string, *hypar.Plan]
 }
-
-// sessionWarm bounds a Session's warm-start hints, as evaluatorWarm
-// bounds an Evaluator's: the pinned zoo and branched workloads are
-// twelve model names.
-const sessionWarm = 32
 
 // NewSession creates a session on the default runner pool.
 func NewSession(cfg hypar.Config) *Session { return NewSessionWithPool(cfg, runner.Default()) }
@@ -86,40 +74,24 @@ func NewSession(cfg hypar.Config) *Session { return NewSessionWithPool(cfg, runn
 // the serial reference path). The config resolves on first use, and an
 // invalid one fails the calls that use it.
 func NewSessionWithPool(cfg hypar.Config, pool *runner.Pool) *Session {
-	return &Session{
-		cfg:      cfg,
-		pool:     pool,
-		resolved: sync.OnceValues(func() (*hypar.Resolved, error) { return hypar.Resolve(cfg) }),
-		zoo:      sync.OnceValue(hypar.Zoo),
-		branched: sync.OnceValue(hypar.BranchedZoo),
-		warm:     lru.New[string, *hypar.Plan](sessionWarm),
-	}
+	return &Session{cfg: cfg, pool: pool}
 }
 
 // NewResolvedSession creates a session at an already resolved config on
 // an explicit pool.
 func NewResolvedSession(r *hypar.Resolved, pool *runner.Pool) *Session {
-	s := NewSessionWithPool(r.Config(), pool)
-	s.resolved = func() (*hypar.Resolved, error) { return r, nil }
-	return s
+	return &Session{cfg: r.Config(), pool: pool, res: r}
 }
 
-// warmPlan returns the session's warm-start hint for the named model,
-// or nil when the session has not planned it yet. The hint is only a
-// hint: the planner fingerprints each level's inputs and ignores levels
-// that do not match, so a stale plan can never change a result.
-func (s *Session) warmPlan(name string) *hypar.Plan {
-	p, _ := s.warm.Get(name)
-	return p
-}
-
-// storeWarm records the latest HyPar plan for the named model as the
-// warm-start hint for subsequent sweeps.
-func (s *Session) storeWarm(name string, p *hypar.Plan) {
-	if p == nil {
-		return
-	}
-	s.warm.Put(name, p)
+// resolved returns the session's resolved config, resolving it on the
+// first call.
+func (s *Session) resolved() (*hypar.Resolved, error) {
+	s.resolve.Do(func() {
+		if s.res == nil {
+			s.res, s.resErr = hypar.Resolve(s.cfg)
+		}
+	})
+	return s.res, s.resErr
 }
 
 // Config returns the session's base configuration.
@@ -131,12 +103,18 @@ func (s *Session) Pool() *runner.Pool { return s.pool }
 // Zoo returns the session's pinned zoo models. Pinning matters: shape
 // inference memoizes per model instance, so every figure that walks
 // s.Zoo() shares one inference per (model, batch).
-func (s *Session) Zoo() []*hypar.Model { return s.zoo() }
+func (s *Session) Zoo() []*hypar.Model {
+	s.pinZoo.Do(func() { s.zoo = hypar.Zoo() })
+	return s.zoo
+}
 
 // Branched returns the session's pinned branched (DAG) workload
 // networks, pinned on first use for the same shape-inference sharing
 // as Zoo.
-func (s *Session) Branched() []*hypar.Model { return s.branched() }
+func (s *Session) Branched() []*hypar.Model {
+	s.pinBranched.Do(func() { s.branched = hypar.BranchedZoo() })
+	return s.branched
+}
 
 // CompareZoo runs all strategies over the ten zoo networks, fanning the
 // model × strategy product out on the pool, and caches the result for

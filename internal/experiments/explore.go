@@ -77,11 +77,10 @@ func (s *Session) ExploreStream(m *hypar.Model, free []partition.FreeVar,
 	if err != nil {
 		return err
 	}
-	base, err := r.Plan(nil, m, hypar.HyPar, hypar.PlanOptions{Warm: s.warmPlan(m.Name)})
+	base, err := r.Plan(nil, m, hypar.HyPar, hypar.PlanOptions{})
 	if err != nil {
 		return err
 	}
-	s.storeWarm(m.Name, base)
 	dp, err := hypar.NewEvaluator().Eval(nil, m, hypar.DataParallel, r)
 	if err != nil {
 		return err

@@ -61,28 +61,6 @@ func TestFig9NeedsTwoLevels(t *testing.T) {
 	}
 }
 
-// TestSessionWarmBounded: every sweep stores its model's plan as a warm
-// hint, so a long-lived session fed fresh model names — a daemon's base
-// session serving inline models — keeps only the sessionWarm most
-// recently planned, and still hands back the latest.
-func TestSessionWarmBounded(t *testing.T) {
-	s := NewSessionWithPool(cfg(), runner.Serial())
-	var last *hypar.Model
-	for i := 0; i < sessionWarm+8; i++ {
-		last = &hypar.Model{Name: fmt.Sprintf("inline-%d", i), Input: nn.Input{H: 4, W: 4, C: 2},
-			Layers: []nn.Layer{{Name: "c", Type: nn.Conv, K: 3, Pad: 1, Cout: 2}, {Name: "fc", Type: nn.FC, Cout: 2}}}
-		if err := s.ExploreStream(last, nil, nil, func(ExplorePoint) error { return nil }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := s.warm.Len(); n != sessionWarm {
-		t.Errorf("warm store holds %d plans after %d models, want %d", n, sessionWarm+8, sessionWarm)
-	}
-	if s.warmPlan(last.Name) == nil || s.warmPlan("inline-0") != nil {
-		t.Error("warm store did not keep the most recent models")
-	}
-}
-
 // concurrentSweep is one sweep of the concurrency tests.
 type concurrentSweep struct {
 	m    *hypar.Model

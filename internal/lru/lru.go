@@ -1,9 +1,8 @@
 // Package lru provides the one bounded, thread-safe LRU cache the rest
-// of the repository builds on: the service's sharded response cache,
-// its raw-bytes tier, its decoded-model intern cache and the
-// experiments session cache are all instances of Cache rather than
-// hand-rolled copies — eviction and locking invariants live here once,
-// not per call site.
+// of the repository builds on: the shards of the service's response
+// cache and of its raw-bytes tier, and its decoded-model intern cache,
+// are all instances of Cache rather than hand-rolled copies — eviction
+// and locking invariants live here once, not per call site.
 package lru
 
 import (

@@ -118,7 +118,9 @@ type Request struct {
 	// affects; reuse is byte-identical because the DP is a deterministic
 	// function of the fingerprinted inputs. Plans not produced by Solve
 	// (or produced by MethodBrute) carry no fingerprints and warm
-	// nothing. Nil means a cold solve.
+	// nothing. Nil means a cold solve. Only a caller supplies the hint
+	// (hypar.PlanOptions.Warm): nothing in the module keeps plans to
+	// warm from.
 	Warm *Plan
 }
 

@@ -91,15 +91,21 @@ func TestFirstErrorWins(t *testing.T) {
 	}
 }
 
+// TestCancellationStopsDispatch: an early failure stops the workers
+// from claiming the rest. The other items wait until item 0 is failing,
+// or a worker preempted before item 0 would let the others run every
+// item first.
 func TestCancellationStopsDispatch(t *testing.T) {
 	var ran atomic.Int64
+	var failing atomic.Bool
 	n := 10000
 	_, err := Map(New(4), make([]int, n), func(i, v int) (int, error) {
 		ran.Add(1)
 		if i == 0 {
+			failing.Store(true)
 			return 0, fmt.Errorf("boom")
 		}
-		return 0, nil
+		return 0, waitFor("item 0's failure", failing.Load)
 	})
 	if err == nil {
 		t.Fatal("no error")

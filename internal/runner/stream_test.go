@@ -128,19 +128,25 @@ func TestStreamComputeError(t *testing.T) {
 // TestStreamLowestErrorWins: when two items fail and both run, the
 // lower index's error is reported whichever fails first. Item 5 (range
 // 0 of eight-item ranges) waits until item 20 has failed: range 2, which
-// the other worker reaches while item 5 runs.
+// the other worker reaches while item 5 runs. Item 20 fails only once
+// item 5 has started, or a worker preempted before item 5 would see the
+// stop flag and never run it.
 func TestStreamLowestErrorWins(t *testing.T) {
 	low, high := errors.New("low"), errors.New("high")
-	var highFailed atomic.Bool
+	var lowStarted, highFailed atomic.Bool
 	err := stream(New(2), make([]int, 64),
 		func(i int, _ int) (int, error) {
 			switch i {
 			case 5:
+				lowStarted.Store(true)
 				if err := waitFor("item 20's failure", highFailed.Load); err != nil {
 					return 0, err
 				}
 				return 0, low
 			case 20:
+				if err := waitFor("item 5's start", lowStarted.Load); err != nil {
+					return 0, err
+				}
 				highFailed.Store(true)
 				return 0, high
 			}

@@ -236,22 +236,32 @@ func TestClusterBatchRoutesItems(t *testing.T) {
 }
 
 // forwardedBody finds a request body whose canonical key is NOT owned
-// by nodes[from], so posting it there must forward to a peer.
+// by n, so posting it there must forward to a peer. The ring's members
+// are httptest URLs on random ports, so which keys a node owns changes
+// from run to run: the candidates are every zoo body, bare and at each
+// batch from 1 to 32, so a miss would take hundreds of locally owned
+// keys in a row.
 func forwardedBody(t *testing.T, n *clusterNode) (body, key string) {
 	t.Helper()
-	for _, zoo := range []string{
+	zoo := []string{
 		"Lenet-c", "Cifar-c", "SCONV", "SFC", "AlexNet",
 		"VGG-A", "VGG-B", "VGG-C", "VGG-D", "VGG-E",
 		"SRES-8", "Incep-2",
-	} {
-		body = fmt.Sprintf(`{"zoo":%q,"strategy":"hypar"}`, zoo)
-		p, err := n.srv.parseBody([]byte(body), true, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		key = p.key("evaluate")
-		if n.srv.cluster.ring.Owner(key) != n.srv.cluster.self {
-			return body, key
+	}
+	for batch := 0; batch <= 32; batch++ {
+		for _, name := range zoo {
+			body = fmt.Sprintf(`{"zoo":%q,"strategy":"hypar"}`, name)
+			if batch > 0 {
+				body = fmt.Sprintf(`{"zoo":%q,"strategy":"hypar","config":{"batch":%d}}`, name, batch)
+			}
+			p, err := n.srv.parseBody([]byte(body), true, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			key = p.key("evaluate")
+			if n.srv.cluster.ring.Owner(key) != n.srv.cluster.self {
+				return body, key
+			}
 		}
 	}
 	t.Fatal("no zoo body hashed to a remote owner; extend the candidate list")

@@ -28,55 +28,20 @@ const rawEntryOverhead = 128
 // the stripe count) bounds memory.
 const rawShards = 16
 
-// rawCache is the raw-bytes fast path: an exact-bytes → rendered-
-// response table consulted before any JSON work. Keys are the verbatim
-// request body prefixed by the endpoint; only bodies that already
-// completed the full decode → canonicalize → hash → evaluate pipeline
-// are stored, so replaying an entry returns exactly the bytes the slow
-// path would. The cache is striped like the response LRU and bounded
-// by total bytes (lru.NewSized), so hostile all-unique traffic churns
-// the cold tail instead of growing memory.
-type rawCache struct {
-	shards []*lru.Cache[string, response]
-}
-
-// newRawCache builds a striped raw-bytes cache with the given total
-// byte budget split evenly across shards.
-func newRawCache(budget, shards int) *rawCache {
-	c := &rawCache{shards: make([]*lru.Cache[string, response], shards)}
+// newRawCache builds the raw-bytes fast path: an exact-bytes →
+// rendered-response table consulted before any JSON work. Keys are the
+// verbatim request body prefixed by the endpoint; only bodies that
+// already completed the full decode → canonicalize → hash → evaluate
+// pipeline are stored, so replaying an entry returns exactly the bytes
+// the slow path would. It is striped like the response cache, into
+// rawShards shards, and bounded by a total byte budget — each entry
+// costs its key and body bytes plus rawEntryOverhead — so hostile
+// all-unique traffic churns the cold tail instead of growing memory.
+func newRawCache(budget int) *shardedLRU {
 	cost := func(k string, r response) int { return len(k) + len(r.body) + rawEntryOverhead }
-	for i := range c.shards {
-		c.shards[i] = lru.NewSized[string, response](budget/shards, cost)
-	}
-	return c
-}
-
-// get returns the rendered response for the exact key.
-func (c *rawCache) get(key string) (response, bool) {
-	return c.shards[shardIndex(key, len(c.shards))].Get(key)
-}
-
-// put stores the rendered response under the exact key.
-func (c *rawCache) put(key string, resp response) {
-	c.shards[shardIndex(key, len(c.shards))].Put(key, resp)
-}
-
-// bytes returns the summed cost of resident entries.
-func (c *rawCache) bytes() int {
-	n := 0
-	for _, sh := range c.shards {
-		n += sh.Cost()
-	}
-	return n
-}
-
-// len returns the resident entry count.
-func (c *rawCache) len() int {
-	n := 0
-	for _, sh := range c.shards {
-		n += sh.Len()
-	}
-	return n
+	return newStriped(budget, rawShards, func(bound int) *lru.Cache[string, response] {
+		return lru.NewSized(bound, cost)
+	})
 }
 
 // rawKey builds the fast-path key: the endpoint, a separator no JSON
@@ -99,7 +64,7 @@ func (s *Server) tryFast(endpoint string, body []byte) (response, bool) {
 	if s.raw == nil {
 		return response{}, false
 	}
-	return s.raw.get(rawKey(endpoint, body))
+	return s.raw.Get(rawKey(endpoint, body))
 }
 
 // storeFast records body → resp on the fast path after a successful
@@ -109,7 +74,7 @@ func (s *Server) storeFast(endpoint string, body []byte, resp response) {
 	if s.raw == nil {
 		return
 	}
-	s.raw.put(rawKey(endpoint, body), resp)
+	s.raw.Put(rawKey(endpoint, body), resp)
 }
 
 // errTooLarge renders an oversized-body failure as 413 (Request Entity

@@ -146,14 +146,14 @@ func TestFastPathByteBudget(t *testing.T) {
 		if code != http.StatusOK {
 			t.Fatalf("request %d: status %d: %s", i, code, resp)
 		}
-		if got := srv.raw.bytes(); got > budget {
+		if got := srv.raw.Cost(); got > budget {
 			t.Fatalf("after request %d: raw bytes %d exceed budget %d", i, got, budget)
 		}
 	}
 	if n := computes.Load(); n != 1 {
 		t.Errorf("computes = %d, want 1 (all variants share one canonical entry)", n)
 	}
-	if n := srv.raw.len(); n == 0 {
+	if n := srv.raw.Len(); n == 0 {
 		t.Error("raw map empty after traffic: budget admits nothing")
 	} else if n >= unique {
 		t.Errorf("raw map holds %d entries for %d unique bodies: no eviction under budget", n, unique)

@@ -39,36 +39,43 @@ func lruShardsFor(max int) int {
 	return shards
 }
 
-// shardedLRU stripes the response cache into independently locked
+// shardedLRU stripes a response cache into independently locked
 // lru.Cache shards keyed by request hash, so concurrent hot-path Gets
 // on different keys proceed without contending on one global mutex.
-// The total capacity is divided across shards (first shards absorb the
-// remainder), which keeps the eviction-bound invariant exact: the
-// summed entry count never exceeds max. Recency is per shard — a
-// pathological key distribution can evict earlier than a global LRU
-// would, but hashes are uniform, so shard loads stay within noise of
-// each other.
+// One type serves both response tiers: the canonical response cache is
+// bounded by entry count (newShardedLRU), the raw-bytes fast path by
+// bytes (newRawCache). The total bound is divided across shards (first
+// shards absorb the remainder), which keeps the eviction-bound
+// invariant exact: the summed size never exceeds the bound. Recency is
+// per shard — a pathological key distribution can evict earlier than a
+// global LRU would, but hashes are uniform, so shard loads stay within
+// noise of each other.
 type shardedLRU struct {
 	shards []*lru.Cache[string, response]
 }
 
-// newShardedLRU builds a striped cache of total capacity max across the
-// given power-of-two shard count; max <= 0 disables caching entirely.
+// newShardedLRU builds a striped cache of total capacity max entries
+// across the given power-of-two shard count; max <= 0 disables caching
+// entirely.
 func newShardedLRU(max, shards int) *shardedLRU {
-	if max <= 0 || shards < 1 {
+	if max <= 0 {
+		max, shards = 0, 1
+	} else if shards < 1 {
 		shards = 1
 	}
+	return newStriped(max, shards, lru.New[string, response])
+}
+
+// newStriped splits total across shards, each built by mk.
+func newStriped(total, shards int, mk func(bound int) *lru.Cache[string, response]) *shardedLRU {
 	s := &shardedLRU{shards: make([]*lru.Cache[string, response], shards)}
-	base, rem := 0, 0
-	if max > 0 {
-		base, rem = max/shards, max%shards
-	}
+	base, rem := total/shards, total%shards
 	for i := range s.shards {
 		bound := base
 		if i < rem {
 			bound++
 		}
-		s.shards[i] = lru.New[string, response](bound)
+		s.shards[i] = mk(bound)
 	}
 	return s
 }
@@ -84,10 +91,20 @@ func (s *shardedLRU) Put(key string, resp response) {
 }
 
 // Len returns the entry count summed over all shards.
-func (s *shardedLRU) Len() int {
+func (s *shardedLRU) Len() int { return s.sum((*lru.Cache[string, response]).Len) }
+
+// Cost returns the summed cost of resident entries: bytes for a
+// byte-bounded cache, entries otherwise.
+func (s *shardedLRU) Cost() int { return s.sum((*lru.Cache[string, response]).Cost) }
+
+// Max returns the total bound.
+func (s *shardedLRU) Max() int { return s.sum((*lru.Cache[string, response]).Max) }
+
+// sum adds f over the shards.
+func (s *shardedLRU) sum(f func(*lru.Cache[string, response]) int) int {
 	n := 0
 	for _, sh := range s.shards {
-		n += sh.Len()
+		n += f(sh)
 	}
 	return n
 }

@@ -28,9 +28,9 @@
 // approximate. Both the response cache and the singleflight table are
 // striped into independently locked shards keyed by the request hash,
 // so the hot replay path scales with cores instead of serializing on
-// one global mutex; non-base-config requests share bounded,
-// config-keyed experiments.Sessions instead of rebuilding one per
-// request.
+// one global mutex. The server keeps no per-config state: each sweep
+// runs on an experiments.Session built from the request's own resolved
+// config, and every plan is solved cold.
 package service
 
 import (
@@ -72,9 +72,6 @@ const (
 	// DefaultCacheEntries is the result-cache bound when Options leaves
 	// CacheEntries zero.
 	DefaultCacheEntries = 256
-	// DefaultSessionEntries is the non-base-config session-cache bound
-	// when Options leaves SessionEntries zero.
-	DefaultSessionEntries = 32
 	// DefaultModelEntries bounds the decoded-model intern cache.
 	DefaultModelEntries = 1024
 )
@@ -98,11 +95,6 @@ type Options struct {
 	// size of retained request and response bytes (0 =
 	// DefaultRawCacheBytes, negative = fast path disabled).
 	RawCacheBytes int
-	// SessionEntries bounds the config-keyed cache of
-	// experiments.Sessions serving non-base-config requests
-	// (0 = DefaultSessionEntries, negative = no reuse: a fresh session
-	// per request, the pre-cache behavior).
-	SessionEntries int
 	// JobEntries bounds the async job table (0 = DefaultJobEntries,
 	// negative = the /v1/jobs endpoints are disabled).
 	JobEntries int
@@ -191,14 +183,14 @@ func (e *endpointStats) snapshot() statsSnapshot {
 	}
 }
 
-// Server is the evaluation service: one shared experiments.Session and
-// hypar.Evaluator behind a coalescing, caching HTTP surface.
+// Server is the evaluation service: the pinned zoo and a pool of
+// hypar.Evaluators behind a coalescing, caching HTTP surface.
 type Server struct {
 	// baseRaw is the operator's base config exactly as given; request
 	// overrides decode onto it so fields the operator left to platform
 	// defaults stay overridable per request. base is it resolved once,
-	// at New — the config the shared session runs at, and the value
-	// every request without a "config" override evaluates on.
+	// at New — the value every request without a "config" override
+	// evaluates on.
 	baseRaw hypar.Config
 	base    *hypar.Resolved
 	// baseCfgJSON is base's canonical JSON, rendered once at New: every
@@ -207,22 +199,16 @@ type Server struct {
 	// these bytes instead of re-marshaling per request.
 	baseCfgJSON []byte
 	pool        *runner.Pool
-	session     *experiments.Session
-	// pinned maps each zoo and branched network name to the session's
-	// pinned instance and its canonical JSON, encoded once at New: those
-	// bytes never change, so zoo requests hash them without re-encoding.
+	// pinned maps each zoo and branched network name to the instance
+	// pinned at New and its canonical JSON: those bytes never change, so
+	// zoo requests hash them without re-encoding.
 	pinned map[string]pinnedModel
 
-	// evaluators recycles single-threaded hypar.Evaluators (engine slab
-	// + bounded warm-plan memo) across requests: concurrent
-	// distinct requests each borrow their own, so they parallelize,
-	// while the amortized state still gets reused instead of rebuilt.
+	// evaluators recycles single-threaded hypar.Evaluators (their
+	// simulation engines) across requests: concurrent distinct requests
+	// each borrow their own, so they parallelize, while the engine's
+	// slab still gets reused instead of rebuilt.
 	evaluators sync.Pool
-
-	// sessions reuses experiments.Sessions across non-base-config
-	// requests, bounded and keyed by canonical config; the base config
-	// keeps its dedicated session above.
-	sessions *experiments.SessionCache
 
 	// models interns decoded user models by canonical JSON, so
 	// repeated identical submissions share one *nn.Model and with it
@@ -231,7 +217,7 @@ type Server struct {
 	models *lru.Cache[string, *nn.Model]
 
 	cache     *shardedLRU
-	raw       *rawCache // exact-bytes fast path (nil = disabled)
+	raw       *shardedLRU // exact-bytes fast path (nil = disabled)
 	flight    shardedFlight
 	jobs      *jobTable
 	onCompute func(endpoint, key string)
@@ -281,10 +267,6 @@ func New(opts Options) (*Server, error) {
 	if entries == 0 {
 		entries = DefaultCacheEntries
 	}
-	sessEntries := opts.SessionEntries
-	if sessEntries == 0 {
-		sessEntries = DefaultSessionEntries
-	}
 	jobEntries := opts.JobEntries
 	if jobEntries == 0 {
 		jobEntries = DefaultJobEntries
@@ -302,8 +284,6 @@ func New(opts Options) (*Server, error) {
 		base:        base,
 		pool:        pool,
 		baseCfgJSON: baseCfgJSON,
-		session:     experiments.NewResolvedSession(base, pool),
-		sessions:    experiments.NewSessionCache(sessEntries, pool),
 		cache:       newShardedLRU(entries, lruShardsFor(entries)),
 		jobs:        newJobTable(jobEntries),
 		onCompute:   opts.OnCompute,
@@ -314,7 +294,7 @@ func New(opts Options) (*Server, error) {
 		metrics:     make(map[string]*endpointStats),
 	}
 	if rawBytes > 0 {
-		s.raw = newRawCache(rawBytes, rawShards)
+		s.raw = newRawCache(rawBytes)
 	}
 	inflight := opts.MaxInflight
 	if inflight == 0 {
@@ -345,7 +325,7 @@ func New(opts Options) (*Server, error) {
 	}
 	s.evaluators.New = func() any { return hypar.NewEvaluator() }
 	s.models = lru.New[string, *nn.Model](DefaultModelEntries)
-	if s.pinned, err = pinModels(s.session); err != nil {
+	if s.pinned, err = pinModels(hypar.Zoo(), hypar.BranchedZoo()); err != nil {
 		return nil, err
 	}
 	for _, ep := range []string{"plan", "evaluate", "compare", "explore", "batch", "degrade", "jobs", "healthz", "statsz"} {
@@ -417,11 +397,12 @@ type pinnedModel struct {
 	json  []byte
 }
 
-// pinModels encodes the session's pinned instances — the paper zoo and
-// the branched workloads — once. A zoo name shadows a branched one.
-func pinModels(session *experiments.Session) (map[string]pinnedModel, error) {
+// pinModels pins one instance of each given network — the paper zoo
+// and the branched workloads — with its canonical JSON. An earlier
+// set's name shadows a later one's.
+func pinModels(sets ...[]*nn.Model) (map[string]pinnedModel, error) {
 	pinned := make(map[string]pinnedModel)
-	for _, set := range [][]*nn.Model{session.Zoo(), session.Branched()} {
+	for _, set := range sets {
 		for _, m := range set {
 			if _, ok := pinned[m.Name]; ok {
 				continue
@@ -434,19 +415,6 @@ func pinModels(session *experiments.Session) (map[string]pinnedModel, error) {
 		}
 	}
 	return pinned, nil
-}
-
-// sessionFor returns the shared session when the request runs at the
-// server's base config (so zoo pinning and the cached zoo comparison
-// are reused) and a bounded, config-keyed cached session otherwise —
-// repeated requests at the same non-base config reuse one session's
-// pinned zoo and cached comparisons instead of rebuilding them per
-// request.
-func (s *Server) sessionFor(res *hypar.Resolved) *experiments.Session {
-	if res == s.base {
-		return s.session
-	}
-	return s.sessions.Get(res)
 }
 
 // ---------------------------------------------------------------------------
@@ -600,7 +568,7 @@ func (s *Server) resolveRequest(req request, wantStrategy, wantFree bool) (*pars
 	case req.Zoo != "" && req.Model != nil:
 		return nil, badRequest(fmt.Errorf(`%w: both "zoo" and "model" given`, ErrService))
 	case req.Zoo != "":
-		// Resolve against the session's pinned zoo so every request for
+		// Resolve against the pinned zoo so every request for
 		// the same network shares one *Model instance (shape inference
 		// memoizes per pointer) and its canonical bytes from New.
 		pm, ok := s.pinned[req.Zoo]
@@ -1275,7 +1243,7 @@ func (s *Server) exploreBody(ctx context.Context, p *parsed, tap func(block []by
 	// body offsets ([lo, hi); hi == 0 while no point filled the slot).
 	var peakGain float64
 	var peak, hp [2]int
-	err = s.sessionFor(p.res).ExploreStream(p.model, p.free, noLabels, func(ep experiments.ExplorePoint) error {
+	err = experiments.NewResolvedSession(p.res, s.pool).ExploreStream(p.model, p.free, noLabels, func(ep experiments.ExplorePoint) error {
 		if err := live(); err != nil {
 			return err
 		}
@@ -1439,7 +1407,6 @@ type statszResponse struct {
 	CacheEntries  int                `json:"cacheEntries"`
 	CacheShards   int                `json:"cacheShards"`
 	RawCache      rawCacheSnapshot   `json:"rawCache"`
-	Sessions      int                `json:"sessions"`
 	Jobs          jobsSnapshot       `json:"jobs"`
 	Resilience    resilienceSnapshot `json:"resilience"`
 	// Cluster reports the peer ring and peer-fill counters; omitted on
@@ -1454,9 +1421,9 @@ func (s *Server) rawSnapshot() rawCacheSnapshot {
 		return rawCacheSnapshot{}
 	}
 	return rawCacheSnapshot{
-		BudgetBytes: len(s.raw.shards) * s.raw.shards[0].Max(),
-		Bytes:       s.raw.bytes(),
-		Entries:     s.raw.len(),
+		BudgetBytes: s.raw.Max(),
+		Bytes:       s.raw.Cost(),
+		Entries:     s.raw.Len(),
 		Shards:      len(s.raw.shards),
 	}
 }
@@ -1471,7 +1438,6 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 		CacheEntries:  s.cache.Len(),
 		CacheShards:   len(s.cache.shards),
 		RawCache:      s.rawSnapshot(),
-		Sessions:      s.sessions.Len(),
 		Jobs:          jobsSnapshot{Tracked: tracked, Active: active},
 		Resilience: resilienceSnapshot{
 			MaxInflight:      cap(s.admit),

@@ -78,16 +78,19 @@ func (g *flightGroup) DoCtx(ctx context.Context, key string, joined *atomic.Int6
 	// Release the flight even if fn panics — otherwise the key is
 	// poisoned and every follower blocks forever. A panicking leader
 	// hands followers an error, then re-panics so the failure stays
-	// loud (net/http recovers it per connection).
+	// loud (net/http recovers it per connection). The key leaves the
+	// map before done closes: a woken follower that retries (a canceled
+	// job's followers do) must start a new flight, not rejoin this
+	// finished one.
 	defer func() {
 		r := recover()
 		if r != nil {
 			c.err = fmt.Errorf("service: panic during computation: %v", r)
 		}
-		close(c.done)
 		g.mu.Lock()
 		delete(g.m, key)
 		g.mu.Unlock()
+		close(c.done)
 		if r != nil {
 			panic(r)
 		}

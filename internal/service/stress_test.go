@@ -195,8 +195,8 @@ func TestShardedReplayEquivalence(t *testing.T) {
 // TestServiceConcurrentMixedStress drives the whole server concurrently
 // with a mix of hot (coalescing), distinct (sharded misses) and batch
 // traffic — the end-to-end race test over the striped cache, striped
-// flight, session cache and model intern cache together. Run under
-// -race in CI.
+// flight, per-request sweep sessions and model intern cache together.
+// Run under -race in CI.
 func TestServiceConcurrentMixedStress(t *testing.T) {
 	_, ts, _ := newTestServer(t)
 	const workers = 12
@@ -213,7 +213,7 @@ func TestServiceConcurrentMixedStress(t *testing.T) {
 				case 1: // distinct keys spread over shards
 					path, body = "/v1/evaluate",
 						fmt.Sprintf(`{"zoo":"SCONV","strategy":"dp","config":{"batch":%d}}`, 8<<uint(w%4))
-				case 2: // non-base config exercises the session cache
+				case 2: // a non-base-config sweep on its own session
 					path, body = "/v1/explore",
 						fmt.Sprintf(`{"zoo":"SFC","config":{"batch":128},"free":[{"level":%d,"layer":0}]}`, w%4)
 				default: // batch with intra-batch duplicates

@@ -24,10 +24,10 @@
 //	               DAG under "searchMethod":"beam" (exercises the beam
 //	               partition search, including a frontier the exact DP
 //	               refuses)
-//	-mode sweep    one model, strategy hypar, cycling link bandwidths
-//	               (exercises warm-started incremental re-planning: the
-//	               pooled evaluators reuse the previous plan's DP state
-//	               across the sweep)
+//	-mode sweep    one model, strategy hypar, cycling four link
+//	               bandwidths (a one-dimension sweep: each bandwidth is
+//	               computed once, cold, and its repeats replay from the
+//	               caches)
 //
 // Shed requests (429/503) are retried with jittered exponential
 // backoff, honoring the server's Retry-After; requests still shed after
@@ -135,8 +135,7 @@ var wideFanModel = func() string {
 }()
 
 // sweepLinks are the link bandwidths (Mb/s) the sweep mode cycles: a
-// one-dimension sweep whose partition inputs never change, so a
-// warm-starting daemon replans every point with zero new DP cells.
+// one-dimension sweep whose partition inputs never change.
 var sweepLinks = []float64{800, 1600, 3200, 6400}
 
 // heteroSpecs are mixed per-level platform assignments (sparse specs —
@@ -181,7 +180,7 @@ func body(mode string, i int) string {
 		return fmt.Sprintf(`{"zoo":%q,"strategy":"hypar","config":{"batch":%d,"searchMethod":"beam"}}`, name, batch)
 	case "sweep":
 		// One model, one strategy, one dimension moving: the
-		// warm-start-friendly traffic shape of an incremental sweep.
+		// traffic shape of a bandwidth sweep.
 		link := sweepLinks[i%len(sweepLinks)]
 		return fmt.Sprintf(`{"zoo":"VGG-A","strategy":"hypar","config":{"linkMbps":%g}}`, link)
 	}

@@ -137,24 +137,25 @@ func TestBeamPlansWideGraph(t *testing.T) {
 	}
 }
 
-// TestEvaluatorWarmSweep: an Evaluator sweeping one dimension that does
-// not touch the partition inputs (link bandwidth) re-plans with zero
-// new DP cells, and the warm plans match cold solves exactly.
-func TestEvaluatorWarmSweep(t *testing.T) {
+// TestPlanOptionsWarmSweep: a caller that hands each plan back as the
+// next one's PlanOptions.Warm while sweeping a dimension that does not
+// touch the partition inputs (link bandwidth) re-plans with zero new DP
+// cells, and the warm plans match cold solves exactly.
+func TestPlanOptionsWarmSweep(t *testing.T) {
 	m, err := hypar.ModelByName("VGG-A")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := hypar.NewEvaluator()
 	cfg := hypar.DefaultConfig()
-	if _, err := ev.Run(m, hypar.HyPar, cfg); err != nil {
+	warm, err := hypar.NewPlan(m, hypar.HyPar, cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
 	for _, link := range []float64{800, 3200, 6400} {
 		swept := cfg
 		swept.LinkMbps = link
 		before := partition.DPCells()
-		res, err := ev.Run(m, hypar.HyPar, swept)
+		plan, err := hypar.NewPlanOpts(nil, m, hypar.HyPar, swept, hypar.PlanOptions{Warm: warm})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,16 +166,17 @@ func TestEvaluatorWarmSweep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Plan.TotalElems != cold.TotalElems || !reflect.DeepEqual(res.Plan.Levels, cold.Levels) {
+		if plan.TotalElems != cold.TotalElems || !reflect.DeepEqual(plan.Levels, cold.Levels) {
 			t.Errorf("link %g: warm plan differs from cold plan", link)
 		}
+		warm = plan
 	}
 
 	// A batch change mutates every level's amounts: the warm hint must
 	// be ignored, not mis-applied.
 	swept := cfg
 	swept.Batch = 64
-	res, err := ev.Run(m, hypar.HyPar, swept)
+	plan, err := hypar.NewPlanOpts(nil, m, hypar.HyPar, swept, hypar.PlanOptions{Warm: warm})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +184,7 @@ func TestEvaluatorWarmSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Plan.TotalElems != cold.TotalElems || !reflect.DeepEqual(res.Plan.Levels, cold.Levels) {
+	if plan.TotalElems != cold.TotalElems || !reflect.DeepEqual(plan.Levels, cold.Levels) {
 		t.Error("batch-swept warm plan differs from cold plan")
 	}
 }
