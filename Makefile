@@ -1,7 +1,7 @@
 # Development entry points; CI runs the same commands.
 GO ?= go
 
-.PHONY: build test race bench bench-json fmt vet check fuzz cover serve
+.PHONY: build test race bench fmt vet check fuzz cover serve
 
 build:
 	$(GO) build ./...
@@ -16,10 +16,6 @@ race:
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 10x .
-
-# Record the perf trajectory (BENCH_N.json; N defaults to 1).
-bench-json:
-	scripts/bench.sh $(N)
 
 fmt:
 	gofmt -l -w .

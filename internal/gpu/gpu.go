@@ -82,7 +82,7 @@ func (c Config) Threads() float64 { return float64(c.SMs) * float64(c.ThreadsPer
 // sustains: the library-kernel efficiency for the layer class, scaled
 // by how completely the layer's thread-level parallelism fills the
 // resident-thread budget.
-func (c Config) Utilization(s nn.LayerShapes) float64 {
+func (c Config) Utilization(s *nn.LayerShapes) float64 {
 	occ := math.Min(1, float64(s.Out.Elems())/c.Threads())
 	var util float64
 	switch s.Layer.Type {
@@ -97,7 +97,7 @@ func (c Config) Utilization(s nn.LayerShapes) float64 {
 // ComputeTime returns the seconds one node needs to execute the given
 // number of MACs for the layer (2 operations per MAC at the sustained
 // rate).
-func (c Config) ComputeTime(macs float64, s nn.LayerShapes) float64 {
+func (c Config) ComputeTime(macs float64, s *nn.LayerShapes) float64 {
 	if macs <= 0 {
 		return 0
 	}
@@ -109,6 +109,6 @@ func (c Config) ComputeTime(macs float64, s nn.LayerShapes) float64 {
 // result element written once (the large L2 and register tiling of
 // library kernels keep intra-phase re-reads on chip, the same
 // accounting convention the row-stationary model uses).
-func (c Config) DRAMTraffic(s nn.LayerShapes, operandBytes, resultBytes float64) float64 {
+func (c Config) DRAMTraffic(s *nn.LayerShapes, operandBytes, resultBytes float64) float64 {
 	return operandBytes + resultBytes
 }

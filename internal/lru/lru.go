@@ -1,8 +1,8 @@
 // Package lru provides the one bounded, thread-safe LRU cache the rest
 // of the repository builds on: the shards of the service's response
-// cache and of its raw-bytes tier, and its decoded-model intern cache,
-// are all instances of Cache rather than hand-rolled copies — eviction
-// and locking invariants live here once, not per call site.
+// cache and of its raw-bytes tier are instances of Cache rather than
+// hand-rolled copies — eviction and locking invariants live here once,
+// not per call site.
 package lru
 
 import (
@@ -14,7 +14,7 @@ import (
 // The default bound is the entry count; NewSized installs a cost
 // function instead, making the bound a total-cost budget (e.g. bytes).
 // A bound <= 0 disables storage: every Get misses and every Put is
-// dropped, while GetOrAdd still builds (it just does not retain).
+// dropped.
 type Cache[K comparable, V any] struct {
 	mu    sync.Mutex
 	max   int
@@ -101,25 +101,6 @@ func (c *Cache[K, V]) Put(key K, val V) {
 		return
 	}
 	c.insert(key, val, cost)
-}
-
-// GetOrAdd returns the cached value for key, building (and caching) it
-// with build on a miss. build runs under the cache lock, which makes
-// "exactly one build per key" exact under concurrent misses — keep it
-// cheap. The second result reports whether build ran. With a disabled
-// bound every call builds and nothing is retained.
-func (c *Cache[K, V]) GetOrAdd(key K, build func() V) (V, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		return el.Value.(*entry[K, V]).val, false
-	}
-	val := build()
-	if cost := c.costOf(key, val); c.max > 0 && cost <= c.max {
-		c.insert(key, val, cost)
-	}
-	return val, true
 }
 
 // insert adds a fresh entry at the given cost and evicts past the

@@ -2,7 +2,6 @@ package lru
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 )
 
@@ -35,53 +34,12 @@ func TestLRUOrder(t *testing.T) {
 	}
 }
 
-// TestLRUDisabled pins the max <= 0 contract: nothing is retained, and
-// GetOrAdd still builds every call.
+// TestLRUDisabled pins the max <= 0 contract: nothing is retained.
 func TestLRUDisabled(t *testing.T) {
 	c := New[string, int](-1)
 	c.Put("x", 1)
 	if _, ok := c.Get("x"); ok || c.Len() != 0 {
 		t.Error("disabled cache stored an entry")
-	}
-	builds := 0
-	for i := 0; i < 3; i++ {
-		if _, built := c.GetOrAdd("x", func() int { builds++; return 7 }); !built {
-			t.Error("disabled GetOrAdd claimed a hit")
-		}
-	}
-	if builds != 3 {
-		t.Errorf("builds=%d, want 3", builds)
-	}
-}
-
-// TestGetOrAddOnce proves concurrent misses of one key build exactly
-// once (build runs under the lock).
-func TestGetOrAddOnce(t *testing.T) {
-	c := New[int, int](8)
-	var builds, hits int
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for g := 0; g < 16; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, built := c.GetOrAdd(1, func() int { builds++; return 42 })
-			mu.Lock()
-			if !built {
-				hits++
-			}
-			mu.Unlock()
-		}()
-	}
-	wg.Wait()
-	if builds != 1 {
-		t.Errorf("builds=%d for 16 concurrent GetOrAdds, want 1", builds)
-	}
-	if hits != 15 {
-		t.Errorf("hits=%d, want 15", hits)
-	}
-	if v, ok := c.Get(1); !ok || v != 42 {
-		t.Errorf("Get(1) = %d, %v", v, ok)
 	}
 }
 

@@ -38,7 +38,7 @@ func (p Phase) String() string {
 // same triple of tensors (Figure 1).
 //
 // Conv: B · Hout · Wout · Cout · K² · Cin.  FC: B · Cin · Cout.
-func (s LayerShapes) MACs(p Phase) int64 {
+func (s *LayerShapes) MACs(p Phase) int64 {
 	k := s.Kernel
 	perOut := int64(k.K) * int64(k.K) * int64(k.Cin)
 	return s.Out.Elems() * perOut
@@ -46,7 +46,7 @@ func (s LayerShapes) MACs(p Phase) int64 {
 
 // ActOps returns the element-wise operation count for the activation
 // (forward) or its derivative (backward); zero for NoAct.
-func (s LayerShapes) ActOps() int64 {
+func (s *LayerShapes) ActOps() int64 {
 	if s.Layer.Act == NoAct {
 		return 0
 	}
@@ -54,7 +54,7 @@ func (s LayerShapes) ActOps() int64 {
 }
 
 // PoolOps returns the comparison count of the folded max-pooling step.
-func (s LayerShapes) PoolOps() int64 {
+func (s *LayerShapes) PoolOps() int64 {
 	p := s.Layer.pool()
 	if p <= 1 {
 		return 0

@@ -38,7 +38,8 @@ type Model struct {
 	Input  Input
 	Layers []Layer
 
-	memo atomic.Pointer[shapeMemo] // CachedShapes' snapshot
+	memo  atomic.Pointer[shapeMemo] // CachedShapes' snapshot
+	graph atomic.Pointer[Graph]     // CachedGraph's resolution
 }
 
 // IsGraph reports whether any layer declares explicit inputs, i.e.

@@ -12,7 +12,7 @@ import (
 func sweepInputs(t *testing.T, levels int) (*nn.Model, []nn.LayerShapes, []Edge, []Assignment) {
 	t.Helper()
 	m := nn.VGGA()
-	shapes, preds, err := prepare(m, 256, levels, true)
+	shapes, g, err := prepare(m, 256, levels, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +25,7 @@ func sweepInputs(t *testing.T, levels int) (*nn.Model, []nn.LayerShapes, []Edge,
 			}
 		}
 	}
-	return m, shapes, EdgesOf(preds), as
+	return m, shapes, g.Edges, as
 }
 
 // TestAllocsSweepPoint bounds Evaluate's scoring of one plan

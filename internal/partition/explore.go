@@ -22,7 +22,7 @@ import (
 // resolve to the lowest code, so the result is identical at any width.
 func bruteForceCore(ctx context.Context, pool *runner.Pool, m *nn.Model, batch int, cs []costs) (*Plan, error) {
 	levels := len(cs)
-	shapes, preds, err := prepare(m, batch, levels, true)
+	shapes, g, err := prepare(m, batch, levels, true)
 	if err != nil {
 		return nil, err
 	}
@@ -35,7 +35,7 @@ func bruteForceCore(ctx context.Context, pool *runner.Pool, m *nn.Model, batch i
 	for b := range free {
 		free[b] = FreeVar{Level: b / nl, Layer: b % nl}
 	}
-	sw, err := newSweep(m.Name, batch, shapes, EdgesOf(preds), cutLevels(levels, nl), free, cs)
+	sw, err := newSweep(m.Name, batch, shapes, g.Edges, cutLevels(levels, nl), free, cs)
 	if err != nil {
 		return nil, err
 	}
@@ -126,20 +126,21 @@ func NewSweep(m *nn.Model, batch int, base []Assignment, free []FreeVar, ws []We
 			return nil, fmt.Errorf("%w: free variable (level %d, layer %d) given twice", ErrPlan, fv.Level, fv.Layer)
 		}
 	}
-	shapes, preds, err := prepare(m, batch, len(base), true)
+	shapes, g, err := prepare(m, batch, len(base), true)
 	if err != nil {
 		return nil, err
 	}
-	return newSweep(m.Name, batch, shapes, EdgesOf(preds), base, free, cs)
+	return newSweep(m.Name, batch, shapes, g.Edges, base, free, cs)
 }
 
-// newSweep tabulates checked free cells; brute force frees over 20.
+// newSweep tabulates checked free cells; brute force frees over 20. The
+// sweep keeps its own copy of edges, which its filled plans share.
 func newSweep(model string, batch int, shapes []nn.LayerShapes, edges []Edge, base []Assignment, free []FreeVar, cs []costs) (*Sweep, error) {
 	nl := len(shapes)
 	if err := checkLevels(model, base, nl, cs); err != nil {
 		return nil, err
 	}
-	s := &Sweep{model: model, batch: batch, nl: nl, edges: edges, base: cutLevels(len(base), nl),
+	s := &Sweep{model: model, batch: batch, nl: nl, edges: slices.Clone(edges), base: cutLevels(len(base), nl),
 		free: append([]FreeVar(nil), free...), stride: 2*nl + 8*len(edges)}
 	for h, a := range base {
 		copy(s.base[h], a)

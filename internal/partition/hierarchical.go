@@ -2,7 +2,7 @@ package partition
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/comm"
 	"repro/internal/nn"
@@ -20,15 +20,15 @@ func Evaluate(m *nn.Model, batch int, levels []Assignment, ws []Weights) (*Plan,
 	if err != nil {
 		return nil, err
 	}
-	shapes, preds, err := prepare(m, batch, len(levels), true)
+	shapes, g, err := prepare(m, batch, len(levels), true)
 	if err != nil {
 		return nil, err
 	}
-	return evaluateShapes(m, batch, levels, shapes, EdgesOf(preds), cs)
+	return evaluateShapes(m, batch, levels, shapes, slices.Clone(g.Edges), cs)
 }
 
-// evaluateShapes is Evaluate after shape inference, edge resolution
-// and cost compilation; the plan aliases edges, shared read-only.
+// evaluateShapes is Evaluate after shape inference, graph resolution
+// and cost compilation; the plan aliases edges.
 func evaluateShapes(m *nn.Model, batch int, levels []Assignment, shapes []nn.LayerShapes, edges []Edge, cs []costs) (*Plan, error) {
 	if err := checkLevels(m.Name, levels, len(shapes), cs); err != nil {
 		return nil, err
@@ -84,11 +84,12 @@ func cutDetails(levels, nl, ne int) []LevelDetail {
 	return ds
 }
 
-// prepare bounds the hierarchy depth, runs (memoized) shape inference,
-// and resolves the layer graph. With boundFrontier set it refuses a graph
+// prepare bounds the hierarchy depth and reads the model's (memoized)
+// shapes and layer graph. With boundFrontier set it refuses a graph
 // whose frontier exceeds maxGraphFrontier; only the beam search, whose
-// state space does not depend on the width, skips the check.
-func prepare(m *nn.Model, batch, levels int, boundFrontier bool) ([]nn.LayerShapes, [][]int, error) {
+// state space does not depend on the width, skips the check. The graph
+// is the model's own: a plan copies its edges.
+func prepare(m *nn.Model, batch, levels int, boundFrontier bool) ([]nn.LayerShapes, *nn.Graph, error) {
 	if levels > 20 {
 		return nil, nil, fmt.Errorf("%w: hierarchy depth %d (2^%d accelerators) is unreasonable",
 			ErrPlan, levels, levels)
@@ -97,38 +98,17 @@ func prepare(m *nn.Model, batch, levels int, boundFrontier bool) ([]nn.LayerShap
 	if err != nil {
 		return nil, nil, err
 	}
-	preds, err := m.LayerPreds()
+	g, err := m.CachedGraph()
 	if err != nil {
 		return nil, nil, err
 	}
-	if boundFrontier {
-		if w := FrontierWidth(preds); w > maxGraphFrontier {
+	if boundFrontier && !g.Chain {
+		if w := FrontierWidth(g.Preds); w > maxGraphFrontier {
 			return nil, nil, fmt.Errorf("%w: model %q needs a partition frontier of %d open layers (max %d)",
 				ErrTooWide, m.Name, w, maxGraphFrontier)
 		}
 	}
-	return shapes, preds, nil
-}
-
-// EdgesOf derives the layer-to-layer edge list from resolved
-// predecessors, in canonical (Src, then Dst) order. Model-input
-// references (-1) carry no partition cost and are dropped.
-func EdgesOf(preds [][]int) []Edge {
-	var edges []Edge
-	for v, ps := range preds {
-		for _, u := range ps {
-			if u >= 0 {
-				edges = append(edges, Edge{Src: u, Dst: v})
-			}
-		}
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].Src != edges[j].Src {
-			return edges[i].Src < edges[j].Src
-		}
-		return edges[i].Dst < edges[j].Dst
-	})
-	return edges
+	return shapes, g, nil
 }
 
 // amountsAt writes the per-pair amounts of every layer under the given

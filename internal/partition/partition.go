@@ -16,6 +16,7 @@ import (
 	"strings"
 
 	"repro/internal/comm"
+	"repro/internal/nn"
 	"repro/internal/tensor"
 )
 
@@ -43,13 +44,8 @@ func (a Assignment) Clone() Assignment {
 }
 
 // Edge is one producer→consumer connection between weighted layers of
-// a model graph. A linear chain has edges (l, l+1); branched models add
-// skip and branch edges. Edges from the model input carry no partition
-// cost and are not recorded.
-type Edge struct {
-	Src int // producing layer index
-	Dst int // consuming layer index
-}
+// a model graph (nn.Edge).
+type Edge = nn.Edge
 
 // LevelDetail records, for one hierarchy level, the one-direction
 // per-group-pair communication volumes in elements, attributed to the

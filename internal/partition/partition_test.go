@@ -425,3 +425,51 @@ func TestLevelMonotonicity(t *testing.T) {
 		}
 	}
 }
+
+// TestPlanOwnsEdges pins that every plan a caller receives — from
+// Solve's hierarchical, beam and brute-force methods, Evaluate, the
+// baselines and a sweep's Fill — holds the model's edges in its own
+// slice, so writing to a plan's Edges cannot reach the graph the model
+// memoizes for later plans and simulations.
+func TestPlanOwnsEdges(t *testing.T) {
+	m := nn.Incep2()
+	g, err := m.CachedGraph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append([]Edge(nil), g.Edges...)
+	plan := func(method Method, levels int) *Plan {
+		p, err := Solve(Request{Model: m, Batch: 8, Levels: unit(levels), Method: method})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	hier := plan(MethodHierarchical, 2)
+	sw, err := NewSweep(m, 8, hier.Levels, []FreeVar{{Level: 0, Layer: 0}}, unit(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plans := map[string]*Plan{
+		"hierarchical": hier, "beam": plan(MethodBeam, 2), "brute": plan(MethodBrute, 1),
+		"evaluate": mustEval(t, m, hier.Levels), "dp": mustDP(t, m, 8, 2), "fill": sw.Fill(nil, 1),
+	}
+	for name, p := range plans {
+		if !reflect.DeepEqual(p.Edges, want) {
+			t.Fatalf("%s: edges %v, want the model's %v", name, p.Edges, want)
+		}
+		p.Edges[0] = Edge{Src: 7, Dst: 9}
+		if !reflect.DeepEqual(g.Edges, want) {
+			t.Fatalf("%s: writing the plan's edges changed the model's graph", name)
+		}
+	}
+}
+
+func mustEval(t *testing.T, m *nn.Model, levels []Assignment) *Plan {
+	t.Helper()
+	p, err := Evaluate(m, 8, levels, unit(len(levels)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}

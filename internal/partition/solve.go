@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync/atomic"
 
@@ -206,12 +207,12 @@ type coreOpts struct {
 // With zero opts it is the exact search.
 func hierarchicalCore(ctx context.Context, m *nn.Model, batch int, cs []costs, opt coreOpts) (*Plan, error) {
 	levels := len(cs)
-	shapes, preds, err := prepare(m, batch, levels, opt.method != MethodBeam)
+	shapes, g, err := prepare(m, batch, levels, opt.method != MethodBeam)
 	if err != nil {
 		return nil, err
 	}
-	nl := len(shapes)
-	plan := &Plan{Model: m.Name, Batch: batch, Levels: make([]Assignment, 0, levels), Edges: EdgesOf(preds)}
+	nl, preds := len(shapes), g.Preds
+	plan := &Plan{Model: m.Name, Batch: batch, Levels: make([]Assignment, 0, levels), Edges: slices.Clone(g.Edges)}
 	var pk uint64
 	if opt.seeds != nil {
 		plan.levelKeys = make([]uint64, levels)

@@ -75,7 +75,7 @@ func (c Config) PEs() int { return c.RowsPE * c.ColsPE }
 // comes from the ceiling effects of tiling K×Hout strips onto the
 // physical array. Fully-connected layers behave as 1×1 convolutions
 // whose only spatial axis is the batch.
-func (c Config) Utilization(s nn.LayerShapes) float64 {
+func (c Config) Utilization(s *nn.LayerShapes) float64 {
 	var strips float64
 	switch s.Layer.Type {
 	case nn.Conv:
@@ -104,7 +104,7 @@ func (c Config) Utilization(s nn.LayerShapes) float64 {
 // ComputeTime returns the seconds one PU needs to execute the given
 // number of MACs for the layer (2 operations per MAC at the sustained
 // rate GOPS × utilization).
-func (c Config) ComputeTime(macs float64, s nn.LayerShapes) float64 {
+func (c Config) ComputeTime(macs float64, s *nn.LayerShapes) float64 {
 	if macs <= 0 {
 		return 0
 	}
@@ -115,6 +115,6 @@ func (c Config) ComputeTime(macs float64, s nn.LayerShapes) float64 {
 // for one phase of the layer: each locally held operand element is read
 // once and each result element written once (row-stationary reuse keeps
 // intra-phase re-reads on chip).
-func (c Config) DRAMTraffic(s nn.LayerShapes, operandBytes, resultBytes float64) float64 {
+func (c Config) DRAMTraffic(s *nn.LayerShapes, operandBytes, resultBytes float64) float64 {
 	return operandBytes + resultBytes
 }

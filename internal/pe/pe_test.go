@@ -49,7 +49,7 @@ func TestUtilizationBounds(t *testing.T) {
 	c := Default()
 	for _, m := range nn.Zoo() {
 		for _, s := range shapesOf(t, m, 256) {
-			u := c.Utilization(s)
+			u := c.Utilization(&s)
 			if u < c.MinUtil || u > 1 {
 				t.Errorf("%s/%s utilization %g outside [%g,1]", m.Name, s.Layer.Name, u, c.MinUtil)
 			}
@@ -64,9 +64,9 @@ func TestUtilizationShape(t *testing.T) {
 	for _, s := range shapes {
 		switch s.Layer.Name {
 		case "conv3_1":
-			conv = c.Utilization(s)
+			conv = c.Utilization(&s)
 		case "fc1":
-			fc = c.Utilization(s)
+			fc = c.Utilization(&s)
 		}
 	}
 	// Row stationarity is designed for convolutions (paper §5); fc
@@ -80,12 +80,12 @@ func TestComputeTime(t *testing.T) {
 	c := Default()
 	shapes := shapesOf(t, nn.VGGA(), 256)
 	s := shapes[0]
-	if got := c.ComputeTime(0, s); got != 0 {
+	if got := c.ComputeTime(0, &s); got != 0 {
 		t.Errorf("ComputeTime(0) = %g, want 0", got)
 	}
 	// 42e9 MACs at 84 GOPS and full utilization is one second; with
 	// utilization <= 1 it can only take longer.
-	if got := c.ComputeTime(42e9, s); got < 1 {
+	if got := c.ComputeTime(42e9, &s); got < 1 {
 		t.Errorf("ComputeTime(42e9 MACs) = %g s, want >= 1", got)
 	}
 }
@@ -94,7 +94,7 @@ func TestDRAMTraffic(t *testing.T) {
 	c := Default()
 	shapes := shapesOf(t, nn.LenetC(), 32)
 	s := shapes[0]
-	got := c.DRAMTraffic(s, 1000, 500)
+	got := c.DRAMTraffic(&s, 1000, 500)
 	if got < 1500 {
 		t.Errorf("DRAMTraffic = %g, want >= operand+result", got)
 	}
@@ -108,9 +108,9 @@ func TestComputeTimeProperty(t *testing.T) {
 	prop := func(li uint8, macs uint32) bool {
 		s := shapes[int(li)%len(shapes)]
 		m := float64(macs%1e9) + 1
-		tm := c.ComputeTime(m, s)
+		tm := c.ComputeTime(m, &s)
 		peak := 2 * m / c.GOPS
-		return tm >= peak && c.ComputeTime(2*m, s) > tm
+		return tm >= peak && c.ComputeTime(2*m, &s) > tm
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Error(err)

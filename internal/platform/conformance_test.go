@@ -203,18 +203,18 @@ func TestConformanceComputeSanity(t *testing.T) {
 	forEachPlatform(t, func(t *testing.T, p platform.Platform) {
 		c := p.Compute()
 		for _, s := range shapes {
-			if got := c.ComputeTime(0, s); got != 0 {
+			if got := c.ComputeTime(0, &s); got != 0 {
 				t.Errorf("%s: ComputeTime(0) = %g", s.Layer.Name, got)
 			}
-			small := c.ComputeTime(1e6, s)
-			large := c.ComputeTime(1e9, s)
+			small := c.ComputeTime(1e6, &s)
+			large := c.ComputeTime(1e9, &s)
 			if small <= 0 || large <= 0 || math.IsNaN(small) || math.IsInf(large, 0) {
 				t.Fatalf("%s: compute times %g / %g", s.Layer.Name, small, large)
 			}
 			if large <= small {
 				t.Errorf("%s: ComputeTime not monotone: %g !> %g", s.Layer.Name, large, small)
 			}
-			if tr := c.DRAMTraffic(s, 1e6, 1e5); tr < 1e5 {
+			if tr := c.DRAMTraffic(&s, 1e6, 1e5); tr < 1e5 {
 				t.Errorf("%s: DRAMTraffic %g below result bytes", s.Layer.Name, tr)
 			}
 		}

@@ -68,10 +68,10 @@ func Resolve(name string) (Platform, error) {
 type Compute interface {
 	// ComputeTime returns the seconds one node needs for the given
 	// number of multiply-accumulates of the layer.
-	ComputeTime(macs float64, s nn.LayerShapes) float64
+	ComputeTime(macs float64, s *nn.LayerShapes) float64
 	// DRAMTraffic returns the local-memory bytes one node moves for one
 	// phase of the layer given its operand and result footprints.
-	DRAMTraffic(s nn.LayerShapes, operandBytes, resultBytes float64) float64
+	DRAMTraffic(s *nn.LayerShapes, operandBytes, resultBytes float64) float64
 	// Validate checks the compute configuration.
 	Validate() error
 }

@@ -28,9 +28,10 @@
 // approximate. Both the response cache and the singleflight table are
 // striped into independently locked shards keyed by the request hash,
 // so the hot replay path scales with cores instead of serializing on
-// one global mutex. The server keeps no per-config state: each sweep
-// runs on an experiments.Session built from the request's own resolved
-// config, and every plan is solved cold.
+// one global mutex. The server keeps no per-config or per-model state:
+// each sweep runs on an experiments.Session built from the request's
+// own resolved config, every plan is solved cold, and an inline model
+// is decoded for its request alone (zoo networks are pinned at New).
 package service
 
 import (
@@ -54,7 +55,6 @@ import (
 
 	hypar "repro"
 	"repro/internal/experiments"
-	"repro/internal/lru"
 	"repro/internal/nn"
 	"repro/internal/partition"
 	"repro/internal/runner"
@@ -72,8 +72,6 @@ const (
 	// DefaultCacheEntries is the result-cache bound when Options leaves
 	// CacheEntries zero.
 	DefaultCacheEntries = 256
-	// DefaultModelEntries bounds the decoded-model intern cache.
-	DefaultModelEntries = 1024
 )
 
 // Options configures a Server.
@@ -210,12 +208,6 @@ type Server struct {
 	// slab still gets reused instead of rebuilt.
 	evaluators sync.Pool
 
-	// models interns decoded user models by canonical JSON, so
-	// repeated identical submissions share one *nn.Model and with it
-	// its shape memo; the LRU bound keeps all-unique traffic from
-	// holding thousands of dead models.
-	models *lru.Cache[string, *nn.Model]
-
 	cache     *shardedLRU
 	raw       *shardedLRU // exact-bytes fast path (nil = disabled)
 	flight    shardedFlight
@@ -324,7 +316,6 @@ func New(opts Options) (*Server, error) {
 		IdleTimeout:       time.Minute,
 	}
 	s.evaluators.New = func() any { return hypar.NewEvaluator() }
-	s.models = lru.New[string, *nn.Model](DefaultModelEntries)
 	if s.pinned, err = pinModels(hypar.Zoo(), hypar.BranchedZoo()); err != nil {
 		return nil, err
 	}
@@ -587,8 +578,7 @@ func (s *Server) resolveRequest(req request, wantStrategy, wantFree bool) (*pars
 			return nil, badRequest(err)
 		}
 		modelEncodes.Add(1)
-		p.modelJSON = enc
-		p.model, _ = s.models.GetOrAdd(string(enc), func() *nn.Model { return m })
+		p.model, p.modelJSON = m, enc
 	default:
 		return nil, badRequest(fmt.Errorf(`%w: one of "zoo" or "model" is required`, ErrService))
 	}

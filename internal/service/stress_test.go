@@ -195,7 +195,7 @@ func TestShardedReplayEquivalence(t *testing.T) {
 // TestServiceConcurrentMixedStress drives the whole server concurrently
 // with a mix of hot (coalescing), distinct (sharded misses) and batch
 // traffic — the end-to-end race test over the striped cache, striped
-// flight, per-request sweep sessions and model intern cache together.
+// flight and per-request sweep sessions together.
 // Run under -race in CI.
 func TestServiceConcurrentMixedStress(t *testing.T) {
 	_, ts, _ := newTestServer(t)

@@ -156,7 +156,7 @@ func TestChainScheduleMatchesEngine(t *testing.T) {
 		on := ac.arch
 		on.CollectTrace = true
 		for _, m := range models {
-			wire, err := serial.wiringOf(m)
+			g, err := m.CachedGraph()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -166,8 +166,8 @@ func TestChainScheduleMatchesEngine(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s %s %s: %v", ac.name, m.Name, name, err)
 				}
-				if engineRan := serial.eng.NumTasks() > 0; engineRan == wire.chain {
-					t.Fatalf("%s %s: engine ran = %v for chain = %v", ac.name, m.Name, engineRan, wire.chain)
+				if engineRan := serial.eng.NumTasks() > 0; engineRan == g.Chain {
+					t.Fatalf("%s %s: engine ran = %v for chain = %v", ac.name, m.Name, engineRan, g.Chain)
 				}
 				want, err := traced.Simulate(m, plan, on)
 				if err != nil {
@@ -256,8 +256,8 @@ func TestPhaseCostKey(t *testing.T) {
 // seconds.
 type fixedCompute struct{ d float64 }
 
-func (c fixedCompute) ComputeTime(float64, nn.LayerShapes) float64 { return c.d }
-func (fixedCompute) DRAMTraffic(_ nn.LayerShapes, op, res float64) float64 {
+func (c fixedCompute) ComputeTime(float64, *nn.LayerShapes) float64 { return c.d }
+func (fixedCompute) DRAMTraffic(_ *nn.LayerShapes, op, res float64) float64 {
 	return op + res
 }
 func (fixedCompute) Validate() error { return nil }

@@ -45,11 +45,11 @@ func TestSimulateBranchedModels(t *testing.T) {
 // must contain one bwd-conv per incoming edge of the join layer.
 func TestBranchedSkipTransfersScheduled(t *testing.T) {
 	m := nn.Incep2()
-	preds, err := m.LayerPreds()
+	g, err := m.CachedGraph()
 	if err != nil {
 		t.Fatal(err)
 	}
-	edges := partition.EdgesOf(preds)
+	edges := g.Edges
 	// stem(0) mp; branches(1,2) dp — both fork edges are mp-dp
 	// transitions charging 0.5·A(E) each.
 	assign := partition.Assignment{comm.MP, comm.DP, comm.DP, comm.DP, comm.DP, comm.DP}

@@ -79,7 +79,7 @@ func (a Arch) Validate() error {
 // Transfer prices one exchange of bytes (both directions, per pair) on
 // hierarchy level h's links: how long the level takes, and the energy
 // its link bytes cost under LevelMems[h].
-func (a Arch) Transfer(h int, bytes float64) (seconds, joules float64, err error) {
+func (a *Arch) Transfer(h int, bytes float64) (seconds, joules float64, err error) {
 	seconds, err = a.NoC.TransferTime(h, bytes)
 	if err != nil {
 		return 0, 0, err
@@ -159,14 +159,13 @@ func Simulate(m *nn.Model, plan *partition.Plan, arch Arch) (*Stats, error) {
 }
 
 // Simulator owns a reusable engine so repeated simulations (sweeps,
-// explorations, zoo comparisons) stop reallocating the task slab. It
-// also keeps, across calls:
+// explorations, zoo comparisons) stop reallocating the task slab. The
+// layer graph it schedules is the model's own (nn.Model.CachedGraph).
+// It keeps, across calls:
 //
-//   - the compiled wiring of the last model it simulated, so a sweep
-//     over one model resolves its layer graph once;
-//   - the phase-cost table of the last (model, batch, depth, cost
-//     models, element width), so a sweep prices each layer phase once
-//     per leaf shard instead of once per plan;
+//   - the phase-cost table of the last (shapes, depth, cost models,
+//     element width), so a sweep prices each layer phase once per leaf
+//     shard instead of once per plan;
 //   - the transfer prices of the last topology, per-level energy models
 //     and element type, so steps that share them — a DAG or overlap
 //     sweep's points, a comparison's strategies — price each (level,
@@ -174,109 +173,35 @@ func Simulate(m *nn.Model, plan *partition.Plan, arch Arch) (*Stats, error) {
 //   - the step builder's scratch, so a reused Simulator allocates only
 //     the returned Stats.
 //
-// The wiring and phase-cost memos hold the *nn.Model, so the pointer
-// cannot be recycled for another model; like CachedShapes, they rely on
-// models not being mutated after first use. A Simulator is not safe for
-// concurrent use: give each worker its own. A sweep's points are priced
-// by a SweepProgram, which workers share.
+// The phase-cost memo keys on the model's memoized shapes, which are
+// immutable while a model is not mutated after first use (as
+// CachedShapes requires). A Simulator is not safe for concurrent use:
+// give each worker its own. A sweep's points are priced by a
+// SweepProgram, which workers share.
 type Simulator struct {
 	eng *Engine
-
-	model *nn.Model // model whose wiring is compiled, nil before the first simulation
-	wire  wiring
 
 	costs  costTable
 	prices priceTable
 	b      stepBuilder
 }
 
-// wiring is a model's layer graph compiled for the step builder: the
-// layer-to-layer edges in the canonical (Src, Dst) order of
-// partition.EdgesOf, and per-layer indices into them.
-type wiring struct {
-	edges    []partition.Edge
-	outEdges [][]int
-	inEdges  [][]int
-	// chain reports that the edges are exactly (l, l+1) for every
-	// layer but the last: the graph the phase-serial running sum
-	// schedules (see buildSerial).
-	chain bool
-}
-
 // NewSimulator returns a Simulator with an empty engine.
 func NewSimulator() *Simulator { return &Simulator{eng: NewEngine()} }
 
-// wiringOf returns m's compiled wiring, compiling it only when m is not
-// the model of the previous call.
-func (s *Simulator) wiringOf(m *nn.Model) (*wiring, error) {
-	if s.model == m {
-		return &s.wire, nil
-	}
-	preds, err := m.LayerPreds()
-	if err != nil {
-		return nil, err
-	}
-	edges := partition.EdgesOf(preds)
-	out, in := indexEdges(edges, len(m.Layers))
-	s.model, s.wire = m, wiring{edges: edges, outEdges: out, inEdges: in, chain: isChain(edges, len(m.Layers))}
-	return &s.wire, nil
-}
-
-// isChain reports whether edges, in canonical order, are exactly the
-// chain (0, 1), (1, 2), …, (nl-2, nl-1).
-func isChain(edges []partition.Edge, nl int) bool {
-	if len(edges) != nl-1 {
-		return false
-	}
-	for l, ed := range edges {
-		if ed.Src != l || ed.Dst != l+1 {
-			return false
-		}
-	}
-	return true
-}
-
-// indexEdges lists each of nl layers' outgoing and incoming edges as
-// indices into edges, which must be edges of an nl-layer model
-// (LayerPreds guarantees 0 <= Src < Dst < nl).
-func indexEdges(edges []partition.Edge, nl int) (out, in [][]int) {
-	return cutIndex(edges, nl, func(ed partition.Edge) int { return ed.Src }),
-		cutIndex(edges, nl, func(ed partition.Edge) int { return ed.Dst })
-}
-
-// cutIndex lists, for each of nl layers l, the indices of the edges
-// whose end is l, in edge order, each list a window of one array.
-func cutIndex(edges []partition.Edge, nl int, end func(partition.Edge) int) [][]int {
-	at := make([]int, nl+1)
-	for _, ed := range edges {
-		at[end(ed)+1]++
-	}
-	for l := range nl {
-		at[l+1] += at[l]
-	}
-	ids, lists := make([]int, len(edges)), make([][]int, nl)
-	for l := range lists {
-		lists[l] = ids[at[l]:at[l]:at[l+1]]
-	}
-	for e, ed := range edges {
-		lists[end(ed)] = append(lists[end(ed)], e)
-	}
-	return lists
-}
-
 // costKey is everything a layer phase's cost depends on besides the
-// layer and its leaf shard: the model and batch fix the shapes, the
-// depth fixes the accelerator count, and the cost models and element
-// width price them. The cost models compare as interface values, which
-// is why platform.Compute and platform.Memory implementations must be
-// comparable.
+// layer and its leaf shard: the model's memoized shapes at the step's
+// batch (keyed by their first layer, which a live key keeps from being
+// recycled), the depth, which fixes the accelerator count, and the cost
+// models and element width that price them. The cost models compare as
+// interface values, which is why platform.Compute and platform.Memory
+// implementations must be comparable.
 type costKey struct {
-	model *nn.Model
-	batch int
-	depth int
-	comp  platform.Compute
-	mem   platform.Memory
-	dtype tensor.DType
+	shapes *nn.LayerShapes
+	depth  int
+	comp   platform.Compute
+	mem    platform.Memory
+	dtype  tensor.DType
 }
 
 // phaseCost is one layer phase's task duration and the terms it adds to
@@ -366,19 +291,19 @@ func resize[T any](s []T, n int) []T {
 // Simulate is Simulate on the Simulator's engine, memos and scratch.
 func (s *Simulator) Simulate(m *nn.Model, plan *partition.Plan, arch Arch) (*Stats, error) {
 	b := &s.b
-	wire, err := s.begin(b, m, plan, arch)
+	g, err := s.begin(b, m, plan, arch)
 	if err != nil {
 		return nil, err
 	}
 	b.costs = s.costs.cellsFor(costKey{
-		model: m, batch: plan.Batch, depth: b.levels,
+		shapes: &b.shapes[0], depth: b.levels,
 		comp: arch.Comp, mem: arch.Mem, dtype: arch.DType,
 	}, len(b.shapes))
 	b.stats = &Stats{CommSeconds: make([]float64, b.levels)}
 	b.prices, b.priceGen = s.prices.slotsFor(&arch, b.levels)
 	b.shard()
 
-	if wire.chain && !arch.OverlapGradComm && !arch.CollectTrace {
+	if g.Chain && !arch.OverlapGradComm && !arch.CollectTrace {
 		b.clock, b.tasks = 0, 0
 		if err := b.buildSerial(); err != nil {
 			return nil, err
@@ -413,9 +338,10 @@ func (s *Simulator) Simulate(m *nn.Model, plan *partition.Plan, arch Arch) (*Sta
 
 // begin runs Simulate's checks of m, plan and arch, in Simulate's order
 // and with its error text, and points b at them: shapes, depth, element
-// size and the edge order to schedule. b's phase-cost cells, stats and
-// transfer-price slots are the caller's to set.
-func (s *Simulator) begin(b *stepBuilder, m *nn.Model, plan *partition.Plan, arch Arch) (*wiring, error) {
+// size and the edge order to schedule. It returns the model's graph.
+// b's phase-cost cells, stats and transfer-price slots are the caller's
+// to set.
+func (s *Simulator) begin(b *stepBuilder, m *nn.Model, plan *partition.Plan, arch Arch) (*nn.Graph, error) {
 	if err := arch.Validate(); err != nil {
 		return nil, err
 	}
@@ -430,7 +356,7 @@ func (s *Simulator) begin(b *stepBuilder, m *nn.Model, plan *partition.Plan, arc
 		return nil, fmt.Errorf("%w: plan is for %d layers, model %q has %d",
 			ErrSim, len(plan.Levels[0]), m.Name, len(shapes))
 	}
-	wire, err := s.wiringOf(m)
+	g, err := m.CachedGraph()
 	if err != nil {
 		return nil, err
 	}
@@ -453,10 +379,10 @@ func (s *Simulator) begin(b *stepBuilder, m *nn.Model, plan *partition.Plan, arc
 	b.accs = float64(int64(1) << uint(levels))
 	b.es = float64(arch.DType.Size())
 	b.named = arch.CollectTrace
-	if err := b.route(wire); err != nil {
+	if err := b.route(g); err != nil {
 		return nil, err
 	}
-	return wire, nil
+	return g, nil
 }
 
 // stepBuilder compiles one training step and accrues its energy. It
@@ -483,7 +409,7 @@ type stepBuilder struct {
 	// edges is the model's layer-to-layer edge list in the canonical
 	// (Src, Dst) order the plan's per-edge volumes are indexed by;
 	// outEdges/inEdges index it per layer.
-	edges    []partition.Edge
+	edges    []nn.Edge
 	outEdges [][]int
 	inEdges  [][]int
 
@@ -510,21 +436,21 @@ type stepBuilder struct {
 // per-edge conversion volumes are indexed parallel to its own Edges, so
 // schedule from that order when recorded; plans without one (hand-built
 // zero-level plans) use the canonical order. Planners record the
-// canonical order, so the compiled per-layer lists serve almost every
+// canonical order, so the graph's per-layer lists serve almost every
 // plan as they are.
-func (b *stepBuilder) route(wire *wiring) error {
+func (b *stepBuilder) route(g *nn.Graph) error {
 	switch {
-	case b.plan.Edges == nil || slices.Equal(b.plan.Edges, wire.edges):
-		b.edges, b.outEdges, b.inEdges = wire.edges, wire.outEdges, wire.inEdges
-	case len(b.plan.Edges) != len(wire.edges):
+	case b.plan.Edges == nil || slices.Equal(b.plan.Edges, g.Edges):
+		b.edges, b.outEdges, b.inEdges = g.Edges, g.Out, g.In
+	case len(b.plan.Edges) != len(g.Edges):
 		return fmt.Errorf("%w: plan records %d edges, model has %d",
-			ErrSim, len(b.plan.Edges), len(wire.edges))
+			ErrSim, len(b.plan.Edges), len(g.Edges))
 	default:
 		// The recorded edge set must be exactly the model's (any order):
 		// per-edge volumes attached to wiring the model does not have
 		// would silently charge conversions on the wrong edges.
-		set := make(map[partition.Edge]bool, len(wire.edges))
-		for _, ed := range wire.edges {
+		set := make(map[nn.Edge]bool, len(g.Edges))
+		for _, ed := range g.Edges {
 			set[ed] = true
 		}
 		for _, ed := range b.plan.Edges {
@@ -533,7 +459,7 @@ func (b *stepBuilder) route(wire *wiring) error {
 			}
 			delete(set, ed)
 		}
-		out, in := indexEdges(b.plan.Edges, len(b.shapes))
+		out, in := nn.IndexEdges(b.plan.Edges, len(b.shapes))
 		b.edges, b.outEdges, b.inEdges = b.plan.Edges, out, in
 	}
 	return nil
@@ -662,9 +588,9 @@ func (b *stepBuilder) phaseCost(l int, p nn.Phase) *phaseCost {
 func (b *stepBuilder) phaseTime(l int, p nn.Phase) (dur, perAccMACs, traffic float64) {
 	s := &b.shapes[l]
 	perAccMACs = float64(s.MACs(p)) / b.accs
-	computeT := b.arch.Comp.ComputeTime(perAccMACs, *s)
+	computeT := b.arch.Comp.ComputeTime(perAccMACs, s)
 	opBytes, resBytes := b.phaseBytes(l, p)
-	traffic = b.arch.Comp.DRAMTraffic(*s, opBytes, resBytes)
+	traffic = b.arch.Comp.DRAMTraffic(s, opBytes, resBytes)
 	dramT := b.arch.Mem.DRAMTime(traffic)
 	dur = computeT
 	if dramT > dur {

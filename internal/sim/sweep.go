@@ -99,15 +99,15 @@ func CompileSweep(m *nn.Model, sw *partition.Sweep, arch Arch) (*SweepProgram, e
 	if sw == nil {
 		return nil, fmt.Errorf("%w: nil sweep", ErrSim)
 	}
-	var s Simulator // for the checks and the wiring
+	var s Simulator // for the checks and the step builder
 	plan := sw.Fill(nil, 0)
-	wire, err := s.begin(&s.b, m, plan, arch)
+	g, err := s.begin(&s.b, m, plan, arch)
 	if err != nil {
 		return nil, err
 	}
 	arch.LevelMems = slices.Clone(arch.LevelMems)
 	p := &SweepProgram{m: m, sw: sw, arch: arch}
-	if wire.chain && !arch.OverlapGradComm && !arch.CollectTrace {
+	if g.Chain && !arch.OverlapGradComm && !arch.CollectTrace {
 		c := sweepCompiler{p: p, b: &s.b}
 		c.compile(plan)
 	}

@@ -290,7 +290,7 @@ type slowPhase struct {
 	op    float64
 }
 
-func (c slowPhase) DRAMTraffic(s nn.LayerShapes, op, res float64) float64 {
+func (c slowPhase) DRAMTraffic(s *nn.LayerShapes, op, res float64) float64 {
 	if s.Layer.Name == c.layer && op == c.op {
 		return math.Inf(1)
 	}
@@ -316,7 +316,7 @@ func (g *pricingLog) TransferTime(level int, bytes float64) (float64, error) {
 	return g.Topology.TransferTime(level, bytes)
 }
 
-func (g *pricingLog) DRAMTraffic(s nn.LayerShapes, op, res float64) float64 {
+func (g *pricingLog) DRAMTraffic(s *nn.LayerShapes, op, res float64) float64 {
 	k := fmt.Sprintf("%s %v", s.Layer.Name, op)
 	if g.phases[k] == nil {
 		g.phases[k] = map[int]bool{}

@@ -40,9 +40,10 @@ func wiringPlans(t *testing.T, m *nn.Model, r *rand.Rand) map[string]*partition.
 }
 
 // TestSimulatorReuseAcrossModels feeds one Simulator models A, B, A —
-// a chain and two branched networks, each under several plans — so the
-// wiring memo is hit, replaced and recompiled; every result must
-// deep-equal a fresh one-shot Simulate.
+// a chain and two branched networks, each under several plans — so its
+// phase-cost table is refilled as the model changes, each model's
+// graph read from its own memo; every result must deep-equal a fresh
+// one-shot Simulate.
 func TestSimulatorReuseAcrossModels(t *testing.T) {
 	arch, err := defaultArch(4)
 	if err != nil {
@@ -71,10 +72,10 @@ func TestSimulatorReuseAcrossModels(t *testing.T) {
 }
 
 // TestSimulatorReusePermutedEdges checks the plans that miss the
-// compiled edge order: a permuted Edges list (with its per-edge
-// volumes permuted alongside) simulates to the same Stats, and a plan
-// carrying an edge the model does not have fails with ErrSim right
-// after a memo hit.
+// graph's canonical edge order: a permuted Edges list (with its
+// per-edge volumes permuted alongside) simulates to the same Stats,
+// and a plan carrying an edge the model does not have fails with
+// ErrSim right after a canonical-order step.
 func TestSimulatorReusePermutedEdges(t *testing.T) {
 	arch, err := defaultArch(4)
 	if err != nil {
@@ -121,12 +122,12 @@ func TestSimulatorReusePermutedEdges(t *testing.T) {
 	foreign := perm
 	foreign.Edges = append([]partition.Edge(nil), perm.Edges...)
 	foreign.Edges[0] = partition.Edge{Src: 0, Dst: len(m.Layers) - 1}
-	if _, err := s.Simulate(m, plan, arch); err != nil { // memo hit
+	if _, err := s.Simulate(m, plan, arch); err != nil { // canonical order
 		t.Fatal(err)
 	}
 	_, err = s.Simulate(m, &foreign, arch)
 	if !errors.Is(err, ErrSim) || !strings.Contains(err.Error(), "is not an edge of model") {
-		t.Errorf("foreign edge after a memo hit: err = %v, want the not-an-edge ErrSim", err)
+		t.Errorf("foreign edge after a canonical-order step: err = %v, want the not-an-edge ErrSim", err)
 	}
 	short := *plan
 	short.Edges = plan.Edges[:n-1]
@@ -136,9 +137,9 @@ func TestSimulatorReusePermutedEdges(t *testing.T) {
 }
 
 // TestAllocsSimulatorSameModel bounds re-simulating one model and plan
-// on a reused Simulator: the wiring memo, the phase-cost table, the
-// transfer prices, the builder's scratch and the engine's slab leave
-// only the returned Stats and its CommSeconds, on the serial path
+// on a reused Simulator: the model's graph memo, the phase-cost table,
+// the transfer prices, the builder's scratch and the engine's slab
+// leave only the returned Stats and its CommSeconds, on the serial path
 // (VGG-A, Lenet-c) and the engine path (Incep-2) alike.
 func TestAllocsSimulatorSameModel(t *testing.T) {
 	arch, err := defaultArch(4)
@@ -163,5 +164,37 @@ func TestAllocsSimulatorSameModel(t *testing.T) {
 		if allocs > 2 {
 			t.Errorf("%s: reused simulation allocates %.1f objects, want <= 2", m.Name, allocs)
 		}
+	}
+}
+
+// TestAllocsSimulatorAlternatingModels holds TestAllocsSimulatorSameModel's
+// bound while one Simulator alternates two chain models, as a pooled
+// evaluator does: each step reads its model's graph from the model's
+// memo, so switching models resolves no graph and allocates only the
+// returned Stats and its CommSeconds.
+func TestAllocsSimulatorAlternatingModels(t *testing.T) {
+	arch, err := defaultArch(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	models := []*nn.Model{nn.VGGA(), nn.LenetC()}
+	plans := make([]*partition.Plan, len(models))
+	for i, m := range models {
+		if plans[i], err = solve(m, 256, unit(4)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := NewSimulator()
+	step := 0
+	allocs := testing.AllocsPerRun(50, func() {
+		i := step % len(models)
+		step++
+		if _, err := s.Simulate(models[i], plans[i], arch); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.1f allocs per step alternating %s and %s", allocs, models[0].Name, models[1].Name)
+	if allocs > 2 {
+		t.Errorf("alternating models allocates %.1f objects per step, want <= 2", allocs)
 	}
 }

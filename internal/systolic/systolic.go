@@ -81,7 +81,7 @@ func (c Config) GOPS() float64 {
 // under weight-stationary mapping: tiling ceilings of the contraction ×
 // output matrix onto Rows×Cols, times the pipeline fill efficiency of
 // the streamed activation extent.
-func (c Config) Utilization(s nn.LayerShapes) float64 {
+func (c Config) Utilization(s *nn.LayerShapes) float64 {
 	// Contraction rows and output columns of the layer-as-GEMM.
 	contract := float64(s.Kernel.Cin) * float64(s.Kernel.K) * float64(s.Kernel.K)
 	out := float64(s.Kernel.Cout)
@@ -102,7 +102,7 @@ func (c Config) Utilization(s nn.LayerShapes) float64 {
 // ComputeTime returns the seconds one node needs to execute the given
 // number of MACs for the layer (2 operations per MAC at the sustained
 // rate).
-func (c Config) ComputeTime(macs float64, s nn.LayerShapes) float64 {
+func (c Config) ComputeTime(macs float64, s *nn.LayerShapes) float64 {
 	if macs <= 0 {
 		return 0
 	}
@@ -114,6 +114,6 @@ func (c Config) ComputeTime(macs float64, s nn.LayerShapes) float64 {
 // kernel tile resident while activations stream, so — like the
 // row-stationary model — each operand element is charged once and each
 // result element once.
-func (c Config) DRAMTraffic(s nn.LayerShapes, operandBytes, resultBytes float64) float64 {
+func (c Config) DRAMTraffic(s *nn.LayerShapes, operandBytes, resultBytes float64) float64 {
 	return operandBytes + resultBytes
 }

@@ -1,5 +1,5 @@
-// Command benchdiff compares two BENCH_N.json trajectory files (see
-// scripts/bench.sh) and fails when the newer one regresses beyond a
+// Command benchdiff compares two committed BENCH_N.json trajectory
+// files and fails when the newer one regresses beyond a
 // noise band, so the perf trajectory is a gate instead of a graph
 // someone has to remember to read.
 //

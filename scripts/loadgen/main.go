@@ -1,7 +1,6 @@
 // Command loadgen drives a running hypard with concurrent POST traffic
 // and reports throughput and latency percentiles as one JSON object on
-// stdout — scripts/bench.sh uses it to record service numbers in
-// BENCH_N.json.
+// stdout, for ad-hoc and cluster checks (bench/ is the benchmark).
 //
 // Modes:
 //
@@ -10,16 +9,6 @@
 //	-mode mixed    cycles zoo models × strategies × batch sizes
 //	               (exercises the evaluator itself; mostly cache misses
 //	               until the cycle wraps)
-//	-mode branched cycles the branched (DAG) workloads — the SRES-8 and
-//	               Incep-2 zoo names plus an inline fork/join model
-//	               JSON — across strategies and batch sizes (exercises
-//	               the graph partition search and DAG simulation)
-//	-mode degraded cycles zoo models × batch sizes through /v1/degrade
-//	               with a fixed fault spec (exercises healthy-vs-degraded
-//	               replanning)
-//	-mode hetero   cycles zoo models × per-level platform assignments ×
-//	               batch sizes (exercises the heterogeneous-array path:
-//	               per-level weights, composite fabric, boundary charges)
 //	-mode beam     cycles the branched workloads plus an inline wide-fan
 //	               DAG under "searchMethod":"beam" (exercises the beam
 //	               partition search, including a frontier the exact DP
@@ -37,8 +26,7 @@
 //
 // -batch N wraps N of the mode's bodies into one /v1/batch request per
 // POST (the same global item sequence the single-request run would
-// issue), so `-requests R -batch N` pushes R×N items in R round trips —
-// the batch-vs-single comparison bench.sh records.
+// issue), so `-requests R -batch N` pushes R×N items in R round trips.
 //
 // -warm N replays the run's first N bodies untimed before measuring,
 // so a hot run records steady-state cache throughput instead of
@@ -104,17 +92,8 @@ var zooNames = []string{"SFC", "SCONV", "Lenet-c", "Cifar-c", "AlexNet", "VGG-A"
 var strategies = []string{"hypar", "dp", "mp", "trick"}
 
 // branchedNames are the DAG workload zoo names; the empty sentinel
-// selects the inline graph model below.
+// selects the inline wide-fan model below.
 var branchedNames = []string{"SRES-8", "Incep-2", ""}
-
-// branchedModel is an inline fork/concat-join model, kept literal like
-// zooNames so loadgen stays daemon-agnostic.
-const branchedModel = `{"name":"lg-dag","input":{"h":16,"w":16,"c":3},"layers":[` +
-	`{"name":"a","type":"conv","k":3,"pad":1,"cout":8,"pool":2},` +
-	`{"name":"b1","type":"conv","k":1,"cout":8,"inputs":["a"]},` +
-	`{"name":"b2","type":"conv","k":3,"pad":1,"cout":8,"inputs":["a"]},` +
-	`{"name":"c","type":"conv","k":3,"pad":1,"cout":16,"inputs":["b1","b2"],"join":"add"},` +
-	`{"name":"f","type":"fc","cout":10}]}`
 
 // wideFanModel is an inline DAG whose 18 parallel branches put its
 // partition frontier past the exact graph DP's cap — only the beam
@@ -138,37 +117,11 @@ var wideFanModel = func() string {
 // one-dimension sweep whose partition inputs never change.
 var sweepLinks = []float64{800, 1600, 3200, 6400}
 
-// heteroSpecs are mixed per-level platform assignments (sparse specs —
-// unnamed levels inherit the daemon's base platform), kept literal like
-// zooNames so loadgen stays daemon-agnostic.
-var heteroSpecs = []string{
-	`{"0":"gpu-hbm"}`,
-	`{"0":"tpu-systolic","1":"tpu-systolic"}`,
-	`{"0":"gpu-hbm","1":"tpu-systolic"}`,
-}
-
 // body renders the i-th request body for the mode.
 func body(mode string, i int) string {
 	switch mode {
 	case "hot":
 		return `{"zoo":"VGG-A","strategy":"hypar"}`
-	case "hetero":
-		name := zooNames[i%len(zooNames)]
-		spec := heteroSpecs[(i/len(zooNames))%len(heteroSpecs)]
-		batch := 64 << uint((i/(len(zooNames)*len(heteroSpecs)))%3) // 64, 128, 256
-		return fmt.Sprintf(`{"zoo":%q,"config":{"batch":%d,"platforms":%s}}`, name, batch, spec)
-	case "degraded":
-		name := zooNames[i%len(zooNames)]
-		batch := 64 << uint((i/len(zooNames))%3) // 64, 128, 256
-		return fmt.Sprintf(`{"zoo":%q,"config":{"batch":%d,"faults":{"level":1,"groups":2}}}`, name, batch)
-	case "branched":
-		name := branchedNames[i%len(branchedNames)]
-		strat := strategies[(i/len(branchedNames))%len(strategies)]
-		batch := 64 << uint((i/(len(branchedNames)*len(strategies)))%3) // 64, 128, 256
-		if name == "" {
-			return fmt.Sprintf(`{"model":%s,"strategy":%q,"config":{"batch":%d}}`, branchedModel, strat, batch)
-		}
-		return fmt.Sprintf(`{"zoo":%q,"strategy":%q,"config":{"batch":%d}}`, name, strat, batch)
 	case "beam":
 		// The branched zoo names plus the wide-fan model the exact DP
 		// refuses, all under the beam search.
@@ -213,17 +166,21 @@ func main() {
 		n       = flag.Int("requests", 200, "total requests")
 		batch   = flag.Int("batch", 0, "items per request through /v1/batch (0 = single requests)")
 		conc    = flag.Int("concurrency", 8, "concurrent clients")
-		mode    = flag.String("mode", "hot", "hot | mixed | branched | degraded | hetero | beam | sweep")
+		mode    = flag.String("mode", "hot", "hot | mixed | beam | sweep")
 		warm    = flag.Int("warm", 0, "untimed warmup requests before measuring (replays the run's first bodies so hot runs record steady-state cache throughput, not the first compute)")
 		wait    = flag.Duration("wait", 15*time.Second, "wait for /healthz before starting")
 		timeout = flag.Duration("timeout", 30*time.Second, "per-request timeout")
 		retries = flag.Int("retries", 4, "retry budget per request for shed (429/503) responses")
 	)
 	flag.Parse()
+	switch *mode {
+	case "hot", "mixed", "beam", "sweep":
+	default:
+		fmt.Fprintf(os.Stderr, "loadgen: unknown -mode %q (want hot, mixed, beam or sweep)\n", *mode)
+		os.Exit(2)
+	}
 	if *batch > 0 {
 		*path = "/v1/batch"
-	} else if *mode == "degraded" {
-		*path = "/v1/degrade"
 	}
 
 	// Targets: one base URL per replica; request i goes to target
