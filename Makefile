@@ -30,6 +30,7 @@ fuzz:
 	$(GO) test -fuzz='^FuzzParseTopology$$' -fuzztime=10s -run '^$$' ./internal/cluster
 	$(GO) test -fuzz='^FuzzConfigResolve$$' -fuzztime=10s -run '^$$' .
 	$(GO) test -fuzz='^FuzzSweepProgram$$' -fuzztime=10s -run '^$$' ./internal/sim
+	$(GO) test -fuzz='^FuzzHierarchicalFC$$' -fuzztime=10s -run '^$$' ./internal/train
 
 cover:
 	$(GO) test -cover -coverprofile=coverage.out ./...

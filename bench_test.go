@@ -338,8 +338,9 @@ func BenchmarkAblationOverlap(b *testing.B) {
 }
 
 // BenchmarkShardedTrainingStep measures one real hybrid-parallel SGD
-// step of the numerical substrate (two groups, mixed dp/mp assignment)
-// — the executor the communication-model validation runs on.
+// step of the numerical substrate between two groups: HierarchicalFC
+// on a one-level mp/mp/dp plan, the setting the §3.1 worked example and
+// the two-group communication checks run in.
 func BenchmarkShardedTrainingStep(b *testing.B) {
 	m := &hypar.Model{
 		Name:  "bench-fc",
@@ -350,28 +351,16 @@ func BenchmarkShardedTrainingStep(b *testing.B) {
 			hypar.FCLayer("fc3", 10),
 		},
 	}
-	ref, err := train.NewNetwork(m, 32, 1)
+	plan, err := partition.Evaluate(m, 32, []partition.Assignment{{comm.MP, comm.MP, comm.DP}}, unitWeights(1))
 	if err != nil {
 		b.Fatal(err)
 	}
-	sh, err := train.NewShardedFC(ref, []comm.Parallelism{comm.MP, comm.MP, comm.DP})
-	if err != nil {
-		b.Fatal(err)
-	}
-	x, labels, err := train.SyntheticBatch(m, 32, 10, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sh.Step(x, labels, 0.1); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchTrainingStep(b, m, 32, 10, plan)
 }
 
 // BenchmarkHierarchicalTrainingStep measures one four-worker (H=2)
-// hierarchical-parallel SGD step.
+// hierarchical-parallel SGD step of HierarchicalFC on the plan Solve
+// picks.
 func BenchmarkHierarchicalTrainingStep(b *testing.B) {
 	m := &hypar.Model{
 		Name:  "bench-hier",
@@ -386,7 +375,12 @@ func BenchmarkHierarchicalTrainingStep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ref, err := train.NewNetwork(m, 16, 1)
+	benchTrainingStep(b, m, 16, 8, plan)
+}
+
+// benchTrainingStep times HierarchicalFC's Step on a synthetic batch.
+func benchTrainingStep(b *testing.B, m *hypar.Model, batch, classes int, plan *partition.Plan) {
+	ref, err := train.NewNetwork(m, batch, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -394,7 +388,7 @@ func BenchmarkHierarchicalTrainingStep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	x, labels, err := train.SyntheticBatch(m, 16, 8, 2)
+	x, labels, err := train.SyntheticBatch(m, batch, classes, 2)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,12 +1,14 @@
 // Training: run *real* hybrid-parallel training. The planner picks a
-// parallelism per layer; this example executes actual SGD steps with
-// the tensors physically partitioned across two accelerator groups
-// exactly as the paper's Figure 1 prescribes, then verifies that
+// parallelism per layer and hierarchy level; this example executes
+// actual SGD steps with the tensors physically partitioned across the
+// plan's 2^H accelerators exactly as the paper's Figure 1 prescribes at
+// each level, then shows that
 //
-//  1. hybrid training matches single-device training bit for bit, and
-//  2. the bytes measured on the wire match the paper's communication
-//     model (Tables 1-2) — including the §3.1 worked example
-//     (56 KB under dp, 25.6 KB under mp for the 70→100 layer).
+//  1. hybrid training matches single-device training, and
+//  2. the elements measured crossing each level meet the paper's
+//     communication model (Tables 1-2): equal for the intra-layer
+//     reductions at every level, and for the inter-layer conversions
+//     between two groups, never above it deeper down.
 //
 // Run with:
 //
@@ -18,7 +20,6 @@ import (
 	"log"
 
 	hypar "repro"
-	"repro/internal/comm"
 	"repro/internal/train"
 )
 
@@ -33,87 +34,96 @@ func main() {
 			{Name: "fc3", Type: hypar.FC, Cout: 10},
 		},
 	}
-	const batch = 16
+	for _, levels := range []int{1, 2} {
+		if err := run(m, levels); err != nil {
+			log.Fatal(err)
+		}
+	}
+}
 
-	// Ask the planner which parallelism each layer should use between
-	// two groups (one hierarchy level).
+// run plans m over 2^levels accelerators, trains it for a few steps
+// beside a single device, and compares measured with modelled traffic.
+func run(m *hypar.Model, levels int) error {
+	const batch, steps = 64, 5
 	cfg := hypar.DefaultConfig()
 	cfg.Batch = batch
-	cfg.Levels = 1
+	cfg.Levels = levels
 	plan, err := hypar.NewPlan(m, hypar.HyPar, cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	assign := make([]comm.Parallelism, len(m.Layers))
-	fmt.Println("planned parallelism between the two groups:")
-	for l, layer := range m.Layers {
-		assign[l] = plan.At(0, l)
-		fmt.Printf("  %-4s %v\n", layer.Name, assign[l])
+	fmt.Printf("== %d accelerators (Levels = %d), planned parallelism:\n", plan.NumAccelerators(), levels)
+	for h, assign := range plan.Levels {
+		fmt.Printf("  level %d:", h)
+		for l, layer := range m.Layers {
+			fmt.Printf("  %s %v", layer.Name, assign[l])
+		}
+		fmt.Println()
 	}
 
-	// Build matched single-device and sharded executors.
+	// Matched single-device and hybrid executors.
 	ref, err := train.NewNetwork(m, batch, 1)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	sharded, err := train.NewShardedFC(ref, assign)
+	hybrid, err := train.NewHierarchicalFC(ref, plan)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	x, labels, err := train.SyntheticBatch(m, batch, 10, 2)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	// Train both for a few steps.
 	xNHWC := &train.Tensor{Shape: []int{batch, 1, 1, 64}, Data: x.Data}
 	fmt.Println("\nstep   loss(single)   loss(hybrid)   max|ΔW|")
-	for step := 1; step <= 5; step++ {
+	for step := 1; step <= steps; step++ {
 		refLoss, err := ref.TrainStep(xNHWC, labels, 0.2)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		shLoss, err := sharded.Step(x, labels, 0.2)
+		hybridLoss, err := hybrid.Step(x, labels, 0.2)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		var worst float64
 		for l := 0; l < ref.Layers(); l++ {
-			full, err := sharded.FullWeights(l)
+			full, err := hybrid.FullWeights(l)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			d, err := train.MaxAbsDiff(ref.Weights(l), full)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
-			if d > worst {
-				worst = d
-			}
+			worst = max(worst, d)
 		}
-		fmt.Printf("%4d   %12.6f   %12.6f   %8.2e\n", step, refLoss, shLoss, worst)
+		fmt.Printf("%4d   %12.6f   %12.6f   %8.2e\n", step, refLoss, hybridLoss, worst)
 	}
 
-	// Compare measured wire traffic against the analytic model.
-	pf, pg, pif, pie := sharded.PredictedExchanges()
-	fmt.Println("\nmeasured vs predicted exchange volumes (elements, 5 steps):")
-	fmt.Println("layer  category    measured  predicted×steps")
-	for l := range pf {
-		rows := []struct {
-			cat       string
-			meas, prd float64
-		}{
-			{"fwd-psum", sharded.IntraFwd[l], 5 * pf[l]},
-			{"grad-psum", sharded.IntraGrad[l], 5 * pg[l]},
-			{"interF", sharded.InterF[l], 5 * pif[l]},
-			{"interE", sharded.InterE[l], 5 * pie[l]},
+	// One step's traffic per group pair and direction, against the plan.
+	fmt.Println("\nelements per group pair and direction, last step:")
+	fmt.Println("level  class       measured  modelled")
+	sum := func(xs []float64) (t float64) {
+		for _, v := range xs {
+			t += v
 		}
-		for _, r := range rows {
-			if r.meas == 0 && r.prd == 0 {
-				continue
-			}
-			fmt.Printf("%5d  %-10s %9.0f  %9.0f\n", l, r.cat, r.meas, r.prd)
+		return t
+	}
+	for h, got := range hybrid.Traffic() {
+		want := plan.Details[h]
+		for _, c := range []struct {
+			name      string
+			got, want []float64
+		}{
+			{"fwd-psum", got.IntraFwd, want.IntraFwd},
+			{"grad-psum", got.IntraGrad, want.IntraGrad},
+			{"interF", got.InterF, want.InterF},
+			{"interE", got.InterE, want.InterE},
+		} {
+			fmt.Printf("%5d  %-10s %9.0f %9.0f\n", h, c.name, sum(c.got), sum(c.want))
 		}
 	}
-	fmt.Printf("\ntotal remote traffic: %.1f KB over 5 steps\n", sharded.TotalRemote()*4/1024)
+	fmt.Printf("\ntotal remote traffic: %.1f KB per step\n\n", hybrid.TotalRemote()*4/1024)
+	return nil
 }

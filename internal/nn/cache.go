@@ -26,7 +26,9 @@ type shapeMemo struct {
 // read-only; every consumer in this repository (the partition search,
 // the simulator, the training substrate) only reads it. A model must
 // not be mutated after its shapes have been cached. Errors are not
-// memoized.
+// memoized. A miss also publishes the model's graph from the
+// predecessors it resolved, when CachedGraph holds none yet, so a
+// model's first plan resolves them once.
 //
 // The memo lives on the model, so it is freed with it. A hit takes no
 // lock; concurrent misses may both infer, and the last snapshot stored
@@ -41,9 +43,16 @@ func (m *Model) CachedShapes(batch int) ([]LayerShapes, error) {
 		}
 		prev = *old
 	}
-	shapes, err := m.Shapes(batch)
+	preds, err := m.validatePreds()
 	if err != nil {
 		return nil, err
+	}
+	shapes, err := m.shapes(preds, batch)
+	if err != nil {
+		return nil, err
+	}
+	if g := m.graph.Load(); g == nil || g.owner != m {
+		m.graph.Store(m.newGraph(preds))
 	}
 	next := &shapeMemo{owner: m, n: min(prev.n+1, shapeMemoSize)}
 	next.batches[0], next.shapes[0] = batch, shapes
@@ -99,14 +108,21 @@ func (m *Model) CachedGraph() (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
+	g := m.newGraph(preds)
+	m.graph.Store(g)
+	return g, nil
+}
+
+// newGraph derives m's graph from its resolved predecessors, which it
+// keeps.
+func (m *Model) newGraph(preds [][]int) *Graph {
 	g := &Graph{Preds: preds, Edges: edgesOf(preds), owner: m}
 	g.Out, g.In = IndexEdges(g.Edges, len(preds))
 	g.Chain = len(g.Edges) == len(preds)-1
 	for l, ed := range g.Edges {
 		g.Chain = g.Chain && ed.Src == l && ed.Dst == l+1
 	}
-	m.graph.Store(g)
-	return g, nil
+	return g
 }
 
 // edgesOf derives the layer-to-layer edges from resolved predecessors,

@@ -344,3 +344,35 @@ func TestAllocsCachedShapesHit(t *testing.T) {
 		t.Errorf("shape-cache hit allocates %.1f objects, want 0", allocs)
 	}
 }
+
+// TestAllocsFirstShapesAndGraph pins what a new model's first plan pays
+// for its shapes and graph: CachedShapes' miss resolves the layer
+// predecessors once and publishes the graph from them, so the
+// CachedGraph call after it is a hit. Resolving them again there cost
+// 2 more allocations on a chain, 12 on SRES-8 and 9 on Incep-2.
+func TestAllocsFirstShapesAndGraph(t *testing.T) {
+	for _, c := range []struct {
+		m   *Model
+		max float64
+	}{{VGGA(), 27}, {LenetC(), 18}, {SRES8(), 34}, {Incep2(), 28}} {
+		const runs = 20
+		fresh := make([]*Model, runs+1) // AllocsPerRun calls once more to warm up
+		for i := range fresh {
+			fresh[i] = &Model{Name: c.m.Name, Input: c.m.Input, Layers: c.m.Layers}
+		}
+		next := 0
+		allocs := testing.AllocsPerRun(runs, func() {
+			m := fresh[next]
+			next++
+			if _, err := m.CachedShapes(256); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := m.CachedGraph(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > c.max {
+			t.Errorf("%s: first CachedShapes + CachedGraph allocate %.0f objects, want <= %.0f", c.m.Name, allocs, c.max)
+		}
+	}
+}

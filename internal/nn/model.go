@@ -307,6 +307,11 @@ func (m *Model) Shapes(batch int) ([]LayerShapes, error) {
 	if err != nil {
 		return nil, err
 	}
+	return m.shapes(preds, batch)
+}
+
+// shapes is Shapes over the predecessors validatePreds resolved.
+func (m *Model) shapes(preds [][]int, batch int) ([]LayerShapes, error) {
 	if batch <= 0 {
 		return nil, fmt.Errorf("%w: model %q batch=%d", ErrModel, m.Name, batch)
 	}

@@ -9,8 +9,8 @@ import (
 // each group holds a full weight replica and half the mini-batch, and
 // the gradient partial sums are exchanged before the update — Figure
 // 1(a) made concrete for the general layer mix the zoo uses. It
-// complements ShardedFC (which adds mp but is fc-only): together they
-// cover both parallelism classes numerically.
+// complements HierarchicalFC (which adds mp and any depth but is
+// fc-only): together they cover both parallelism classes numerically.
 type DPPair struct {
 	groups [2]*Network
 	batch  int

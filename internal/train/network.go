@@ -69,8 +69,8 @@ func NewNetwork(m *nn.Model, batch int, seed int64) (*Network, error) {
 // Layers returns the number of weighted layers.
 func (n *Network) Layers() int { return len(n.layers) }
 
-// Weights exposes layer l's weight tensor (tests and the sharded
-// executor mutate it).
+// Weights exposes layer l's weight tensor (tests mutate it; the
+// parallel executors copy it).
 func (n *Network) Weights(l int) *Tensor { return n.layers[l].W }
 
 // Grads exposes layer l's gradient tensor.

@@ -1,16 +1,19 @@
 // Package train is the numerical training substrate of the HyPar
 // reproduction: real forward, error-backward and gradient computation
 // for the paper's layer types (convolution with padding/stride, max
-// pooling, ReLU/softmax, fully-connected), a mini-batch SGD loop, and a
-// sharded two-group executor that runs hybrid-parallel training the way
-// the HyPar array would and *counts the actual remote accesses*,
-// validating the analytic communication model (Tables 1-2) empirically.
+// pooling, ReLU/softmax, fully-connected), a mini-batch SGD loop, and
+// two parallel executors. HierarchicalFC runs hybrid-parallel training
+// of an fc network across the 2^H workers of any hierarchical plan the
+// way the HyPar array would and *counts the actual remote accesses* at
+// every level, validating the analytic communication model
+// (Tables 1-2) empirically; DPPair runs data-parallel training of any
+// layer mix, convolutions and pooling included, across two groups.
 //
 // The architectural simulator (internal/sim) never touches numbers —
 // the paper's results are about communication, time and energy. This
 // package exists to prove the partition semantics are sound: a plan's
 // dp/mp sharding must reproduce single-device training exactly, and its
-// measured exchange volumes must equal what internal/comm predicts.
+// measured exchange volumes must meet what the plan records.
 // Values are float64 for verification fidelity; the architecture model
 // accounts storage and traffic at the paper's 32-bit precision
 // independently.
