@@ -49,7 +49,10 @@ var ErrConfig = errors.New("hypar: invalid config")
 
 // Re-exported core types, so downstream users interact with one import.
 type (
-	// Model is a feed-forward DNN description (see nn.Model).
+	// Model is a feed-forward DNN description (see nn.Model). A model
+	// is plain data: any field may change between calls, and the next
+	// call sees the change. Only a change made while a call is reading
+	// the model is a data race.
 	Model = nn.Model
 	// Input is the geometry of one training sample.
 	Input = nn.Input

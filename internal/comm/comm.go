@@ -80,7 +80,7 @@ type LayerAmounts struct {
 
 // Amounts derives the sharded per-pair element counts for a layer from
 // its inferred shapes and hierarchical shard state.
-func Amounts(s nn.LayerShapes, sh tensor.Shard) LayerAmounts {
+func Amounts(s *nn.LayerShapes, sh tensor.Shard) LayerAmounts {
 	return LayerAmounts{
 		DW:     sh.KernelElems(s.Kernel),
 		FOut:   sh.OutputElems(s.Out),

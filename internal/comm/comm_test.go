@@ -22,7 +22,7 @@ func TestFCWorkedExample(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Shapes: %v", err)
 	}
-	a := Amounts(shapes[0], tensor.Shard{})
+	a := Amounts(&shapes[0], tensor.Shard{})
 
 	dpBytes := ExchangedBytes(Intra(DP, a), tensor.Float32)
 	if dpBytes != 2*70*100*4 {
@@ -53,7 +53,7 @@ func TestConvWorkedExample(t *testing.T) {
 	if shapes[0].Out.H != 8 || shapes[0].Out.W != 8 {
 		t.Fatalf("conv output = %v, want 8×8×50", shapes[0].Out)
 	}
-	a := Amounts(shapes[0], tensor.Shard{})
+	a := Amounts(&shapes[0], tensor.Shard{})
 
 	dpBytes := ExchangedBytes(Intra(DP, a), tensor.Float32)
 	if dpBytes != 2*5*5*20*50*4 {
@@ -88,7 +88,7 @@ func TestVGGEConv5Fc3(t *testing.T) {
 	if conv5 == nil || fc3 == nil {
 		t.Fatal("conv5_1 or fc3 not found")
 	}
-	ac := Amounts(*conv5, tensor.Shard{})
+	ac := Amounts(conv5, tensor.Shard{})
 	if ac.DW != 512*512*9 {
 		t.Errorf("conv5 A(∆W) = %g, want %d", ac.DW, 512*512*9)
 	}
@@ -98,14 +98,14 @@ func TestVGGEConv5Fc3(t *testing.T) {
 	if !(ac.DW < ac.FOut) {
 		t.Error("paper: conv5 at b32 has A(∆W) < A(F_{l+1})")
 	}
-	af := Amounts(*fc3, tensor.Shard{})
+	af := Amounts(fc3, tensor.Shard{})
 	// fc3: Ci=4096, Co=1000; at batch 4096 the two amounts tie
 	// (§6.5.2 uses B=4096 for the fc comparison).
 	shapes4096, err := nn.VGGE().Shapes(4096)
 	if err != nil {
 		t.Fatalf("Shapes(4096): %v", err)
 	}
-	af = Amounts(shapes4096[len(shapes4096)-1], tensor.Shard{})
+	af = Amounts(&shapes4096[len(shapes4096)-1], tensor.Shard{})
 	if af.DW != af.FOut {
 		t.Errorf("fc3 at b4096: A(∆W)=%g A(F)=%g, want equal", af.DW, af.FOut)
 	}
@@ -186,7 +186,7 @@ func TestAmountsShardProperty(t *testing.T) {
 		t.Fatalf("Shapes: %v", err)
 	}
 	prop := func(li, dp, mp uint8) bool {
-		s := shapes[int(li)%len(shapes)]
+		s := &shapes[int(li)%len(shapes)]
 		sh := tensor.Shard{DP: int(dp % 5), MP: int(mp % 5)}
 		a := Amounts(s, sh)
 		base := Amounts(s, tensor.Shard{})

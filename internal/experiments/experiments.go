@@ -100,17 +100,19 @@ func (s *Session) Config() hypar.Config { return s.cfg }
 // Pool returns the session's worker pool.
 func (s *Session) Pool() *runner.Pool { return s.pool }
 
-// Zoo returns the session's pinned zoo models. Pinning matters: shape
-// inference memoizes per model instance, so every figure that walks
-// s.Zoo() shares one inference per (model, batch).
+// Zoo returns the session's pinned zoo models. Pinning matters: a
+// model memoizes its shapes and graph on itself (nn.Model.Derive), so
+// every figure that walks s.Zoo() shares one inference per (model,
+// batch). The models are the session's: CompareZoo evaluates them once,
+// so change a copy, not them.
 func (s *Session) Zoo() []*hypar.Model {
 	s.pinZoo.Do(func() { s.zoo = hypar.Zoo() })
 	return s.zoo
 }
 
 // Branched returns the session's pinned branched (DAG) workload
-// networks, pinned on first use for the same shape-inference sharing
-// as Zoo.
+// networks, pinned on first use so the figures share their memos, as
+// Zoo's do.
 func (s *Session) Branched() []*hypar.Model {
 	s.pinBranched.Do(func() { s.branched = hypar.BranchedZoo() })
 	return s.branched

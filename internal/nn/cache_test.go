@@ -8,27 +8,29 @@ import (
 	"weak"
 )
 
+// TestCachedShapesMatchesShapes pins Derive's shapes against Shapes,
+// a second call at the same batch returning the memoized slice.
 func TestCachedShapesMatchesShapes(t *testing.T) {
 	m := VGGA()
 	want, err := m.Shapes(256)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := m.CachedShapes(256)
+	got, _, err := m.Derive(256)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("CachedShapes differs from Shapes")
+		t.Fatal("Derive's shapes differ from Shapes")
 	}
-	again, err := m.CachedShapes(256)
+	again, _, err := m.Derive(256)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if &got[0] != &again[0] {
-		t.Error("second CachedShapes call did not hit the cache")
+		t.Error("second Derive call did not hit the memo")
 	}
-	other, err := m.CachedShapes(128)
+	other, _, err := m.Derive(128)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,10 +41,10 @@ func TestCachedShapesMatchesShapes(t *testing.T) {
 
 func TestCachedShapesErrorNotCached(t *testing.T) {
 	m := VGGA()
-	if _, err := m.CachedShapes(0); err == nil {
+	if _, _, err := m.Derive(0); err == nil {
 		t.Fatal("batch 0 accepted")
 	}
-	if _, err := m.CachedShapes(256); err != nil {
+	if _, _, err := m.Derive(256); err != nil {
 		t.Fatalf("valid batch rejected after error: %v", err)
 	}
 }
@@ -55,7 +57,7 @@ func TestCachedShapesConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for b := 1; b <= 32; b++ {
-				if _, err := m.CachedShapes(b); err != nil {
+				if _, _, err := m.Derive(b); err != nil {
 					t.Error(err)
 					return
 				}
@@ -73,21 +75,21 @@ func TestShapeCacheHotEntriesSurviveChurn(t *testing.T) {
 	zoo := Zoo()
 	pinned := make([][]LayerShapes, len(zoo))
 	for i, m := range zoo {
-		s, err := m.CachedShapes(7)
+		s, _, err := m.Derive(7)
 		if err != nil {
 			t.Fatal(err)
 		}
 		pinned[i] = s
 	}
 	for i := 0; i < 4096; i++ {
-		if _, err := LenetC().CachedShapes(8); err != nil {
+		if _, _, err := LenetC().Derive(8); err != nil {
 			t.Fatal(err)
 		}
 		if i%256 != 0 {
 			continue
 		}
 		for j, zm := range zoo {
-			s, err := zm.CachedShapes(7)
+			s, _, err := zm.Derive(7)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -98,22 +100,22 @@ func TestShapeCacheHotEntriesSurviveChurn(t *testing.T) {
 	}
 }
 
-// TestShapeMemoBound caches one model at 100 batch sizes: the memo
-// keeps at most shapeMemoSize of them, and the latest still hits.
+// TestShapeMemoBound derives one model at 100 batch sizes: the memo
+// keeps at most memoSize of them, and the latest still hits.
 func TestShapeMemoBound(t *testing.T) {
 	m := LenetC()
 	var last []LayerShapes
 	for b := 1; b <= 100; b++ {
-		s, err := m.CachedShapes(b)
+		s, _, err := m.Derive(b)
 		if err != nil {
 			t.Fatal(err)
 		}
 		last = s
 	}
-	if n := m.memo.Load().n; n > shapeMemoSize {
-		t.Errorf("memo holds %d batch sizes, want at most %d", n, shapeMemoSize)
+	if n := m.memo.Load().n; n > memoSize {
+		t.Errorf("memo holds %d batch sizes, want at most %d", n, memoSize)
 	}
-	again, err := m.CachedShapes(100)
+	again, _, err := m.Derive(100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,68 +125,48 @@ func TestShapeMemoBound(t *testing.T) {
 }
 
 // TestShapeMemoValueCopy pins that a value copy of a Model, which
-// carries the original's memos, never reads them: a copy whose layers
-// are then changed gets its own shapes, and a copy whose layers or
-// their inputs are changed gets its own graph.
+// carries the original's memo, shares its snapshot while its content
+// is equal and derives afresh once it differs: a copy whose layer is
+// then changed gets its own shapes, a copy with a layer fewer or with
+// rewired inputs its own graph, and the original keeps its memo.
 func TestShapeMemoValueCopy(t *testing.T) {
 	valueCopy := func(m *Model) *Model {
 		cp := new(Model)
-		reflect.ValueOf(cp).Elem().Set(reflect.ValueOf(m).Elem()) // copies the memos too
-		cp.Layers = append([]Layer(nil), m.Layers...)
+		reflect.ValueOf(cp).Elem().Set(reflect.ValueOf(m).Elem()) // copies the memo too
+		cp.Layers = cloneLayers(m.Layers)
 		return cp
 	}
-	m := LenetC()
-	orig, err := m.CachedShapes(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	origGraph, err := m.CachedGraph()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp := valueCopy(m)
-	cp.Layers[0].Cout *= 2
-	got, err := cp.CachedShapes(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := cp.Shapes(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &got[0] == &orig[0] || !reflect.DeepEqual(got, want) {
-		t.Fatal("value copy read the original model's memo")
-	}
-	if again, _ := m.CachedShapes(8); &again[0] != &orig[0] {
-		t.Error("the copy's miss replaced the original's memo")
-	}
-
-	// A copy with a layer fewer, and a copy of a branched model whose
-	// layer inputs are rewired, each resolve their own graph.
-	short := valueCopy(m)
-	short.Layers = short.Layers[:len(short.Layers)-1]
-	g := graphModel()
-	gOrig, err := g.CachedGraph()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rewired := valueCopy(g)
-	rewired.Layers[2].Inputs = []string{"b1"} // b2 now reads b1, not a
 	for _, c := range []struct {
-		name       string
-		orig, copy *Model
-		origGraph  *Graph
-	}{{"short", m, short, origGraph}, {"rewired", g, rewired, gOrig}} {
-		got, err := c.copy.CachedGraph()
+		name   string
+		m      *Model
+		change func(*Model)
+	}{
+		{"cout", LenetC(), func(m *Model) { m.Layers[0].Cout *= 2 }},
+		{"short", LenetC(), func(m *Model) { m.Layers = m.Layers[:len(m.Layers)-1] }},
+		{"rewired", graphModel(), func(m *Model) { m.Layers[2].Inputs[0] = "b1" }}, // b2 now reads b1, not a
+	} {
+		orig, origGraph, err := c.m.Derive(8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp := valueCopy(c.m)
+		if got, g, err := cp.Derive(8); err != nil || &got[0] != &orig[0] || g != origGraph {
+			t.Errorf("%s: an equal value copy derived afresh (err %v)", c.name, err)
+		}
+		c.change(cp)
+		got, g, err := cp.Derive(8)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		if got == c.origGraph || !reflect.DeepEqual(got.Edges, freshGraph(t, c.copy).Edges) ||
-			reflect.DeepEqual(got.Edges, c.origGraph.Edges) {
-			t.Errorf("%s: value copy read the original model's graph: edges %v", c.name, got.Edges)
+		want, err := cp.Shapes(8)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if again, _ := c.orig.CachedGraph(); again != c.origGraph {
-			t.Errorf("%s: the copy's miss replaced the original's graph", c.name)
+		if &got[0] == &orig[0] || !reflect.DeepEqual(got, want) || !reflect.DeepEqual(g, freshGraph(t, cp)) {
+			t.Errorf("%s: changed value copy read the original's memo: edges %v", c.name, g.Edges)
+		}
+		if again, g, _ := c.m.Derive(8); &again[0] != &orig[0] || g != origGraph {
+			t.Errorf("%s: the copy's miss replaced the original's memo", c.name)
 		}
 	}
 }
@@ -193,14 +175,14 @@ func TestShapeMemoValueCopy(t *testing.T) {
 // memo is read.
 func freshGraph(t *testing.T, m *Model) *Graph {
 	t.Helper()
-	g, err := (&Model{Name: m.Name, Input: m.Input, Layers: m.Layers}).CachedGraph()
+	_, g, err := (&Model{Name: m.Name, Input: m.Input, Layers: m.Layers}).Derive(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return g
 }
 
-// TestCachedGraph pins the graph memo against LayerPreds: the
+// TestCachedGraph pins Derive's graph against LayerPreds: the
 // predecessors, the canonical edges and the per-layer edge indices of
 // a chain and a fork/join model, a hit returning the same graph, and
 // an error that is not memoized.
@@ -216,7 +198,7 @@ func TestCachedGraph(t *testing.T) {
 		{graphModel(), []Edge{{0, 1}, {0, 2}, {1, 3}, {2, 3}, {3, 4}},
 			[][]int{{0, 1}, {2}, {3}, {4}, {}}, [][]int{{}, {0}, {1}, {2, 3}, {4}}, false},
 	} {
-		g, err := c.m.CachedGraph()
+		_, g, err := c.m.Derive(1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,37 +211,38 @@ func TestCachedGraph(t *testing.T) {
 			t.Errorf("%s: graph %+v, want preds %v edges %v out %v in %v chain %v",
 				c.m.Name, *g, preds, c.edges, c.out, c.in, c.chain)
 		}
-		if again, _ := c.m.CachedGraph(); again != g {
-			t.Errorf("%s: second CachedGraph call missed the memo", c.m.Name)
+		if _, again, _ := c.m.Derive(1); again != g {
+			t.Errorf("%s: second Derive call missed the memo", c.m.Name)
 		}
 	}
 	// The model input as an extra input is no edge: still a chain for
 	// the step simulator, though not for ChainPreds.
 	extra := graphModel()
 	extra.Layers = []Layer{extra.Layers[0], {Name: "b", Type: Conv, K: 3, Pad: 1, Cout: 4, Inputs: []string{InputName, "a"}}}
-	if g, err := extra.CachedGraph(); err != nil || !g.Chain || ChainPreds(g.Preds) {
+	if _, g, err := extra.Derive(1); err != nil || !g.Chain || ChainPreds(g.Preds) {
 		t.Errorf("input-reading chain: graph %+v, err %v", g, err)
 	}
-	if g, err := (&Model{Name: "one", Layers: []Layer{{Type: FC, Cout: 2}}}).CachedGraph(); err != nil || g.Edges != nil || !g.Chain {
+	one := &Model{Name: "one", Input: Input{H: 1, W: 1, C: 4}, Layers: []Layer{{Type: FC, Cout: 2}}}
+	if _, g, err := one.Derive(1); err != nil || g.Edges != nil || !g.Chain {
 		t.Errorf("one-layer model: graph %+v, err %v; want nil edges and a chain", g, err)
 	}
 
 	bad := graphModel()
 	bad.Layers[1].Inputs = []string{"nope"}
-	if _, err := bad.CachedGraph(); err == nil {
+	if _, _, err := bad.Derive(1); err == nil {
 		t.Fatal("unknown input accepted")
 	}
 	bad.Layers[1].Inputs = []string{"a"}
-	if _, err := bad.CachedGraph(); err != nil {
+	if _, _, err := bad.Derive(1); err != nil {
 		t.Fatalf("mended model still refused: %v", err)
 	}
 }
 
 // TestShapeMemoFreedWithModel pins that the memo retains nothing: a
-// model that becomes unreachable after CachedShapes is collected.
+// model that becomes unreachable after Derive is collected.
 func TestShapeMemoFreedWithModel(t *testing.T) {
 	m := VGGA()
-	if _, err := m.CachedShapes(64); err != nil {
+	if _, _, err := m.Derive(64); err != nil {
 		t.Fatal(err)
 	}
 	w := weak.Make(m)
@@ -268,16 +251,15 @@ func TestShapeMemoFreedWithModel(t *testing.T) {
 		runtime.GC()
 	}
 	if w.Value() != nil {
-		t.Fatal("model survived GC after CachedShapes: something retains it")
+		t.Fatal("model survived GC after Derive: something retains it")
 	}
 }
 
-// TestShapeMemoStress runs goroutines that look up shared models at
+// TestShapeMemoStress runs goroutines that derive shared models at
 // overlapping batch sizes, so misses race to publish snapshots while
-// hits read them; every lookup must return its own batch's shapes.
-// Then 8 goroutines race the first graph and shape lookups of one
-// fresh model at a time, and every graph must equal a fresh
-// resolution. Run with -race.
+// hits read them; every call must return its own batch's shapes. Then
+// 8 goroutines race the first Derive of one fresh model at a time, and
+// every graph must equal a fresh resolution. Run with -race.
 func TestShapeMemoStress(t *testing.T) {
 	models := []*Model{LenetC(), CifarC(), AlexNet()}
 	var wg sync.WaitGroup
@@ -288,7 +270,7 @@ func TestShapeMemoStress(t *testing.T) {
 			for i := 0; i < 500; i++ {
 				m := models[(i+g)%len(models)]
 				b := 1 + (i*7+g)%6
-				s, err := m.CachedShapes(b)
+				s, _, err := m.Derive(b)
 				if err != nil {
 					t.Error(err)
 					return
@@ -311,10 +293,10 @@ func TestShapeMemoStress(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				<-start
-				if _, err := m.CachedShapes(4); err != nil {
+				var err error
+				if _, graphs[g], err = m.Derive(4); err != nil {
 					t.Error(err)
 				}
-				graphs[g], _ = m.CachedGraph()
 			}()
 		}
 		close(start)
@@ -328,33 +310,34 @@ func TestShapeMemoStress(t *testing.T) {
 	}
 }
 
-// TestAllocsCachedShapesHit pins the lookup every plan and simulated
-// step makes: a shape-cache hit allocates nothing.
-func TestAllocsCachedShapesHit(t *testing.T) {
-	m := AlexNet()
-	if _, err := m.CachedShapes(64); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := m.CachedShapes(64); err != nil {
+// TestAllocsDeriveHit pins the lookup every plan and simulated step
+// makes: a hit, which compares the model's content with the memo's
+// copy, allocates nothing, on a chain and on a branched model.
+func TestAllocsDeriveHit(t *testing.T) {
+	for _, m := range []*Model{AlexNet(), SRES8()} {
+		if _, _, err := m.Derive(64); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("shape-cache hit allocates %.1f objects, want 0", allocs)
+		allocs := testing.AllocsPerRun(200, func() {
+			if _, _, err := m.Derive(64); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: a Derive hit allocates %.1f objects, want 0", m.Name, allocs)
+		}
 	}
 }
 
-// TestAllocsFirstShapesAndGraph pins what a new model's first plan pays
-// for its shapes and graph: CachedShapes' miss resolves the layer
-// predecessors once and publishes the graph from them, so the
-// CachedGraph call after it is a hit. Resolving them again there cost
-// 2 more allocations on a chain, 12 on SRES-8 and 9 on Incep-2.
-func TestAllocsFirstShapesAndGraph(t *testing.T) {
+// TestAllocsFirstDerive pins what a new model's first plan pays for its
+// shapes and graph: one resolution of the layer predecessors, one
+// inference reusing one input buffer across layers, and the memo's
+// copy of the model's content.
+func TestAllocsFirstDerive(t *testing.T) {
 	for _, c := range []struct {
 		m   *Model
 		max float64
-	}{{VGGA(), 27}, {LenetC(), 18}, {SRES8(), 34}, {Incep2(), 28}} {
+	}{{VGGA(), 17}, {LenetC(), 15}, {SRES8(), 29}, {Incep2(), 26}} {
 		const runs = 20
 		fresh := make([]*Model, runs+1) // AllocsPerRun calls once more to warm up
 		for i := range fresh {
@@ -364,15 +347,31 @@ func TestAllocsFirstShapesAndGraph(t *testing.T) {
 		allocs := testing.AllocsPerRun(runs, func() {
 			m := fresh[next]
 			next++
-			if _, err := m.CachedShapes(256); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := m.CachedGraph(); err != nil {
+			if _, _, err := m.Derive(256); err != nil {
 				t.Fatal(err)
 			}
 		})
+		t.Logf("%s: first Derive allocates %.0f objects", c.m.Name, allocs)
 		if allocs > c.max {
-			t.Errorf("%s: first CachedShapes + CachedGraph allocate %.0f objects, want <= %.0f", c.m.Name, allocs, c.max)
+			t.Errorf("%s: first Derive allocates %.0f objects, want <= %.0f", c.m.Name, allocs, c.max)
 		}
+	}
+}
+
+// BenchmarkDeriveHit times the content check a Derive hit makes, on
+// the deepest chain and a branched model.
+func BenchmarkDeriveHit(b *testing.B) {
+	for _, m := range []*Model{VGGE(), SRES8()} {
+		b.Run(m.Name, func(b *testing.B) {
+			if _, _, err := m.Derive(64); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, _, err := m.Derive(64); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -33,18 +33,22 @@ func (in Input) Validate() error {
 // layer or the model input), layer names must be unique, and exactly
 // one layer — the last — may be left unconsumed (the single sink the
 // loss attaches to).
+//
+// A Model is plain data. Any field may change between calls, and the
+// next call sees the change: what the model derives is memoized on it
+// but keyed on its content (Derive). Only a change made while a call
+// is reading the model is a data race.
 type Model struct {
 	Name   string
 	Input  Input
 	Layers []Layer
 
-	memo  atomic.Pointer[shapeMemo] // CachedShapes' snapshot
-	graph atomic.Pointer[Graph]     // CachedGraph's resolution
+	memo atomic.Pointer[snapshot] // Derive's latest
 }
 
 // IsGraph reports whether any layer declares explicit inputs, i.e.
 // whether the model is written in graph form. A graph-form model may
-// still resolve to a plain chain — see LinearChain for the semantic
+// still resolve to a plain chain — see ChainPreds for the semantic
 // test.
 func (m *Model) IsGraph() bool {
 	for _, l := range m.Layers {
@@ -58,7 +62,7 @@ func (m *Model) IsGraph() bool {
 // DefaultPreds reports whether ps is layer i's implicit default wiring
 // — exactly the previous layer, or the model input for the first layer.
 // It is the single definition of "default" shared by the canonical
-// encoder, LinearChain, and the partition DP's chain dispatch.
+// encoder and ChainPreds.
 func DefaultPreds(i int, ps []int) bool {
 	if len(ps) != 1 {
 		return false
@@ -70,7 +74,8 @@ func DefaultPreds(i int, ps []int) bool {
 }
 
 // ChainPreds reports whether resolved predecessors (LayerPreds form)
-// describe a plain linear chain.
+// describe a plain linear chain — every layer consuming exactly the
+// previous one — even when layers spell that wiring out explicitly.
 func ChainPreds(preds [][]int) bool {
 	for i, ps := range preds {
 		if !DefaultPreds(i, ps) {
@@ -98,21 +103,6 @@ func (m *Model) SkipEdges() (int, error) {
 		}
 	}
 	return edges - (len(m.Layers) - 1), nil
-}
-
-// LinearChain reports whether the model's resolved data flow is a
-// plain chain — every layer consuming exactly the previous one — even
-// when layers spell that wiring out explicitly. A model whose wiring
-// fails to resolve is not a chain.
-func (m *Model) LinearChain() bool {
-	if !m.IsGraph() {
-		return true
-	}
-	preds, err := m.LayerPreds()
-	if err != nil {
-		return false
-	}
-	return ChainPreds(preds)
 }
 
 // LayerPreds resolves every layer's inputs to layer indices, in input
@@ -317,8 +307,9 @@ func (m *Model) shapes(preds [][]int, batch int) ([]LayerShapes, error) {
 	}
 	input := tensor.FeatureMap{B: batch, H: m.Input.H, W: m.Input.W, C: m.Input.C}
 	shapes := make([]LayerShapes, 0, len(m.Layers))
+	ins := make([]tensor.FeatureMap, 0, 2) // every layer's inputs, in turn
 	for i, l := range m.Layers {
-		ins := make([]tensor.FeatureMap, 0, len(preds[i]))
+		ins = ins[:0]
 		for _, p := range preds[i] {
 			if p < 0 {
 				ins = append(ins, input)

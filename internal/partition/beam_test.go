@@ -33,7 +33,7 @@ func oracleAmounts(t *testing.T, m *nn.Model, batch int) ([]comm.LayerAmounts, [
 	amounts := make([]comm.LayerAmounts, len(shapes))
 	var sh tensor.Shard
 	for l := range shapes {
-		amounts[l] = comm.Amounts(shapes[l], sh)
+		amounts[l] = comm.Amounts(&shapes[l], sh)
 	}
 	return amounts, preds
 }

@@ -75,7 +75,7 @@ func TestPreCanceledContextRefusesWork(t *testing.T) {
 	var sh tensor.Shard
 	amounts := make([]comm.LayerAmounts, len(shapes))
 	for l := range shapes {
-		amounts[l] = comm.Amounts(shapes[l], sh)
+		amounts[l] = comm.Amounts(&shapes[l], sh)
 	}
 	if _, _, err := twoWayGraphWith(ctx, amounts, preds, unitCosts); !errors.Is(err, context.Canceled) {
 		t.Errorf("twoWayGraphWith = %v, want context.Canceled", err)

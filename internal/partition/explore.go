@@ -152,7 +152,7 @@ func newSweep(model string, batch int, shapes []nn.LayerShapes, edges []Edge, ba
 		for k := 0; k <= h; k++ {
 			b := s.vols[s.block(h, k):]
 			for l := range amounts {
-				amounts[l] = comm.Amounts(shapes[l], tensor.Shard{DP: k, MP: h - k})
+				amounts[l] = comm.Amounts(&shapes[l], tensor.Shard{DP: k, MP: h - k})
 				for _, p := range ps {
 					b[2*l+int(p)] = c.intra(p, amounts[l])
 				}

@@ -119,7 +119,7 @@ func TestTwoWayGraphMatchesExhaustiveOracle(t *testing.T) {
 		amounts := make([]comm.LayerAmounts, len(shapes))
 		var sh tensor.Shard
 		for l := range shapes {
-			amounts[l] = comm.Amounts(shapes[l], sh)
+			amounts[l] = comm.Amounts(&shapes[l], sh)
 		}
 
 		got, assign, err := twoWayGraphWith(nil, amounts, preds, unitCosts)
@@ -176,7 +176,7 @@ func TestTwoWayGraphMatchesChainDP(t *testing.T) {
 		amounts := make([]comm.LayerAmounts, len(shapes))
 		var sh tensor.Shard
 		for l := range shapes {
-			amounts[l] = comm.Amounts(shapes[l], sh)
+			amounts[l] = comm.Amounts(&shapes[l], sh)
 		}
 		cCost, cAssign := twoWayWith(amounts, unitCosts)
 		gCost, gAssign, err := twoWayGraphWith(nil, amounts, preds, unitCosts)
@@ -248,7 +248,7 @@ func TestGraphEvaluateChargesSkipEdges(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sh tensor.Shard
-	aAmounts := comm.Amounts(shapes[0], sh)
+	aAmounts := comm.Amounts(&shapes[0], sh)
 	wantPerEdge := 0.5 * aAmounts.EBound
 	d := plan.Details[0]
 	for e, ed := range plan.Edges {
@@ -265,7 +265,7 @@ func TestGraphEvaluateChargesSkipEdges(t *testing.T) {
 	// The plan total equals the graph objective for the assignment.
 	amounts := make([]comm.LayerAmounts, len(shapes))
 	for l := range shapes {
-		amounts[l] = comm.Amounts(shapes[l], sh)
+		amounts[l] = comm.Amounts(&shapes[l], sh)
 	}
 	preds, err := m.LayerPreds()
 	if err != nil {

@@ -94,11 +94,7 @@ func prepare(m *nn.Model, batch, levels int, boundFrontier bool) ([]nn.LayerShap
 		return nil, nil, fmt.Errorf("%w: hierarchy depth %d (2^%d accelerators) is unreasonable",
 			ErrPlan, levels, levels)
 	}
-	shapes, err := m.CachedShapes(batch)
-	if err != nil {
-		return nil, nil, err
-	}
-	g, err := m.CachedGraph()
+	shapes, g, err := m.Derive(batch)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -115,7 +111,7 @@ func prepare(m *nn.Model, batch, levels int, boundFrontier bool) ([]nn.LayerShap
 // shard states into amounts, which holds one entry per layer.
 func amountsAt(amounts []comm.LayerAmounts, shapes []nn.LayerShapes, shards []tensor.Shard) {
 	for l := range shapes {
-		amounts[l] = comm.Amounts(shapes[l], shards[l])
+		amounts[l] = comm.Amounts(&shapes[l], shards[l])
 	}
 }
 

@@ -44,7 +44,7 @@ func TestInferenceModelParallelStillCosts(t *testing.T) {
 	}
 	inferenceCosts := UnitWeights().objectiveCosts(ObjectiveInference)
 	for l := range shapes {
-		a := comm.Amounts(shapes[l], tensor.Shard{})
+		a := comm.Amounts(&shapes[l], tensor.Shard{})
 		if got := inferenceCosts.intra(comm.MP, a); got != a.FOut {
 			t.Errorf("layer %d: inference mp intra = %g, want A(F)=%g", l, got, a.FOut)
 		}

@@ -69,7 +69,7 @@ func TestTwoWayMatchesExhaustiveOracle(t *testing.T) {
 		amounts := make([]comm.LayerAmounts, len(shapes))
 		var sh tensor.Shard
 		for l := range shapes {
-			amounts[l] = comm.Amounts(shapes[l], sh)
+			amounts[l] = comm.Amounts(&shapes[l], sh)
 		}
 
 		got, assign := twoWayWith(amounts, unitCosts)

@@ -60,7 +60,7 @@ func TestTwoWayOptimal(t *testing.T) {
 		}
 		amounts := make([]comm.LayerAmounts, len(shapes))
 		for i := range shapes {
-			amounts[i] = comm.Amounts(shapes[i], tensor.Shard{})
+			amounts[i] = comm.Amounts(&shapes[i], tensor.Shard{})
 		}
 		got, assign := twoWayWith(amounts, unitCosts)
 		if len(assign) != len(shapes) {
@@ -361,7 +361,7 @@ func TestUnitWeightsArePaperModel(t *testing.T) {
 			t.Fatal(err)
 		}
 		for l := range shapes {
-			a := comm.Amounts(shapes[l], tensor.Shard{})
+			a := comm.Amounts(&shapes[l], tensor.Shard{})
 			for _, p := range ps {
 				if got, want := unitCosts.intra(p, a), comm.Intra(p, a); got != want {
 					t.Errorf("%s layer %d: intra(%v) = %g, want %g", m.Name, l, p, got, want)
@@ -433,7 +433,7 @@ func TestLevelMonotonicity(t *testing.T) {
 // memoizes for later plans and simulations.
 func TestPlanOwnsEdges(t *testing.T) {
 	m := nn.Incep2()
-	g, err := m.CachedGraph()
+	_, g, err := m.Derive(8)
 	if err != nil {
 		t.Fatal(err)
 	}

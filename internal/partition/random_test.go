@@ -68,7 +68,7 @@ func TestRandomModelsInvariants(t *testing.T) {
 		// (1) Algorithm 1 optimality on the unsharded level.
 		amounts := make([]comm.LayerAmounts, len(shapes))
 		for i := range shapes {
-			amounts[i] = comm.Amounts(shapes[i], tensor.Shard{})
+			amounts[i] = comm.Amounts(&shapes[i], tensor.Shard{})
 		}
 		got, assign := twoWayWith(amounts, unitCosts)
 		nl := len(shapes)

@@ -559,9 +559,9 @@ func (s *Server) resolveRequest(req request, wantStrategy, wantFree bool) (*pars
 	case req.Zoo != "" && req.Model != nil:
 		return nil, badRequest(fmt.Errorf(`%w: both "zoo" and "model" given`, ErrService))
 	case req.Zoo != "":
-		// Resolve against the pinned zoo so every request for
-		// the same network shares one *Model instance (shape inference
-		// memoizes per pointer) and its canonical bytes from New.
+		// Resolve against the pinned zoo so every request for the
+		// same network shares one *Model instance, whose memo holds
+		// its shapes and graph, and its canonical bytes from New.
 		pm, ok := s.pinned[req.Zoo]
 		if !ok {
 			_, err := hypar.ModelByName(req.Zoo)

@@ -156,7 +156,7 @@ func TestChainScheduleMatchesEngine(t *testing.T) {
 		on := ac.arch
 		on.CollectTrace = true
 		for _, m := range models {
-			g, err := m.CachedGraph()
+			_, g, err := m.Derive(64)
 			if err != nil {
 				t.Fatal(err)
 			}

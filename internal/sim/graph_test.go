@@ -45,7 +45,7 @@ func TestSimulateBranchedModels(t *testing.T) {
 // must contain one bwd-conv per incoming edge of the join layer.
 func TestBranchedSkipTransfersScheduled(t *testing.T) {
 	m := nn.Incep2()
-	g, err := m.CachedGraph()
+	_, g, err := m.Derive(8)
 	if err != nil {
 		t.Fatal(err)
 	}

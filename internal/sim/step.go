@@ -160,8 +160,8 @@ func Simulate(m *nn.Model, plan *partition.Plan, arch Arch) (*Stats, error) {
 
 // Simulator owns a reusable engine so repeated simulations (sweeps,
 // explorations, zoo comparisons) stop reallocating the task slab. The
-// layer graph it schedules is the model's own (nn.Model.CachedGraph).
-// It keeps, across calls:
+// shapes and layer graph it schedules are the model's own
+// (nn.Model.Derive). It keeps, across calls:
 //
 //   - the phase-cost table of the last (shapes, depth, cost models,
 //     element width), so a sweep prices each layer phase once per leaf
@@ -173,11 +173,10 @@ func Simulate(m *nn.Model, plan *partition.Plan, arch Arch) (*Stats, error) {
 //   - the step builder's scratch, so a reused Simulator allocates only
 //     the returned Stats.
 //
-// The phase-cost memo keys on the model's memoized shapes, which are
-// immutable while a model is not mutated after first use (as
-// CachedShapes requires). A Simulator is not safe for concurrent use:
-// give each worker its own. A sweep's points are priced by a
-// SweepProgram, which workers share.
+// The phase-cost memo keys on the model's memoized shapes, which never
+// change: a model whose content changes derives new ones. A Simulator
+// is not safe for concurrent use: give each worker its own. A sweep's
+// points are priced by a SweepProgram, which workers share.
 type Simulator struct {
 	eng *Engine
 
@@ -348,17 +347,13 @@ func (s *Simulator) begin(b *stepBuilder, m *nn.Model, plan *partition.Plan, arc
 	if err := plan.Validate(); err != nil {
 		return nil, err
 	}
-	shapes, err := m.CachedShapes(plan.Batch)
+	shapes, g, err := m.Derive(plan.Batch)
 	if err != nil {
 		return nil, err
 	}
 	if len(plan.Levels) > 0 && len(shapes) != len(plan.Levels[0]) {
 		return nil, fmt.Errorf("%w: plan is for %d layers, model %q has %d",
 			ErrSim, len(plan.Levels[0]), m.Name, len(shapes))
-	}
-	g, err := m.CachedGraph()
-	if err != nil {
-		return nil, err
 	}
 	if plan.Model != "" && plan.Model != m.Name {
 		return nil, fmt.Errorf("%w: plan was computed for model %q, not %q",

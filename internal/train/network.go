@@ -37,11 +37,11 @@ type Network struct {
 // than silently trained with the wrong data flow; graph-form models
 // whose wiring resolves to a plain chain are fine.
 func NewNetwork(m *nn.Model, batch int, seed int64) (*Network, error) {
-	shapes, err := m.Shapes(batch)
+	shapes, g, err := m.Derive(batch)
 	if err != nil {
 		return nil, err
 	}
-	if !m.LinearChain() {
+	if !nn.ChainPreds(g.Preds) {
 		return nil, fmt.Errorf("%w: model %q is a branched graph; the numeric trainer handles chains only", ErrTrain, m.Name)
 	}
 	r := newRNG(seed)
